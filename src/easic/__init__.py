@@ -34,7 +34,6 @@ from .bitstream import (
     Bitstream,
     ChainState,
     blank_state,
-    chain_order,
     program,
     read_bitstream,
     readback,
@@ -47,7 +46,6 @@ from .sim import (
     Evaluator,
     check_equivalence,
     eval_comb,
-    step,
 )
 from .attacks import (
     PatternHistogram,

@@ -58,12 +58,6 @@ class PatternHistogram:
     def unique_count(self):
         return len(self.entries)
 
-    def frequency_of(self, pattern: LutMask) -> int:
-        for entry in self.entries:
-            if entry.pattern == pattern:
-                return entry.frequency
-        return 0
-
     def as_dict(self):
         return {e.pattern: e.frequency for e in self.entries}
 
@@ -174,9 +168,6 @@ class TrendlineFit:
     coefficients: tuple   # numpy polyfit order: highest power first
     residuals: tuple
     max_abs_residual: float
-
-    def predict(self, ident):
-        return float(np.polyval(np.array(self.coefficients), ident))
 
 
 def fit_trendline(histogram: PatternHistogram, degree: int) -> TrendlineFit:

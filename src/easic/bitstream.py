@@ -36,19 +36,6 @@ class Bitstream:
     def total_len(self):
         return len(self.bits)
 
-    def masks(self) -> dict:
-        """Slice the bit vector back into per-LUT masks (round-trip law)."""
-        out = {}
-        offset = 0
-        for name, width in self.chain:
-            size = 1 << width
-            value = 0
-            for i in range(size):
-                value |= self.bits[offset + i] << i
-            out[name] = LutMask(width, value)
-            offset += size
-        return out
-
     def offsets(self) -> list:
         out = []
         offset = 0
@@ -58,15 +45,10 @@ class Bitstream:
         return out
 
 
-def chain_order(netlist: Netlist) -> list:
-    """Reconfigurable LUTs sorted by cell name; shared with emit_verilog."""
-    return netlist.chain_order()
-
-
 def serialize(netlist: Netlist) -> Bitstream:
     chain = []
     bits = []
-    for cell in chain_order(netlist):
+    for cell in netlist.chain_order():
         width = cell.mask.width
         chain.append((cell.name, width))
         for i in range(1 << width):
@@ -102,19 +84,6 @@ class ChainState:
         self.shifted += 1
         return out
 
-    def lut_config(self, name) -> int:
-        start = 0
-        flat = list(self.regs)
-        for lut, width in self.chain:
-            size = 1 << width
-            if lut == name:
-                value = 0
-                for i in range(size):
-                    value |= flat[start + i] << i
-                return value
-            start += size
-        raise BitstreamError(f"{name} is not in the configuration chain")
-
     def configs(self) -> dict:
         """All register contents as lut name -> mask bits int."""
         out = {}
@@ -131,7 +100,7 @@ class ChainState:
 
 
 def blank_state(netlist: Netlist) -> ChainState:
-    chain = tuple((c.name, c.mask.width) for c in chain_order(netlist))
+    chain = tuple((c.name, c.mask.width) for c in netlist.chain_order())
     total = sum(1 << width for _, width in chain)
     return ChainState(netlist=netlist, chain=chain, regs=deque([0] * total))
 
@@ -206,13 +175,18 @@ def read_bitstream(path) -> Bitstream:
         pos += n
         return chunk
 
-    (name_len,) = struct.unpack("<I", take(4))
-    design = take(name_len).decode("utf-8")
+    def take_name():
+        (length,) = struct.unpack("<I", take(4))
+        try:
+            return take(length).decode("utf-8")
+        except UnicodeDecodeError:
+            raise BitstreamError(f"{path}: name field is not UTF-8") from None
+
+    design = take_name()
     (chain_len,) = struct.unpack("<I", take(4))
     chain = []
     for _ in range(chain_len):
-        (id_len,) = struct.unpack("<I", take(4))
-        lut = take(id_len).decode("utf-8")
+        lut = take_name()
         (width,) = struct.unpack("<B", take(1))
         chain.append((lut, width))
     (bit_count,) = struct.unpack("<I", take(4))
@@ -223,6 +197,11 @@ def read_bitstream(path) -> Bitstream:
             f"total {expected}"
         )
     packed = take((bit_count + 7) // 8)
+    if pos != len(data):
+        raise BitstreamError(
+            f"{path}: {len(data) - pos} trailing bytes after the bit field")
+    if bit_count % 8 and packed[-1] >> (bit_count % 8):
+        raise BitstreamError(f"{path}: nonzero padding bits after the last bit")
     bits = unpack_bits(packed, bit_count)
     return Bitstream(design=design, chain=tuple(chain), bits=bits)
 

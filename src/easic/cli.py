@@ -53,11 +53,23 @@ def _sha256(data: bytes) -> str:
     return "sha256:" + hashlib.sha256(data).hexdigest()
 
 
-def _read_text(path) -> str:
+def _read_text(path, error=CliConfigError) -> str:
+    """The UTF-8 text of a file; text that does not decode raises
+    ``error`` (BlifError for netlists, so that it exits as a parse error)."""
     path = Path(path)
     if not path.is_file():
         raise CliConfigError(f"no such file: {path}")
-    return path.read_text(encoding="utf-8")
+    try:
+        return path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise error(f"{path}: not UTF-8 text (byte {exc.start})") from None
+
+
+def _read_json(path):
+    try:
+        return json.loads(_read_text(path))
+    except json.JSONDecodeError as exc:
+        raise CliConfigError(f"{path}: bad JSON ({exc})") from None
 
 
 def _write_text(path: Path, text: str):
@@ -121,7 +133,7 @@ def _trace_payload(result: ObfuscationResult) -> dict:
 
 
 def cmd_obfuscate(args) -> int:
-    text = _read_text(args.input)
+    text = _read_text(args.input, BlifError)
     netlist = parse_blif(text)
     library, lib_name = _load_library(args)
     config = ObfuscationConfig(obf_percent=args.obf, seed=args.seed,
@@ -176,12 +188,11 @@ def _parse_levels(spec_text):
 
 
 def cmd_sweep(args) -> int:
-    text = _read_text(args.input)
+    text = _read_text(args.input, BlifError)
     netlist = parse_blif(text)
     library, lib_name = _load_library(args)
     levels = _parse_levels(args.levels)
-    rows = sweep(netlist, levels, library=library, seed=args.seed,
-                 jobs=args.jobs)
+    rows = sweep(netlist, levels, library=library)
     out = _out_dir(args)
     csv_text = sweep_to_csv(rows)
     _write_text(out / "sweep.csv", csv_text)
@@ -213,17 +224,17 @@ def _load_run_dir(path):
             f"{run} is not an obfuscate output directory "
             "(missing easic.blif / easic.ebs)"
         )
-    netlist = parse_blif(blif.read_text(encoding="utf-8"))
+    netlist = parse_blif(_read_text(blif, BlifError))
     stream = bs.read_bitstream(ebs)
     trace = None
     trace_path = run / "trace.json"
     if trace_path.is_file():
-        trace = json.loads(trace_path.read_text(encoding="utf-8"))
+        trace = _read_json(trace_path)
     return netlist, stream, trace
 
 
 def cmd_verify(args) -> int:
-    golden = parse_blif(_read_text(args.golden))
+    golden = parse_blif(_read_text(args.golden, BlifError))
     netlist, stream, _ = _load_run_dir(args.easic)
     state = bs.blank_state(netlist)
     bs.program(state, stream)
@@ -267,24 +278,13 @@ def _result_from_run_dir(path) -> ObfuscationResult:
     )
 
 
-def _victim_histogram(args):
-    source = Path(args.victim)
-    if source.is_dir():
-        result = _result_from_run_dir(source)
-        return atk.pattern_histogram(result, atk.SCOPE_STATIC)
-    payload = json.loads(_read_text(source))
-    return atk.histogram_from_json(payload)
-
-
 def _load_corpus_dir(path):
     corpus_dir = Path(path)
     if not corpus_dir.is_dir():
         raise CliConfigError(f"missing corpus directory: {corpus_dir}")
     histograms = []
     for entry in sorted(corpus_dir.glob("*.histogram.json")):
-        histograms.append(
-            atk.histogram_from_json(json.loads(entry.read_text(encoding="utf-8")))
-        )
+        histograms.append(atk.histogram_from_json(_read_json(entry)))
     if not histograms:
         raise CliConfigError(f"no *.histogram.json files in {corpus_dir}")
     return histograms
@@ -296,7 +296,7 @@ def cmd_attack_structural(args) -> int:
         result = _result_from_run_dir(source)
         hist = atk.pattern_histogram(result, args.scope)
     else:
-        netlist = parse_blif(_read_text(source))
+        netlist = parse_blif(_read_text(source, BlifError))
         hist = atk.pattern_histogram(netlist, args.scope)
     out = _out_dir(args)
     _write_json(out / "histogram.json", hist.to_json_dict())
@@ -323,7 +323,7 @@ def cmd_attack_corpus(args) -> int:
     out = _out_dir(args)
     histograms = []
     for blif_path in args.inputs:
-        netlist = parse_blif(_read_text(blif_path))
+        netlist = parse_blif(_read_text(blif_path, BlifError))
         hist = atk.pattern_histogram(netlist, atk.SCOPE_WHOLE)
         histograms.append(hist)
         _write_json(out / f"{netlist.name}.histogram.json", hist.to_json_dict())
@@ -344,13 +344,17 @@ def cmd_attack_corpus(args) -> int:
 
 
 def cmd_attack_composition(args) -> int:
-    victim = _victim_histogram(args)
+    result = None
+    if Path(args.victim).is_dir():
+        result = _result_from_run_dir(args.victim)
+        victim = atk.pattern_histogram(result, atk.SCOPE_STATIC)
+    else:
+        victim = atk.histogram_from_json(_read_json(args.victim))
     corpus = _load_corpus_dir(args.corpus)
     report = atk.composition_attack(victim, corpus, threshold=args.threshold)
     out = _out_dir(args)
     _write_json(out / "composition.json", report.to_json_dict())
-    if Path(args.victim).is_dir():
-        result = _result_from_run_dir(args.victim)
+    if result is not None:
         union = atk.corpus_union(corpus)
         space = atk.search_space_report(result, union, report)
         _write_json(out / "search_space.json", space.to_json_dict())
@@ -366,7 +370,7 @@ def cmd_attack_composition(args) -> int:
 
 def cmd_attack_bruteforce(args) -> int:
     netlist, _, _ = _load_run_dir(args.easic)
-    golden = parse_blif(_read_text(args.golden))
+    golden = parse_blif(_read_text(args.golden, BlifError))
     result = atk.brute_force_key(netlist, golden, max_key_bits=args.max_key_bits)
     out = _out_dir(args)
     _write_json(out / "bruteforce.json", result.to_json_dict())
@@ -396,7 +400,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="percent of LUTs left reconfigurable (0..100)")
     p.add_argument("--lib", help="technology library JSON (or $EASIC_LIB)")
     p.add_argument("--out", help="output directory (default .)")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int, default=0,
+                   help="recorded in the outputs; the engine never reads it")
     p.set_defaults(func=cmd_obfuscate)
 
     p = sub.add_parser("sweep", help="obfuscate at several levels, emit CSV")
@@ -405,8 +410,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="comma-separated obfuscation percentages")
     p.add_argument("--lib")
     p.add_argument("--out")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--seed", type=int, default=0,
+                   help="recorded in manifest.json; never read")
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("verify", help="program the bitstream and check "

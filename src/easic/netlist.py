@@ -10,6 +10,7 @@ encode ``i`` in binary with ``in_0`` as LSB.
 
 from __future__ import annotations
 
+import heapq
 import re
 from dataclasses import dataclass, field, replace
 
@@ -153,12 +154,6 @@ class Cell:
     def is_reconfigurable(self):
         return self.kind == KIND_LUT and self.mode == MODE_RE
 
-    def comb_inputs(self):
-        """Input nets that matter for combinational traversal."""
-        if self.kind == KIND_FF:
-            return ()
-        return self.inputs
-
     def copy(self):
         return replace(self)
 
@@ -188,15 +183,6 @@ class Netlist:
             nets.add(cell.output)
             nets.update(cell.inputs)
         return nets
-
-    def fresh_net(self, prefix: str) -> str:
-        nets = self.nets
-        if prefix not in nets and prefix not in self.cells:
-            return prefix
-        k = 0
-        while f"{prefix}_{k}" in nets or f"{prefix}_{k}" in self.cells:
-            k += 1
-        return f"{prefix}_{k}"
 
     def driver_map(self):
         """net -> driving cell name; primary inputs and the clock map to None."""
@@ -270,52 +256,25 @@ class Netlist:
             if net not in drivers:
                 raise NetlistError(f"primary output {net} has no driver")
 
-        self._check_acyclic(drivers)
+        self._comb_order(drivers)
         return self
 
-    def _check_acyclic(self, drivers):
-        """Kahn's algorithm over the combinational subgraph (FFs cut)."""
-        comb = [c for c in self.cells.values() if not c.is_ff]
+    def _comb_order(self, drivers):
+        """Kahn's algorithm over the combinational subgraph (FFs cut);
+        among ready cells the smallest name goes first."""
         indeg = {}
         consumers = {}
-        for cell in comb:
+        for cell in self.cells.values():
+            if cell.is_ff:
+                continue
             n = 0
-            for net in cell.comb_inputs():
+            for net in cell.inputs:
                 drv = drivers.get(net)
                 if drv is not None and not self.cells[drv].is_ff:
                     n += 1
                     consumers.setdefault(drv, []).append(cell.name)
             indeg[cell.name] = n
         ready = [name for name, n in indeg.items() if n == 0]
-        seen = 0
-        while ready:
-            name = ready.pop()
-            seen += 1
-            for nxt in consumers.get(name, ()):
-                indeg[nxt] -= 1
-                if indeg[nxt] == 0:
-                    ready.append(nxt)
-        if seen != len(comb):
-            stuck = sorted(n for n, d in indeg.items() if d > 0)
-            raise NetlistError(f"combinational cycle through {stuck[:8]}")
-
-    def topo_cells(self):
-        """Combinational cells in topological order, then FFs (sorted)."""
-        drivers = self.driver_map()
-        comb = [c for c in self.cells.values() if not c.is_ff]
-        indeg = {}
-        consumers = {}
-        for cell in comb:
-            n = 0
-            for net in cell.comb_inputs():
-                drv = drivers.get(net)
-                if drv is not None and not self.cells[drv].is_ff:
-                    n += 1
-                    consumers.setdefault(drv, []).append(cell.name)
-            indeg[cell.name] = n
-        import heapq
-
-        ready = [name for name, n in sorted(indeg.items()) if n == 0]
         heapq.heapify(ready)
         order = []
         while ready:
@@ -325,8 +284,14 @@ class Netlist:
                 indeg[nxt] -= 1
                 if indeg[nxt] == 0:
                     heapq.heappush(ready, nxt)
-        if len(order) != len(comb):
-            raise NetlistError("combinational cycle")
+        if len(order) != len(indeg):
+            stuck = sorted(n for n, d in indeg.items() if d > 0)
+            raise NetlistError(f"combinational cycle through {stuck[:8]}")
+        return order
+
+    def topo_cells(self):
+        """Combinational cells in topological order, then FFs (sorted)."""
+        order = self._comb_order(self.driver_map())
         order.extend(sorted((c for c in self.cells.values() if c.is_ff),
                             key=lambda c: c.name))
         return order

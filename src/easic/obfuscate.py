@@ -22,9 +22,9 @@ from .techlib import TechLibrary, default_library
 from .timing import (
     TimingGraph,
     build_and_time,
-    endpoint_deviations,
-    endpoint_worst_path,
+    find_critical,
     lut_support,
+    report as timing_report,
     update_timing,
 )
 
@@ -36,7 +36,7 @@ class ObfuscationError(Exception):
 @dataclass
 class ObfuscationConfig:
     obf_percent: float
-    seed: int = 0
+    seed: int = 0    # recorded in trace.json; the engine is deterministic
     library: TechLibrary | None = None
 
     def __post_init__(self):
@@ -187,50 +187,37 @@ class _Engine:
         self._taken_names = self.netlist.nets | set(self.netlist.cells)
         self._candidate_cache = {}
 
-    def _find_critical_cached(self, excluded):
-        """Same result as timing.find_critical, but the per-endpoint
-        candidate lists (worst path + one-level deviations) are cached
-        between conversions: excluding a path does not retime the graph,
-        so recomputing them would be pure waste."""
-        candidates = []
-        for triple in self.graph.endpoints():
-            endpoint = triple[0]
-            cached = self._candidate_cache.get(endpoint)
-            if cached is None:
-                cached = [endpoint_worst_path(self.graph, triple)]
-                self._candidate_cache[endpoint] = cached
-            if cached[0].path_id in excluded and len(cached) == 1:
-                cached.extend(endpoint_deviations(self.graph, triple, cached[0]))
-            for path in cached:
-                if path.path_id not in excluded:
-                    candidates.append(path)
-                    break
-        if not candidates:
-            return None
-        candidates.sort(key=lambda p: (-p.delay, p.endpoint, p.cells))
-        return candidates[0]
+    def conversions(self):
+        """One conversion per step: critical-path picks first, then the
+        fallback order, computed once when the path search is exhausted.
 
-    def run(self, target: int) -> "ObfuscationResult":
+        The sequence does not depend on the target, so every obfuscation
+        level is a prefix of this one run."""
         excluded = set()
-        iteration = 0
-        while len(self.l_st) < target:
-            path = self._find_critical_cached(excluded)
+        while True:
+            path = find_critical(self.graph, excluded, self._candidate_cache)
             if path is None:
                 break
             lut = self._find_slowest(path)
             if lut is None:
                 excluded.add(path.path_id)
                 continue
-            iteration += 1
-            self._convert(lut, iteration, path.endpoint, fallback=False)
-        if len(self.l_st) < target:
-            for name in self._fallback_order():
-                if len(self.l_st) >= target:
-                    break
-                iteration += 1
-                self.fallback_count += 1
-                self._convert(self.netlist.cells[name], iteration, None,
-                              fallback=True)
+            yield self._convert(lut, path.endpoint, fallback=False)
+        for name in self._fallback_order():
+            self.fallback_count += 1
+            yield self._convert(self.netlist.cells[name], None, fallback=True)
+
+    def advance(self, steps, target: int):
+        """Take conversions from ``steps`` (a :meth:`conversions` run)
+        until ``target`` LUTs are static or none is left.
+
+        The caller holds the run: an engine that kept its own generator
+        would form a reference cycle and outlive its last use."""
+        while len(self.l_st) < target:
+            if next(steps, None) is None:
+                break
+
+    def result(self) -> ObfuscationResult:
         return ObfuscationResult(
             netlist=self.netlist,
             l_st=self.l_st,
@@ -276,7 +263,7 @@ class _Engine:
         )
         return order
 
-    def _convert(self, lut: Cell, iteration, endpoint, fallback):
+    def _convert(self, lut: Cell, endpoint, fallback) -> ConversionRecord:
         cp_before = self.graph.cp()
         network = staticgen.decompose_lut(lut.mask, self.lib)
         new_cells = _splice_network(self.netlist, lut, network,
@@ -291,16 +278,17 @@ class _Engine:
         )
         update_timing(self.graph, list(new_cells), structural=True)
         self._candidate_cache.clear()
-        cp_after = self.graph.cp()
-        self.trace.append(ConversionRecord(
-            iteration=iteration,
+        record = ConversionRecord(
+            iteration=len(self.trace) + 1,
             lut=lut.name,
             width=lut.mask.width,
             endpoint=endpoint,
             cp_before=cp_before,
-            cp_after=cp_after,
+            cp_after=self.graph.cp(),
             fallback=fallback,
-        ))
+        )
+        self.trace.append(record)
+        return record
 
 
 def run_obfuscation(netlist: Netlist, config: ObfuscationConfig) -> ObfuscationResult:
@@ -310,8 +298,9 @@ def run_obfuscation(netlist: Netlist, config: ObfuscationConfig) -> ObfuscationR
     Identical inputs produce identical results, including the trace.
     """
     engine = _Engine(netlist, config)
-    target = static_target(len(engine.l_re), config.obf_percent)
-    return engine.run(target)
+    engine.advance(engine.conversions(),
+                   static_target(len(engine.l_re), config.obf_percent))
+    return engine.result()
 
 
 def gen_case_constraints(result: ObfuscationResult) -> list:
@@ -335,44 +324,37 @@ def gen_case_constraints(result: ObfuscationResult) -> list:
 SWEEP_CSV_HEADER = "obf,sum_cp_ns,cp_ns,area_re_um2,area_st_um2,lut_re,lut_st"
 
 
-def sweep_level(netlist: Netlist, level, library=None, seed=0) -> dict:
-    from .timing import report as timing_report
+def sweep(netlist: Netlist, levels, library=None) -> list:
+    """One row per level, in the order given; rows mirror the sweep CSV.
 
-    config = ObfuscationConfig(obf_percent=level, seed=seed, library=library)
-    result = run_obfuscation(netlist, config)
-    rep = timing_report(result.graph)
-    area = result.area_report()
-    return {
-        "obf": level,
-        "sum_cp_ns": rep.sum_cp,
-        "cp_ns": rep.cp,
-        "area_re_um2": area.area_re,
-        "area_st_um2": area.area_st,
-        "lut_re": len(result.l_re),
-        "lut_st": len(result.l_st),
-    }
-
-
-def _sweep_worker(args):
-    netlist, level, library, seed = args
-    return sweep_level(netlist, level, library, seed)
-
-
-def sweep(netlist: Netlist, levels, library=None, seed=0, jobs=1) -> list:
-    """One obfuscation run per level; rows mirror the sweep CSV columns."""
+    Levels differ only in how far the conversion sequence runs, so one
+    engine pass down to the lowest level serves them all: each row is a
+    snapshot taken when the sequence reaches that level's target.
+    """
     for level in levels:
         if not 0 <= float(level) <= 100:
             raise ObfuscationError(f"sweep level {level} outside [0, 100]")
-    if jobs > 1 and len(levels) > 1:
-        from multiprocessing import Pool
-
-        with Pool(min(jobs, len(levels))) as pool:
-            rows = pool.map(
-                _sweep_worker,
-                [(netlist, lvl, library, seed) for lvl in levels],
-            )
-        return rows
-    return [sweep_level(netlist, lvl, library, seed) for lvl in levels]
+    if not levels:
+        return []
+    engine = _Engine(netlist, ObfuscationConfig(obf_percent=min(levels),
+                                                library=library))
+    targets = [static_target(len(engine.l_re), level) for level in levels]
+    steps = engine.conversions()
+    snapshots = {}
+    for target in sorted(set(targets)):
+        engine.advance(steps, target)
+        rep = timing_report(engine.graph)
+        area = engine.result().area_report()
+        snapshots[target] = {
+            "sum_cp_ns": rep.sum_cp,
+            "cp_ns": rep.cp,
+            "area_re_um2": area.area_re,
+            "area_st_um2": area.area_st,
+            "lut_re": len(engine.l_re),
+            "lut_st": len(engine.l_st),
+        }
+    return [{"obf": level, **snapshots[target]}
+            for level, target in zip(levels, targets)]
 
 
 def sweep_to_csv(rows) -> str:

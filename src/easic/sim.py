@@ -69,6 +69,62 @@ def _input_pattern(i, count):
     return pattern & ((1 << count) - 1)
 
 
+def _eval_mask(bits, ins, full):
+    """Packed output of a LUT: Shannon expansion of the mask, one input
+    at a time from in_0 (multiplexers that see equal halves fold away)."""
+    x = ins[0]
+    pair = (0, x ^ full, x, full)   # the function of in_0 for two mask bits
+    if len(ins) == 1:
+        return pair[bits]
+    s = ins[1]
+    level = []
+    for k in range(0, 1 << len(ins), 4):
+        lo = pair[(bits >> k) & 3]
+        hi = pair[(bits >> (k + 2)) & 3]
+        level.append(lo if lo == hi else lo ^ ((lo ^ hi) & s))
+    for s in ins[2:]:
+        it = iter(level)
+        level = [lo if lo == hi else lo ^ ((lo ^ hi) & s) for lo, hi in zip(it, it)]
+    return level[0]
+
+
+def eval_cells(cells, values, full, lut_bits=None):
+    """Evaluate ``cells`` in order over packed net values (bit v = the
+    value under vector v), adding each output to ``values``.
+
+    A cell needs ``kind``, ``inputs`` and ``output``; a LUT cell takes
+    its mask bits from ``lut_bits(cell)``.
+    """
+    for cell in cells:
+        kind = cell.kind
+        ins = cell.inputs
+        if kind == KIND_LUT:
+            out = _eval_mask(lut_bits(cell), [values[n] for n in ins], full)
+        elif kind == "INV":
+            out = values[ins[0]] ^ full
+        elif kind == "BUF":
+            out = values[ins[0]]
+        elif kind == "AND2":
+            out = values[ins[0]] & values[ins[1]]
+        elif kind == "OR2":
+            out = values[ins[0]] | values[ins[1]]
+        elif kind == "NAND2":
+            out = (values[ins[0]] & values[ins[1]]) ^ full
+        elif kind == "NOR2":
+            out = (values[ins[0]] | values[ins[1]]) ^ full
+        elif kind == "MUX2":
+            s = values[ins[0]]
+            out = (s & values[ins[2]]) | ((s ^ full) & values[ins[1]])
+        elif kind == "TIE0":
+            out = 0
+        elif kind == "TIE1":
+            out = full
+        else:
+            raise SimError(f"cannot evaluate cell kind {kind}")
+        values[cell.output] = out
+    return values
+
+
 class Evaluator:
     """Levelized evaluator over a netlist or a programmed device."""
 
@@ -102,28 +158,6 @@ class Evaluator:
             return self._configs[cell.name]
         return cell.mask.bits
 
-    def _eval_lut(self, bits, width, ins, full):
-        table = 1 << width
-        if bits == 0:
-            return 0
-        if bits == (1 << table) - 1:
-            return full
-        # accumulate the smaller of the on-set / off-set cube lists
-        on = bin(bits).count("1")
-        invert = on > table // 2
-        work = (((1 << table) - 1) & ~bits) if invert else bits
-        acc = 0
-        for idx in range(table):
-            if not (work >> idx) & 1:
-                continue
-            term = full
-            for j in range(width):
-                term &= ins[j] if (idx >> j) & 1 else ins[j] ^ full
-                if not term:
-                    break
-            acc |= term
-        return acc ^ full if invert else acc
-
     def eval_packed(self, pi_values: dict, count: int, ff_values=None) -> dict:
         """One combinational pass; returns all net values (packed ints)."""
         full = (1 << count) - 1
@@ -132,37 +166,7 @@ class Evaluator:
             values.setdefault(self.netlist.clock, 0)
         for ff in self._ffs:
             values[ff.output] = (ff_values or {}).get(ff.name, 0) & full
-        for cell in self._order:
-            kind = cell.kind
-            if kind == KIND_LUT:
-                ins = [values[n] for n in cell.inputs]
-                out = self._eval_lut(self._mask_bits(cell), cell.mask.width,
-                                     ins, full)
-            elif kind == "INV":
-                out = values[cell.inputs[0]] ^ full
-            elif kind == "BUF":
-                out = values[cell.inputs[0]]
-            elif kind == "AND2":
-                out = values[cell.inputs[0]] & values[cell.inputs[1]]
-            elif kind == "OR2":
-                out = values[cell.inputs[0]] | values[cell.inputs[1]]
-            elif kind == "NAND2":
-                out = (values[cell.inputs[0]] & values[cell.inputs[1]]) ^ full
-            elif kind == "NOR2":
-                out = (values[cell.inputs[0]] | values[cell.inputs[1]]) ^ full
-            elif kind == "MUX2":
-                s = values[cell.inputs[0]]
-                a = values[cell.inputs[1]]
-                b = values[cell.inputs[2]]
-                out = (s & b) | ((s ^ full) & a)
-            elif kind == "TIE0":
-                out = 0
-            elif kind == "TIE1":
-                out = full
-            else:
-                raise SimError(f"cannot evaluate cell kind {kind}")
-            values[cell.output] = out
-        return values
+        return eval_cells(self._order, values, full, self._mask_bits)
 
     def eval_comb(self, vector) -> tuple:
         """Evaluate one input vector (sequence ordered like netlist.inputs)."""
@@ -203,10 +207,6 @@ class Evaluator:
 
 def eval_comb(design, vector):
     return Evaluator(design).eval_comb(vector)
-
-
-def step(design, state, vector):
-    return Evaluator(design).step(state, vector)
 
 
 def _ports_match(a: Netlist, b: Netlist):

@@ -13,6 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .netlist import LutMask
+from .sim import _input_pattern, eval_cells
 from .techlib import TechLibrary
 
 
@@ -124,42 +125,8 @@ class GateNetwork:
         """Truth table of the network over all 2^width input vectors,
         computed bit-parallel (one int, bit v = output for vector v)."""
         size = 1 << self.width
-        full = (1 << size) - 1
-        values = {}
-        for i in range(self.width):
-            values[f"i{i}"] = _input_pattern(i, size)
-        for gate in self.cells:
-            ins = [values[s] for s in gate.inputs]
-            if gate.kind == "INV":
-                out = ins[0] ^ full
-            elif gate.kind == "BUF":
-                out = ins[0]
-            elif gate.kind == "AND2":
-                out = ins[0] & ins[1]
-            elif gate.kind == "OR2":
-                out = ins[0] | ins[1]
-            elif gate.kind == "MUX2":
-                s, a, b = ins
-                out = (s & b) | ((s ^ full) & a)
-            elif gate.kind == "TIE0":
-                out = 0
-            elif gate.kind == "TIE1":
-                out = full
-            else:
-                raise StaticGenError(f"unexpected gate kind {gate.kind}")
-            values[gate.output] = out
-        return values[self.output]
-
-
-def _input_pattern(i, size):
-    """Packed truth table of variable i over vectors 0..size-1."""
-    block = 1 << i
-    pattern = ((1 << block) - 1) << block
-    span = block << 1
-    while span < size:
-        pattern |= pattern << span
-        span <<= 1
-    return pattern
+        values = {f"i{i}": _input_pattern(i, size) for i in range(self.width)}
+        return eval_cells(self.cells, values, (1 << size) - 1)[self.output]
 
 
 def bdd_to_gates(bdd: Bdd, lib: TechLibrary) -> GateNetwork:

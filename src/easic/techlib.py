@@ -178,7 +178,7 @@ def load_library_file(path) -> TechLibrary:
     with open(path, "r", encoding="utf-8") as handle:
         try:
             config = json.load(handle)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
             raise LibraryError(f"bad library JSON in {path}: {exc}") from exc
     return load_library(config)
 
@@ -186,10 +186,3 @@ def load_library_file(path) -> TechLibrary:
 def default_library() -> TechLibrary:
     return load_library(None)
 
-
-def cell_delay(lib: TechLibrary, cell) -> float:
-    return lib.cell_delay(cell)
-
-
-def cell_area(lib: TechLibrary, cell) -> float:
-    return lib.cell_area(cell)

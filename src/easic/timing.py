@@ -347,13 +347,7 @@ def endpoint_deviations(graph: TimingGraph, endpoint_triple,
     return out
 
 
-def endpoint_candidates(graph: TimingGraph, endpoint_triple) -> list:
-    """Worst path first, then its one-level deviations, best first."""
-    worst = endpoint_worst_path(graph, endpoint_triple)
-    return [worst] + endpoint_deviations(graph, endpoint_triple, worst)
-
-
-def find_critical(graph: TimingGraph, excluded=frozenset()):
+def find_critical(graph: TimingGraph, excluded=frozenset(), cache=None):
     """Worst not-excluded path, or None when everything is excluded.
 
     Per endpoint the worst path comes from greedy backtracking; when
@@ -361,21 +355,28 @@ def find_critical(graph: TimingGraph, excluded=frozenset()):
     one edge of the excluded path at a time and keeps the best
     non-excluded alternative.  Ties across endpoints break on
     lexicographic endpoint id, then on the cell sequence.
+
+    ``cache`` maps an endpoint id to its candidate list (worst path,
+    then its deviations once needed).  Excluding a path does not retime
+    the graph, so a caller that excludes paths one by one can pass the
+    same dict on every call and clear it whenever the graph is retimed.
     """
+    if cache is None:
+        cache = {}
     candidates = []
     for triple in graph.endpoints():
-        worst = endpoint_worst_path(graph, triple)
-        if worst.path_id not in excluded:
-            candidates.append(worst)
-            continue
-        for candidate in endpoint_deviations(graph, triple, worst):
-            if candidate.path_id not in excluded:
-                candidates.append(candidate)
+        listed = cache.get(triple[0])
+        if listed is None:
+            listed = cache[triple[0]] = [endpoint_worst_path(graph, triple)]
+        if listed[0].path_id in excluded and len(listed) == 1:
+            listed.extend(endpoint_deviations(graph, triple, listed[0]))
+        for path in listed:
+            if path.path_id not in excluded:
+                candidates.append(path)
                 break
     if not candidates:
         return None
-    candidates.sort(key=lambda p: (-p.delay, p.endpoint, p.cells))
-    return candidates[0]
+    return min(candidates, key=lambda p: (-p.delay, p.endpoint, p.cells))
 
 
 def _path_delay(graph, path, extra):

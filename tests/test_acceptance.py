@@ -18,7 +18,6 @@ from easic import (
     blank_state,
     brute_force_key,
     build_and_time,
-    chain_order,
     check_equivalence,
     composition_attack,
     correlate,
@@ -155,7 +154,7 @@ def test_criterion_5_bitstream_roundtrip_and_flip(designs, lib, tmp_path):
             stream = serialize(res.netlist)
             state = program(blank_state(res.netlist), stream)
             expected = {c.name: c.mask
-                        for c in chain_order(res.netlist)}
+                        for c in res.netlist.chain_order()}
             if readback(state) != expected:
                 bad.append((name, level))
 

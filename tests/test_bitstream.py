@@ -5,7 +5,6 @@ import pytest
 from easic import (
     ObfuscationConfig,
     blank_state,
-    chain_order,
     program,
     read_bitstream,
     readback,
@@ -29,12 +28,12 @@ from circuits import BUF1, INV1, lut, netlist, random_mask
 def test_chain_order_is_lexicographic():
     cells = [lut("u2", ("a",), BUF1), lut("u1", ("a",), INV1)]
     nl = netlist("two", ["a"], ["u1", "u2"], cells)
-    assert [c.name for c in chain_order(nl)] == ["u1", "u2"]
+    assert [c.name for c in nl.chain_order()] == ["u1", "u2"]
 
 
 def test_chain_order_empty_without_reconfigurable_luts():
     nl = netlist("none", ["a"], ["a"], [])
-    assert chain_order(nl) == []
+    assert nl.chain_order() == []
     assert serialize(nl).bits == ()
 
 
@@ -55,7 +54,7 @@ def test_program_readback_roundtrip(designs):
         nl = designs[name]
         stream = serialize(nl)
         state = program(blank_state(nl), stream)
-        assert readback(state) == {c.name: c.mask for c in chain_order(nl)}
+        assert readback(state) == {c.name: c.mask for c in nl.chain_order()}
         assert state.programmed
 
 
@@ -99,7 +98,7 @@ def test_under_programming_detected(designs):
     expected = naive_shift_register(stream.total_len, fed)
     assert list(state.regs) == expected
     masks = readback(state)
-    original = {c.name: c.mask for c in chain_order(nl)}
+    original = {c.name: c.mask for c in nl.chain_order()}
     assert masks != original
 
 
@@ -153,6 +152,42 @@ def test_bitstream_file_truncated(tmp_path, designs):
     path.write_bytes(path.read_bytes()[:-2])
     with pytest.raises(BitstreamError, match="truncated"):
         read_bitstream(path)
+
+
+def test_bitstream_file_trailing_bytes(tmp_path, designs):
+    path = tmp_path / "long.ebs"
+    write_bitstream(serialize(designs["cmp4"]), path)
+    path.write_bytes(path.read_bytes() + b"junk")
+    with pytest.raises(BitstreamError, match="trailing"):
+        read_bitstream(path)
+
+
+def test_bitstream_file_padding_bits_must_be_zero(tmp_path):
+    # one LUT2: four bits in one byte, the upper four are padding
+    nl = netlist("pad", ["a", "b"], ["y"], [lut("y", ("a", "b"), LutMask(2, 0x6))])
+    path = tmp_path / "pad.ebs"
+    write_bitstream(serialize(nl), path)
+    assert read_bitstream(path).bits == (0, 1, 1, 0)
+    data = bytearray(path.read_bytes())
+    data[-1] |= 0x80
+    path.write_bytes(bytes(data))
+    with pytest.raises(BitstreamError, match="padding"):
+        read_bitstream(path)
+
+
+def test_bitstream_file_names_must_be_utf8(tmp_path, designs):
+    path = tmp_path / "name.ebs"
+    stream = serialize(designs["cmp4"])
+    write_bitstream(stream, path)
+    data = path.read_bytes()
+    design_at = 8 + 4   # magic, then the design name's length
+    lut_at = design_at + len(stream.design) + 4 + 4   # chain length, id length
+    for at in (design_at, lut_at):
+        bad = bytearray(data)
+        bad[at] = 0xFF
+        path.write_bytes(bytes(bad))
+        with pytest.raises(BitstreamError, match="UTF-8"):
+            read_bitstream(path)
 
 
 def test_pack_unpack_bits():

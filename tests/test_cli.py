@@ -153,6 +153,86 @@ def test_verify_corrupted_bitstream_length(tmp_path, designs_dir, sbm_out):
                    "--easic", run_dir, "--out", tmp_path / "v") == 3
 
 
+def test_verify_rejects_trailing_bytes(tmp_path, designs_dir, sbm_out):
+    run_dir = tmp_path / "long"
+    shutil.copytree(sbm_out, run_dir)
+    ebs = run_dir / "easic.ebs"
+    ebs.write_bytes(ebs.read_bytes() + b"junk")
+    assert run_cli("verify", "--golden", designs_dir / "sbm29.blif",
+                   "--easic", run_dir, "--out", tmp_path / "v") == 3
+
+
+TOY = ".model toy\n.inputs a b\n.outputs y\n.names a b y\n11 1\n.end\n"
+
+
+def test_non_utf8_blif_is_a_parse_error(tmp_path, sbm_out):
+    good = tmp_path / "toy.blif"
+    good.write_text(TOY)
+    bad = tmp_path / "bad.blif"
+    bad.write_bytes(b"# caf\xff\n" + TOY.encode())
+    run_dir = tmp_path / "toy_run"
+    assert run_cli("obfuscate", "--input", good, "--obf", "50",
+                   "--out", run_dir) == 0
+    out = tmp_path / "o"
+    assert run_cli("obfuscate", "--input", bad, "--obf", "50", "--out", out) == 2
+    assert run_cli("sweep", "--input", bad, "--levels", "50", "--out", out) == 2
+    assert run_cli("verify", "--golden", bad, "--easic", run_dir,
+                   "--out", out) == 2
+    assert run_cli("attack", "structural", "--input", bad, "--out", out) == 2
+    assert run_cli("attack", "corpus", "--inputs", good, bad, "--out", out) == 2
+    assert run_cli("attack", "bruteforce", "--easic", run_dir, "--golden", bad,
+                   "--out", out) == 2
+    shutil.copyfile(bad, run_dir / "easic.blif")
+    assert run_cli("verify", "--golden", good, "--easic", run_dir,
+                   "--out", out) == 2
+
+
+def test_non_utf8_json_is_a_config_error(tmp_path, designs_dir, sbm_out):
+    corpus = tmp_path / "corpus"
+    assert run_cli("attack", "corpus", "--inputs", designs_dir / "sbm29.blif",
+                   designs_dir / "cmp4.blif", "--out", corpus) == 0
+    out = tmp_path / "o"
+    for payload in (b'{"caf\xff": 1}', b"{nope"):
+        victim = tmp_path / "victim.histogram.json"
+        victim.write_bytes(payload)
+        assert run_cli("attack", "composition", "--victim", victim,
+                       "--corpus", corpus, "--out", out) == 3
+        lib = tmp_path / "lib.json"
+        lib.write_bytes(payload)
+        assert run_cli("obfuscate", "--input", designs_dir / "cmp4.blif",
+                       "--obf", "50", "--lib", lib, "--out", out) == 3
+        run_dir = tmp_path / "run_copy"
+        shutil.copytree(sbm_out, run_dir, dirs_exist_ok=True)
+        (run_dir / "trace.json").write_bytes(payload)
+        assert run_cli("attack", "structural", "--input", run_dir,
+                       "--scope", "static-portion", "--out", out) == 3
+        bad_corpus = tmp_path / "bad_corpus"
+        shutil.copytree(corpus, bad_corpus, dirs_exist_ok=True)
+        (bad_corpus / "cmp4.histogram.json").write_bytes(payload)
+        assert run_cli("attack", "composition", "--victim", sbm_out,
+                       "--corpus", bad_corpus, "--out", out) == 3
+
+
+def test_attack_composition_loads_victim_once(tmp_path, designs_dir, sbm_out,
+                                              monkeypatch):
+    import easic.cli
+
+    corpus = tmp_path / "corpus"
+    assert run_cli("attack", "corpus", "--inputs", designs_dir / "sbm29.blif",
+                   designs_dir / "cmp4.blif", "--out", corpus) == 0
+    parses = []
+
+    def counting_parse(text):
+        parses.append(text)
+        return parse_blif(text)
+
+    monkeypatch.setattr(easic.cli, "parse_blif", counting_parse)
+    assert run_cli("attack", "composition", "--victim", sbm_out,
+                   "--corpus", corpus, "--out", tmp_path / "comp") == 0
+    assert len(parses) == 1
+    assert (tmp_path / "comp" / "search_space.json").is_file()
+
+
 def test_attack_structural(tmp_path, designs_dir):
     out = tmp_path / "hist"
     code = run_cli("attack", "structural", "--input",

@@ -16,7 +16,7 @@ from easic import (
 from easic.netlist import LutMask, isomorphic
 from easic.obfuscate import ObfuscationError, sweep_to_csv
 
-from circuits import lut, netlist, random_mask
+from circuits import lut, netlist, random_comb_netlist, random_mask
 
 
 def test_static_target_reproduces_sbm_rows():
@@ -186,10 +186,36 @@ def test_sweep_rejects_bad_levels(designs, lib):
         sweep(designs["alu6"], [50, 120], library=lib)
 
 
-def test_sweep_parallel_matches_serial(designs, lib):
-    serial = sweep(designs["parity12"], [100, 80, 60], library=lib, jobs=1)
-    parallel = sweep(designs["parity12"], [100, 80, 60], library=lib, jobs=3)
-    assert serial == parallel
+def reference_row(nl, level, lib):
+    """A sweep row built the slow way: one obfuscation run of its own."""
+    res = run_obfuscation(nl, ObfuscationConfig(obf_percent=level, library=lib))
+    rep = report(res.graph)
+    area = res.area_report()
+    row = {
+        "obf": level,
+        "sum_cp_ns": rep.sum_cp,
+        "cp_ns": rep.cp,
+        "area_re_um2": area.area_re,
+        "area_st_um2": area.area_st,
+        "lut_re": len(res.l_re),
+        "lut_st": len(res.l_st),
+    }
+    return row, res.trace
+
+
+def test_sweep_matches_per_level_runs(designs, lib):
+    # repeated and unsorted levels; each row must equal a separate run
+    levels = [100, 37, 0, 86, 37, 50.5, 100, 12]
+    cases = list(designs.values())
+    cases.append(random_comb_netlist(random.Random(5), n_pis=8, n_cells=60,
+                                     name="dag60"))
+    for nl in cases:
+        rows = sweep(nl, levels, library=lib)
+        _, full_trace = reference_row(nl, 0, lib)
+        for level, row in zip(levels, rows):
+            expected, trace = reference_row(nl, level, lib)
+            assert row == expected, (nl.name, level)
+            assert trace == full_trace[:len(trace)], (nl.name, level)
 
 
 def test_area_report(designs, lib):
@@ -211,23 +237,24 @@ def test_empty_netlist(lib):
     assert res.l_st == set() and res.l_re == set()
 
 
-def test_candidate_cache_matches_stateless_search(designs, lib):
-    # the engine memoizes per-endpoint path candidates between
-    # conversions; the conversion sequence must equal a naive engine
-    # that calls the stateless find_critical every iteration
-    from easic.obfuscate import _Engine
+def test_candidate_cache_matches_stateless_search(designs, lib, monkeypatch):
+    # the engine shares one candidate cache across the path searches
+    # between two conversions; the conversion sequence must equal that of
+    # an engine whose every search starts from an empty cache
+    import easic.obfuscate
     from easic.timing import find_critical
 
-    class NaiveEngine(_Engine):
-        def _find_critical_cached(self, excluded):
-            return find_critical(self.graph, excluded)
+    cases = [(name, level) for name in ("cmp4", "counter8", "mux16")
+             for level in (0, 45, 85)]
 
-    for name in ("cmp4", "counter8", "mux16"):
-        nl = designs[name]
-        for level in (0, 45, 85):
-            cfg = ObfuscationConfig(obf_percent=level, library=lib)
-            total = len(nl.luts())
-            fast = _Engine(nl, cfg).run(static_target(total, level))
-            slow = NaiveEngine(nl, cfg).run(static_target(total, level))
-            assert [t.lut for t in fast.trace] == [t.lut for t in slow.trace]
-            assert fast.fallback_count == slow.fallback_count
+    def runs():
+        return [run_obfuscation(designs[name],
+                                ObfuscationConfig(obf_percent=level, library=lib))
+                for name, level in cases]
+
+    shared = runs()
+    monkeypatch.setattr(easic.obfuscate, "find_critical",
+                        lambda graph, excluded, cache: find_critical(graph, excluded))
+    for fast, slow in zip(shared, runs()):
+        assert fast.trace == slow.trace
+        assert fast.fallback_count == slow.fallback_count

@@ -13,8 +13,8 @@ from easic import (
     run_obfuscation,
     serialize,
 )
-from easic.netlist import Cell, LutMask
-from easic.sim import SimError, replay_counterexample
+from easic.netlist import GATE_TRUTH, Cell, LutMask
+from easic.sim import SimError, _input_pattern, replay_counterexample
 
 from circuits import INV1, ff, lut, netlist, random_comb_netlist
 
@@ -50,6 +50,33 @@ def test_static_version_matches_exhaustively(lib):
     for v in range(256):
         vec = [(v >> i) & 1 for i in range(8)]
         assert ea.eval_comb(vec) == eb.eval_comb(vec)
+
+
+def test_packed_evaluation_matches_lutmask_eval():
+    # every gate kind and random LUT masks of widths 1..6 (plus the two
+    # constants), packed over all 64 vectors of six inputs
+    rng = random.Random(19)
+    pis = [f"x{i}" for i in range(6)]
+    cells = {}
+    for kind, (arity, truth) in GATE_TRUTH.items():
+        name = f"g_{kind}"
+        # a TIE is a one-input function that ignores its input
+        cells[name] = (Cell(name, kind, pis[:arity], name),
+                       LutMask(max(arity, 1), truth * 3 if arity == 0 else truth))
+    for width in range(1, 7):
+        full = (1 << (1 << width)) - 1
+        for k, bits in enumerate([0, full] + [rng.getrandbits(1 << width)
+                                              for _ in range(30)]):
+            name = f"l{width}_{k}"
+            mask = LutMask(width, bits)
+            cells[name] = (lut(name, pis[:width], mask), mask)
+    nl = netlist("every", pis, sorted(cells), [cell for cell, _ in cells.values()])
+    values = Evaluator(nl).eval_packed(
+        {net: _input_pattern(i, 64) for i, net in enumerate(pis)}, 64)
+    for name, (cell, mask) in cells.items():
+        for v in range(64):
+            bits = [(v >> i) & 1 for i in range(mask.width)]
+            assert (values[name] >> v) & 1 == mask.eval(bits), (name, v)
 
 
 def test_toggle_register():

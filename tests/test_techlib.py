@@ -94,6 +94,10 @@ def test_load_library_file(tmp_path):
     with pytest.raises(LibraryError, match="JSON"):
         load_library_file(bad)
 
+    bad.write_bytes(b'{"caf\xff": 1}')
+    with pytest.raises(LibraryError, match="JSON"):
+        load_library_file(bad)
+
 
 def test_unknown_kind_rejected(lib):
     class FakeCell:
