@@ -72,6 +72,24 @@ def _read_json(path):
         raise CliConfigError(f"{path}: bad JSON ({exc})") from None
 
 
+# what reading a JSON document of the wrong shape raises: a missing key,
+# a value of the wrong type, or a number or mask out of range
+_SHAPE_ERRORS = (KeyError, TypeError, ValueError, NetlistError)
+
+
+def _read_histogram(path):
+    payload = _read_json(path)
+    try:
+        hist = atk.histogram_from_json(payload)
+    except _SHAPE_ERRORS as exc:
+        raise CliConfigError(f"{path}: not a pattern histogram "
+                             f"({type(exc).__name__}: {exc})") from None
+    if any(type(e.frequency) is not int or e.frequency < 0
+           for e in hist.entries):
+        raise CliConfigError(f"{path}: histogram frequencies must be counts")
+    return hist
+
+
 def _write_text(path: Path, text: str):
     path.write_text(text, encoding="utf-8", newline="\n")
 
@@ -256,17 +274,21 @@ def _result_from_run_dir(path) -> ObfuscationResult:
     netlist, stream, trace = _load_run_dir(path)
     if trace is None:
         raise CliConfigError(f"{path}/trace.json is required for this attack")
-    origins = {}
-    for entry in trace["conversions"]:
-        mask = LutMask(entry["width"], int(entry["mask"], 16))
-        origins[entry["lut"]] = LutOrigin(
-            mask=mask,
-            replacement_cells=(),
-            network_area=entry.get("network_area_um2", 0.0),
-            network_delay=entry.get("network_delay_ns", 0.0),
-        )
-    config = ObfuscationConfig(obf_percent=trace["obf_percent"],
-                               seed=trace.get("seed", 0))
+    try:
+        origins = {}
+        for entry in trace["conversions"]:
+            mask = LutMask(entry["width"], int(entry["mask"], 16))
+            origins[entry["lut"]] = LutOrigin(
+                mask=mask,
+                replacement_cells=(),
+                network_area=entry.get("network_area_um2", 0.0),
+                network_delay=entry.get("network_delay_ns", 0.0),
+            )
+        config = ObfuscationConfig(obf_percent=trace["obf_percent"],
+                                   seed=trace.get("seed", 0))
+    except _SHAPE_ERRORS as exc:
+        raise CliConfigError(f"{path}/trace.json: not a conversion trace "
+                             f"({type(exc).__name__}: {exc})") from None
     return ObfuscationResult(
         netlist=netlist,
         l_st=set(origins),
@@ -284,7 +306,7 @@ def _load_corpus_dir(path):
         raise CliConfigError(f"missing corpus directory: {corpus_dir}")
     histograms = []
     for entry in sorted(corpus_dir.glob("*.histogram.json")):
-        histograms.append(atk.histogram_from_json(_read_json(entry)))
+        histograms.append(_read_histogram(entry))
     if not histograms:
         raise CliConfigError(f"no *.histogram.json files in {corpus_dir}")
     return histograms
@@ -349,7 +371,7 @@ def cmd_attack_composition(args) -> int:
         result = _result_from_run_dir(args.victim)
         victim = atk.pattern_histogram(result, atk.SCOPE_STATIC)
     else:
-        victim = atk.histogram_from_json(_read_json(args.victim))
+        victim = _read_histogram(args.victim)
     corpus = _load_corpus_dir(args.corpus)
     report = atk.composition_attack(victim, corpus, threshold=args.threshold)
     out = _out_dir(args)

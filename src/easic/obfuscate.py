@@ -25,7 +25,6 @@ from .timing import (
     find_critical,
     lut_support,
     report as timing_report,
-    update_timing,
 )
 
 
@@ -135,12 +134,6 @@ class ObfuscationResult:
             if cell.name not in self.l_re and cell.name not in replacement
         )
         return AreaReport(area_re, area_st, other)
-
-    def origin_mask(self, name) -> LutMask:
-        return self.origins[name].mask
-
-    def remaining_mask(self, name) -> LutMask:
-        return self.netlist.cells[name].mask
 
 
 def _splice_network(netlist: Netlist, lut: Cell, network: staticgen.GateNetwork,
@@ -276,8 +269,8 @@ class _Engine:
             network_area=network.area,
             network_delay=network.delay,
         )
-        update_timing(self.graph, list(new_cells), structural=True)
-        self._candidate_cache.clear()
+        for stale in self.graph.splice(lut, new_cells):
+            self._candidate_cache.pop(stale, None)
         record = ConversionRecord(
             iteration=len(self.trace) + 1,
             lut=lut.name,

@@ -86,55 +86,96 @@ class TimingGraph:
     """Arrival-annotated view of one netlist under one library.
 
     The graph keeps per-cell delay overrides (used by incremental-update
-    tests and by what-if analyses) and supports both in-place delay
-    changes and structural changes via :func:`update_timing`.
+    tests and by what-if analyses) and a per-cell delay table with the
+    overrides folded in; :func:`update_timing` refreshes the entries of
+    the cells it is given.  :meth:`splice` swaps a LUT for the gates
+    that replaced it without re-sorting the netlist.
     """
 
     def __init__(self, netlist: Netlist, lib: TechLibrary, overrides=None):
         self.netlist = netlist
         self.lib = lib
         self.delay_override = dict(overrides or {})
-        self.arrival = {}
-        self._rebuild_structure()
-        self._full_pass()
+        self._drivers = netlist.driver_map()
+        self._endpoints = None
+        self._delay = {}
+        for cell in netlist.cells.values():
+            self._refresh_delay(cell)
+        comb = [c for c in netlist.topo_cells() if not c.is_ff]
+        # order keys are tuples so that a splice can slot gates in between
+        self._index = {c.name: (i,) for i, c in enumerate(comb)}
+        self._active = {}
+        self._consumers = {}
+        for cell in comb:
+            self._add_arcs(cell)
+        self.arrival = self._startpoint_arrivals()
+        for cell in comb:
+            self.arrival[cell.output] = self._cell_arrival(cell.name)
+        self._reach = self._endpoint_reach(comb)
 
     # -- structure -----------------------------------------------------
 
-    def _rebuild_structure(self):
-        nl = self.netlist
-        self._drivers = nl.driver_map()
-        self._comb = [c for c in nl.topo_cells() if not c.is_ff]
-        self._index = {c.name: i for i, c in enumerate(self._comb)}
-        consumers = {}
-        active = {}
-        for cell in self._comb:
-            arcs = self._compute_active_inputs(cell)
-            active[cell.name] = arcs
-            for net in arcs:
-                consumers.setdefault(net, []).append(cell.name)
-        self._active = active
-        self._consumers = consumers
-        self._endpoints = None
+    def _add_arcs(self, cell):
+        arcs = self._active[cell.name] = self._compute_active_inputs(cell)
+        for net in arcs:
+            self._consumers.setdefault(net, []).append(cell.name)
 
     @staticmethod
     def _compute_active_inputs(cell):
+        """Input nets with a real timing arc to the output."""
         if cell.kind == KIND_LUT:
             support = _support_positions(cell.mask.width, cell.mask.bits)
             return tuple(cell.inputs[i] for i in support)
         return cell.inputs
 
-    def _active_inputs(self, cell):
-        """Input nets with a real timing arc to the output."""
-        arcs = self._active.get(cell.name)
-        if arcs is None:
-            arcs = self._compute_active_inputs(cell)
-        return arcs
+    def _endpoint_reach(self, comb):
+        """Output net of each combinational cell -> bit mask of the
+        endpoints (bit i: ``endpoints()[i]``) it reaches through arcs."""
+        own = {}
+        for i, (_, net, _) in enumerate(self.endpoints()):
+            own[net] = own.get(net, 0) | 1 << i
+        cells = self.netlist.cells
+        reach = {}
+        for cell in reversed(comb):
+            bits = own.get(cell.output, 0)
+            for consumer in self._consumers.get(cell.output, ()):
+                bits |= reach[cells[consumer].output]
+            reach[cell.output] = bits
+        return reach
+
+    def splice(self, lut, new_cells):
+        """Put the cells that replaced ``lut`` in its place and retime
+        its fan-out cone; returns the ids of the endpoints ``lut`` reached.
+
+        ``lut`` is already out of the netlist and ``new_cells`` (names,
+        in topological order, the last one driving the LUT's output net)
+        are in it.  The k-th new cell takes the order key ``(lut key, k)``,
+        which sorts after the LUT's fan-in and before its fan-out.  A
+        splice keeps every net and the endpoints it reaches, so only the
+        returned endpoints can have new worst paths.
+        """
+        key = self._index.pop(lut.name)
+        del self._delay[lut.name]
+        for net in self._active.pop(lut.name):
+            self._consumers[net].remove(lut.name)
+        cells = self.netlist.cells
+        for k, name in enumerate(new_cells):
+            cell = cells[name]
+            self._drivers[cell.output] = name
+            self._index[name] = key + (k,)
+            self._add_arcs(cell)
+        update_timing(self, new_cells)
+        reached = self._reach[lut.output]
+        return [endpoint for i, (endpoint, _, _) in enumerate(self.endpoints())
+                if reached >> i & 1]
+
+    def _refresh_delay(self, cell):
+        override = self.delay_override.get(cell.name)
+        self._delay[cell.name] = (override if override is not None
+                                  else self.lib.cell_delay(cell))
 
     def cell_delay(self, cell) -> float:
-        override = self.delay_override.get(cell.name)
-        if override is not None:
-            return override
-        return self.lib.cell_delay(cell)
+        return self._delay[cell.name]
 
     # -- arrival propagation -------------------------------------------
 
@@ -146,20 +187,16 @@ class TimingGraph:
             arrivals.setdefault(self.netlist.clock, 0.0)
         for cell in self.netlist.cells.values():
             if cell.is_ff:
-                arrivals[cell.output] = self.cell_delay(cell)
+                arrivals[cell.output] = self._delay[cell.name]
         return arrivals
 
-    def _cell_arrival(self, cell):
-        ins = self._active_inputs(cell)
+    def _cell_arrival(self, name):
+        ins = self._active[name]
         if not ins:
             # constant source (TIE or support-free LUT): value is ready at t=0
             return 0.0
-        return max(self.arrival[net] for net in ins) + self.cell_delay(cell)
-
-    def _full_pass(self):
-        self.arrival = self._startpoint_arrivals()
-        for cell in self._comb:
-            self.arrival[cell.output] = self._cell_arrival(cell)
+        arrival = self.arrival
+        return max([arrival[net] for net in ins]) + self._delay[name]
 
     # -- endpoints -------------------------------------------------------
 
@@ -193,57 +230,46 @@ def build_and_time(netlist: Netlist, lib: TechLibrary, overrides=None) -> Timing
     return TimingGraph(netlist, lib, overrides)
 
 
-def update_timing(graph: TimingGraph, changed, structural=False) -> TimingGraph:
+def update_timing(graph: TimingGraph, changed) -> TimingGraph:
     """Recompute arrivals over the fan-out cone of the changed cells.
 
-    ``changed`` is a cell name or iterable of cell names.  With
-    ``structural=True`` the adjacency is rebuilt first (cells were added
-    or removed).  The result is exactly what a fresh full pass would
-    produce; incremental-vs-full equality is a tested invariant.
+    ``changed`` is a cell name or iterable of cell names; their entries
+    in the delay table are refreshed from the overrides and the library
+    first.  The result is exactly what a fresh full pass would produce;
+    incremental-vs-full equality is a tested invariant.
     """
     if isinstance(changed, str):
         changed = [changed]
-    changed = [c for c in changed]
-    if structural:
-        graph._rebuild_structure()
-        for net in list(graph.arrival):
-            if net not in graph._drivers:
-                del graph.arrival[net]
-
-    frontier = []
-    seen = set()
-    starts = graph._startpoint_arrivals()
-
-    def push(name):
-        if name in seen:
-            return
-        seen.add(name)
-        idx = graph._index.get(name)
-        if idx is not None:
-            heapq.heappush(frontier, (idx, name))
-
+    cells = graph.netlist.cells
+    arrival = graph.arrival
+    consumers = graph._consumers
+    index = graph._index
+    seeds = []
     for name in changed:
-        cell = graph.netlist.cells.get(name)
+        cell = cells.get(name)
         if cell is None:
             continue
-        if cell.is_ff:
-            new = starts[cell.output]
-            if graph.arrival.get(cell.output) != new:
-                graph.arrival[cell.output] = new
-                for consumer in graph._consumers.get(cell.output, ()):
-                    push(consumer)
-        else:
-            push(name)
-
+        graph._refresh_delay(cell)
+        if not cell.is_ff:
+            seeds.append(name)
+        elif arrival.get(cell.output) != graph._delay[name]:
+            # a Q pin starts its paths at clk-to-q
+            arrival[cell.output] = graph._delay[name]
+            seeds.extend(consumers.get(cell.output, ()))
+    seen = {name for name in seeds if name in index}
+    frontier = [(index[name], name) for name in seen]
+    heapq.heapify(frontier)
     while frontier:
         _, name = heapq.heappop(frontier)
-        cell = graph.netlist.cells[name]
-        new = graph._cell_arrival(cell)
+        output = cells[name].output
+        new = graph._cell_arrival(name)
         # when the value is unchanged, the downstream cone keeps its arrivals
-        if graph.arrival.get(cell.output) != new:
-            graph.arrival[cell.output] = new
-            for consumer in graph._consumers.get(cell.output, ()):
-                push(consumer)
+        if arrival.get(output) != new:
+            arrival[output] = new
+            for consumer in consumers.get(output, ()):
+                if consumer not in seen:
+                    seen.add(consumer)
+                    heapq.heappush(frontier, (index[consumer], consumer))
     return graph
 
 
@@ -264,47 +290,55 @@ def report(graph: TimingGraph) -> TimingReport:
     return TimingReport(worst, total, entries)
 
 
-def _backtrack(graph, net, extra, endpoint, forbidden=None):
-    """Greedy worst-path reconstruction from an endpoint net.
+def _greedy_fanin(arrival, ins, skip=None):
+    """The latest-arriving net of ``ins`` other than ``skip``, ties to
+    the smallest net name (which makes paths deterministic); None when
+    no net is left."""
+    best = None
+    best_arr = 0.0
+    for net in ins:
+        if net == skip:
+            continue
+        arr = arrival[net]
+        if best is None or arr > best_arr or (arr == best_arr and net < best):
+            best = net
+            best_arr = arr
+    return best
 
-    ``forbidden`` maps a cell name to an input net that must not be
-    taken at that cell (the deviation mechanism for next-worst paths).
-    Ties between equal-arrival fan-ins resolve to the smallest net name,
-    which makes the reconstruction deterministic.
+
+def _greedy_chain(graph, net, memo):
+    """(cells, startpoint) of the greedy worst path that ends on ``net``.
+
+    The path runs back through the greedy fan-in of each cell to a
+    primary input or FF output (the startpoint) or to a constant source
+    (which is its own startpoint).  ``memo`` maps nets to chains already
+    built and holds only while the arrivals do.
     """
-    cells = []
-    arrival = graph.arrival
-    drivers = graph._drivers
-    netcells = graph.netlist.cells
-    cur_net = net
-    while True:
-        driver = drivers.get(cur_net)
-        if driver is None:
+    drivers, active, arrival = graph._drivers, graph._active, graph.arrival
+    origin = net
+    walked = []
+    while net not in memo:
+        driver = drivers.get(net)
+        ins = active.get(driver)    # None past a primary input or FF output
+        if ins is None:
+            memo[net] = ((), net)
             break
-        cell = netcells[driver]
-        if cell.is_ff:
+        pred = _greedy_fanin(arrival, ins)
+        if pred is None:
+            memo[net] = ((driver,), driver)
             break
-        cells.append(driver)
-        ins = graph._active_inputs(cell)
-        skip = forbidden.get(driver) if forbidden else None
-        best = None
-        best_arr = 0.0
-        for candidate in ins:
-            if candidate == skip:
-                continue
-            arr = arrival[candidate]
-            if best is None or arr > best_arr or (arr == best_arr
-                                                  and candidate < best):
-                best = candidate
-                best_arr = arr
-        if best is None:
-            cur_net = None
-            break
-        cur_net = best
-    cells.reverse()
-    delay = arrival.get(net, 0.0) + extra
-    start = cur_net if cur_net is not None else (cells[0] if cells else net)
-    return TimedPath(tuple(cells), delay, endpoint, start)
+        walked.append((net, driver, pred))
+        net = pred
+    for net, driver, pred in reversed(walked):
+        cells, start = memo[pred]
+        memo[net] = (cells + (driver,), start)
+    return memo[origin]
+
+
+def _backtrack(graph, net, extra, endpoint):
+    """Greedy worst-path reconstruction from an endpoint net."""
+    cells, start = _greedy_chain(graph, net, {})
+    return TimedPath(cells, graph.arrival.get(net, 0.0) + extra, endpoint, start)
 
 
 def endpoint_worst_path(graph: TimingGraph, endpoint_triple) -> TimedPath:
@@ -317,32 +351,42 @@ def endpoint_deviations(graph: TimingGraph, endpoint_triple,
     """One-level deviation candidates off the worst path, sorted by
     descending realized delay (ties: lexicographic cell sequence).
 
-    Each candidate forbids exactly one edge of the worst path during
-    re-backtracking; candidates identical to the worst path are dropped.
+    Each candidate forbids exactly one edge of the worst path: at that
+    cell it enters through the greedy fan-in among the other inputs,
+    and before it runs the greedy chain.  Arrivals are the left-to-right
+    sums along greedy chains, so the realized delay is that input's
+    arrival plus the delays from the cell on, added left to right.
+    Candidates identical to the worst path are dropped.
     """
-    endpoint, net, extra = endpoint_triple
+    endpoint, _, extra = endpoint_triple
+    arrival = graph.arrival
+    cells = graph.netlist.cells
+    delays = [graph._delay[name] for name in worst.cells]
+    # the worst path's prefixes are greedy chains too: alternatives that
+    # rejoin it stop walking there
+    chains = {cells[name].output: (worst.cells[:pos + 1], worst.startpoint)
+              for pos, name in enumerate(worst.cells)}
     seen = {worst.cells}
     out = []
-    for pos, cell_name in enumerate(worst.cells):
-        cell = graph.netlist.cells[cell_name]
-        ins = graph._active_inputs(cell)
-        if len(ins) < 2:
-            continue
-        # the edge this cell takes on the worst path
-        if pos > 0:
-            taken = graph.netlist.cells[worst.cells[pos - 1]].output
-        else:
-            taken = worst.startpoint
-        if taken not in ins:
-            continue
-        candidate = _backtrack(graph, net, extra, endpoint,
-                               forbidden={cell_name: taken})
-        if candidate.cells in seen:
-            continue
-        seen.add(candidate.cells)
-        realized = _path_delay(graph, candidate, extra)
-        out.append(TimedPath(candidate.cells, realized, endpoint,
-                             candidate.startpoint))
+    taken = worst.startpoint     # the edge the worst path takes into a cell
+    for pos, name in enumerate(worst.cells):
+        ins = graph._active[name]
+        if len(ins) >= 2 and taken in ins:
+            alt = _greedy_fanin(arrival, ins, skip=taken)
+            if alt is None:
+                # every other pin carries the taken net: the candidate
+                # starts at this cell
+                prefix, start, total = (), name, arrival.get(name, 0.0)
+            else:
+                prefix, start = _greedy_chain(graph, alt, chains)
+                total = arrival[alt]
+            path = prefix + worst.cells[pos:]
+            if path not in seen:
+                seen.add(path)
+                for delay in delays[pos:]:
+                    total += delay
+                out.append(TimedPath(path, total + extra, endpoint, start))
+        taken = cells[name].output
     out.sort(key=lambda p: (-p.delay, p.cells))
     return out
 
@@ -358,8 +402,9 @@ def find_critical(graph: TimingGraph, excluded=frozenset(), cache=None):
 
     ``cache`` maps an endpoint id to its candidate list (worst path,
     then its deviations once needed).  Excluding a path does not retime
-    the graph, so a caller that excludes paths one by one can pass the
-    same dict on every call and clear it whenever the graph is retimed.
+    the graph, so a caller can pass the same dict on every call; after
+    a :meth:`TimingGraph.splice` it drops the endpoints the splice
+    returns, and after any other retiming it clears the dict.
     """
     if cache is None:
         cache = {}
@@ -377,18 +422,3 @@ def find_critical(graph: TimingGraph, excluded=frozenset(), cache=None):
     if not candidates:
         return None
     return min(candidates, key=lambda p: (-p.delay, p.endpoint, p.cells))
-
-
-def _path_delay(graph, path, extra):
-    """Delay actually accumulated along a specific cell sequence."""
-    if not path.cells:
-        return graph.arrival.get(path.startpoint, 0.0) + extra
-    first = graph.netlist.cells[path.cells[0]]
-    if graph._active_inputs(first):
-        total = graph.arrival.get(path.startpoint, 0.0)
-        total += graph.cell_delay(first)
-    else:
-        total = 0.0  # path starts at a constant source
-    for name in path.cells[1:]:
-        total += graph.cell_delay(graph.netlist.cells[name])
-    return total + extra

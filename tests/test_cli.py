@@ -213,6 +213,52 @@ def test_non_utf8_json_is_a_config_error(tmp_path, designs_dir, sbm_out):
                        "--corpus", bad_corpus, "--out", out) == 3
 
 
+def test_malformed_histogram_is_a_config_error(tmp_path, designs_dir,
+                                               sbm_out):
+    corpus = tmp_path / "corpus"
+    assert run_cli("attack", "corpus", "--inputs", designs_dir / "sbm29.blif",
+                   designs_dir / "cmp4.blif", "--out", corpus) == 0
+    good = json.loads((corpus / "cmp4.histogram.json").read_text())
+    out = tmp_path / "o"
+    for payload in ({}, [], {**good, "entries": [[1, "0x3"]]},
+                    {**good, "entries": [[1, "zz", 2]]},
+                    {**good, "entries": [[1, "0x3", "2"]]},
+                    {k: v for k, v in good.items() if k != "design"}):
+        victim = tmp_path / "victim.histogram.json"
+        victim.write_text(json.dumps(payload))
+        assert run_cli("attack", "composition", "--victim", victim,
+                       "--corpus", corpus, "--out", out) == 3
+        bad_corpus = tmp_path / "bad_corpus"
+        shutil.copytree(corpus, bad_corpus, dirs_exist_ok=True)
+        shutil.copyfile(victim, bad_corpus / "cmp4.histogram.json")
+        assert run_cli("attack", "composition", "--victim", sbm_out,
+                       "--corpus", bad_corpus, "--out", out) == 3
+
+
+def test_malformed_trace_is_a_config_error(tmp_path, designs_dir, sbm_out):
+    corpus = tmp_path / "corpus"
+    assert run_cli("attack", "corpus", "--inputs", designs_dir / "sbm29.blif",
+                   designs_dir / "cmp4.blif", "--out", corpus) == 0
+    good = json.loads((sbm_out / "trace.json").read_text())
+    entry = good["conversions"][0]
+    out = tmp_path / "o"
+    for payload in ({k: v for k, v in good.items() if k != "conversions"},
+                    {k: v for k, v in good.items() if k != "obf_percent"},
+                    {**good, "obf_percent": "half"},
+                    {**good, "conversions": [7]},
+                    {**good, "conversions": [
+                        {k: v for k, v in entry.items() if k != "mask"}]},
+                    {**good, "conversions": [{**entry, "width": 9}]},
+                    []):
+        run_dir = tmp_path / "run_copy"
+        shutil.copytree(sbm_out, run_dir, dirs_exist_ok=True)
+        (run_dir / "trace.json").write_text(json.dumps(payload))
+        assert run_cli("attack", "structural", "--input", run_dir,
+                       "--scope", "static-portion", "--out", out) == 3
+        assert run_cli("attack", "composition", "--victim", run_dir,
+                       "--corpus", corpus, "--out", out) == 3
+
+
 def test_attack_composition_loads_victim_once(tmp_path, designs_dir, sbm_out,
                                               monkeypatch):
     import easic.cli

@@ -244,13 +244,17 @@ def test_candidate_cache_matches_stateless_search(designs, lib, monkeypatch):
     import easic.obfuscate
     from easic.timing import find_critical
 
-    cases = [(name, level) for name in ("cmp4", "counter8", "mux16")
+    cases = [(designs[name], level) for name in ("cmp4", "counter8", "mux16")
              for level in (0, 45, 85)]
+    # large fan-out cones: most splices reach several endpoints, some not all
+    dag = random_comb_netlist(random.Random(12), n_pis=8, n_cells=120,
+                              name="dag120")
+    cases += [(dag, 0), (dag, 60)]
 
     def runs():
-        return [run_obfuscation(designs[name],
-                                ObfuscationConfig(obf_percent=level, library=lib))
-                for name, level in cases]
+        return [run_obfuscation(nl, ObfuscationConfig(obf_percent=level,
+                                                      library=lib))
+                for nl, level in cases]
 
     shared = runs()
     monkeypatch.setattr(easic.obfuscate, "find_critical",

@@ -6,8 +6,10 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from easic import (  # noqa: E402
-    ObfuscationConfig, default_library, report, run_obfuscation, sweep)
+    ObfuscationConfig, build_and_time, decompose_lut, default_library,
+    find_critical, report, run_obfuscation, sweep)
 from easic.netlist import LutMask  # noqa: E402
+from easic.obfuscate import _splice_network  # noqa: E402
 
 from circuits import lut, netlist  # noqa: E402
 
@@ -51,3 +53,32 @@ def test_every_level_is_a_prefix_of_the_full_run(nl, sweep_levels):
         assert row["area_st_um2"] == res.area_report().area_st
         rep = report(res.graph)
         assert (row["cp_ns"], row["sum_cp_ns"]) == (rep.cp, rep.sum_cp)
+
+
+@settings(max_examples=40, deadline=None)
+@given(lut_dags(), st.data())
+def test_splices_match_a_rebuild(nl, data):
+    """LUTs converted one by one in a random order and spliced into the
+    graph in place: arrivals equal a fresh build's, and searches that
+    keep the candidates of the endpoints a splice did not reach equal
+    searches on a fresh build from an empty cache."""
+    graph = build_and_time(nl, LIB)
+    taken = nl.nets | set(nl.cells)
+    cache = {}
+    excluded = set()
+    order = data.draw(st.permutations(sorted(nl.cells)))
+    for name in order:
+        lut = nl.cells[name]
+        network = decompose_lut(lut.mask, LIB)
+        new_cells = _splice_network(nl, lut, network, taken)
+        for stale in graph.splice(lut, new_cells):
+            cache.pop(stale, None)
+        fresh = build_and_time(nl, LIB)
+        assert graph.arrival == fresh.arrival
+        # excluding found paths fills the cache with deviation lists too
+        for _ in range(data.draw(st.integers(0, 3))):
+            path = find_critical(graph, excluded, cache)
+            assert path == find_critical(fresh, excluded)
+            if path is None:
+                break
+            excluded.add(path.path_id)

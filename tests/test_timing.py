@@ -2,7 +2,9 @@ import random
 
 import pytest
 
-from easic import build_and_time, find_critical, lut_support, report, update_timing
+from easic import (ObfuscationConfig, build_and_time, find_critical,
+                   lut_support, report, run_obfuscation, update_timing)
+from easic.timing import endpoint_deviations, endpoint_worst_path
 from easic.netlist import Cell, LutMask
 from circuits import BUF1, ff, lut, netlist, random_mask, random_timing_dag
 
@@ -106,6 +108,70 @@ def test_find_critical_deviation_search(lib):
     nxt = find_critical(graph, {worst.path_id})
     assert nxt.cells == ("q", "y")
     assert nxt.delay == 5.0
+
+
+def rewalked_deviations(graph, lib, triple, worst):
+    """Test-side oracle: each one-edge deviation off ``worst``, walked
+    back from the endpoint with that edge forbidden and its delay summed
+    cell by cell."""
+    endpoint, net, extra = triple
+    nl = graph.netlist
+    drivers = nl.driver_map()
+
+    def arcs(cell):
+        if cell.is_lut:
+            return [cell.inputs[i] for i in sorted(lut_support(cell.mask))]
+        return list(cell.inputs)
+
+    found = {}
+    for pos, name in enumerate(worst.cells):
+        taken = (nl.cells[worst.cells[pos - 1]].output if pos
+                 else worst.startpoint)
+        if len(arcs(nl.cells[name])) < 2 or taken not in arcs(nl.cells[name]):
+            continue
+        cells, cur = [], net
+        while drivers.get(cur) is not None and not nl.cells[drivers[cur]].is_ff:
+            driver = drivers[cur]
+            cells.append(driver)
+            options = [n for n in arcs(nl.cells[driver])
+                       if not (driver == name and n == taken)]
+            if not options:
+                cur = None
+                break
+            cur = min(options, key=lambda n: (-graph.arrival[n], n))
+        cells.reverse()
+        start = cur if cur is not None else cells[0]
+        if arcs(nl.cells[cells[0]]):
+            delay = graph.arrival[start] + lib.cell_delay(nl.cells[cells[0]])
+        else:
+            delay = 0.0
+        for cell in cells[1:]:
+            delay += lib.cell_delay(nl.cells[cell])
+        if tuple(cells) != worst.cells:
+            found.setdefault(tuple(cells), (delay + extra, start))
+    return sorted(((-d, cells, start) for cells, (d, start) in found.items()))
+
+
+def test_deviations_match_rewalked_oracle(lib):
+    rng = random.Random(31)
+    graphs = []
+    for trial in range(12):
+        nl = random_timing_dag(rng, max_cells=150, name=f"dev{trial}")
+        graphs.append(build_and_time(nl, lib))
+        res = run_obfuscation(nl, ObfuscationConfig(obf_percent=50, library=lib))
+        graphs.append(res.graph)
+    # a LUT with one net on both pins: no other edge is left to take
+    graphs.append(build_and_time(netlist("dup", ["a"], ["y"], [
+        lut("p", ("a",), BUF1), lut("y", ("p", "p"), LutMask(2, 0x6))]), lib))
+    compared = 0
+    for graph in graphs:
+        for triple in graph.endpoints():
+            worst = endpoint_worst_path(graph, triple)
+            got = [(-p.delay, p.cells, p.startpoint)
+                   for p in endpoint_deviations(graph, triple, worst)]
+            assert got == rewalked_deviations(graph, lib, triple, worst)
+            compared += len(got)
+    assert compared > 500
 
 
 def test_update_timing_delay_change(lib):
@@ -217,11 +283,13 @@ def test_support_free_lut_has_zero_arrival(lib):
 
 
 def test_structural_update_matches_rebuild(lib):
+    # a LUT swapped in place for a gate: the splice retimes like a rebuild
     nl = buf_chain(3)
     graph = build_and_time(nl, lib)
+    old = nl.cells["g2"]
     nl.remove_cell("g2")
     nl.add_cell(Cell("g2", "INV", ("g1",), "g2"))
-    update_timing(graph, ["g2"], structural=True)
+    assert graph.splice(old, ["g2"]) == ["g3"]
     fresh = build_and_time(nl, lib)
     assert graph.arrival == fresh.arrival
 
