@@ -41,11 +41,13 @@ from .bitstream import (
     write_bitstream,
 )
 from .sim import (
+    CutCheck,
     EquivalencePolicy,
     EquivalenceReport,
     Evaluator,
     check_equivalence,
     eval_comb,
+    prove_by_cuts,
 )
 from .attacks import (
     PatternHistogram,

@@ -32,7 +32,8 @@ from .obfuscate import (
     sweep,
     sweep_to_csv,
 )
-from .sim import EquivalencePolicy, SimError, check_equivalence
+from .sim import (EquivalencePolicy, EquivalenceReport, SimError,
+                  check_equivalence, prove_by_cuts)
 from .staticgen import StaticGenError
 from .techlib import LibraryError, default_library, load_library_file
 from .timing import TimingError, report as timing_report
@@ -256,8 +257,17 @@ def cmd_verify(args) -> int:
     netlist, stream, _ = _load_run_dir(args.easic)
     state = bs.blank_state(netlist)
     bs.program(state, stream)
-    policy = EquivalencePolicy(seed=args.seed)
-    rep = check_equivalence(golden, state, policy)
+    cut = prove_by_cuts(golden, state)
+    if cut.proved:
+        rep = EquivalenceReport(
+            mode="cut-point", equivalent=True, vectors=cut.patterns,
+            note=f"cut-point proof over {cut.cells} cells, {cut.ffs} FFs matched")
+    else:
+        # a cut mismatch may be unobservable: simulation gives the verdict
+        rep = check_equivalence(golden, state, EquivalencePolicy(seed=args.seed))
+        n = len(cut.mismatches)
+        rep.note += (f"; cut-point check: {n} mismatch{'es' if n > 1 else ''}, "
+                     f"first {cut.mismatches[0]}")
     out = _out_dir(args)
     _write_json(out / "verify.json", rep.to_json_dict())
     if rep.equivalent:

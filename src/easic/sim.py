@@ -9,10 +9,10 @@ thousands of vectors at once.  Two-valued only; evaluating a blank
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .bitstream import ChainState
-from .netlist import KIND_LUT, Netlist
+from .netlist import KIND_LUT, MODE_RE, Netlist
 
 
 class SimError(Exception):
@@ -46,9 +46,17 @@ class EquivalenceReport:
     counterexample: dict | None = None
     note: str = ""
 
+    @property
+    def method(self):
+        """How the verdict was shown: a proof, every input vector, or a
+        sample of vectors or cycles."""
+        return {"cut-point": "cut-point-proof",
+                "exhaustive": "exhaustive"}.get(self.mode, "sampled")
+
     def to_json_dict(self):
         return {
             "mode": self.mode,
+            "method": self.method,
             "verdict": "equivalent" if self.equivalent else "counterexample",
             "seed": self.seed,
             "vectors": self.vectors,
@@ -125,21 +133,35 @@ def eval_cells(cells, values, full, lut_bits=None):
     return values
 
 
+def _design(design):
+    """The netlist of a netlist or a programmed device, and the
+    device's configuration registers (None for a netlist)."""
+    if isinstance(design, ChainState):
+        if not design.programmed:
+            first = design.chain[0][0] if design.chain else "<none>"
+            raise SimError(f"unprogrammed LUT {first}")
+        return design.netlist, design.configs()
+    if isinstance(design, Netlist):
+        return design, None
+    raise SimError(f"cannot evaluate a {type(design).__name__}")
+
+
+def _lut_bits(configs):
+    """The mask bits a design computes a LUT with: a reconfigurable
+    LUT's come from its configuration register when there are any."""
+    def bits(cell):
+        if configs is not None and cell.mode == MODE_RE:
+            return configs[cell.name]
+        return cell.mask.bits
+    return bits
+
+
 class Evaluator:
     """Levelized evaluator over a netlist or a programmed device."""
 
     def __init__(self, design):
-        if isinstance(design, ChainState):
-            self.netlist = design.netlist
-            if not design.programmed:
-                first = design.chain[0][0] if design.chain else "<none>"
-                raise SimError(f"unprogrammed LUT {first}")
-            self._configs = design.configs()
-        elif isinstance(design, Netlist):
-            self.netlist = design
-            self._configs = None
-        else:
-            raise SimError(f"cannot evaluate a {type(design).__name__}")
+        self.netlist, self._configs = _design(design)
+        self._mask_bits = _lut_bits(self._configs)
         self.netlist.validate()
         self._order = [c for c in self.netlist.topo_cells() if not c.is_ff]
         self._ffs = sorted(
@@ -152,11 +174,7 @@ class Evaluator:
         if self._configs is None:
             raise SimError("evaluator was not built from a programmed device")
         self._configs = configs
-
-    def _mask_bits(self, cell):
-        if self._configs is not None and cell.mode == "reconfigurable":
-            return self._configs[cell.name]
-        return cell.mask.bits
+        self._mask_bits = _lut_bits(configs)
 
     def eval_packed(self, pi_values: dict, count: int, ff_values=None) -> dict:
         """One combinational pass; returns all net values (packed ints)."""
@@ -211,6 +229,110 @@ def eval_comb(design, vector):
 
 def _ports_match(a: Netlist, b: Netlist):
     return a.inputs == b.inputs and a.outputs == b.outputs
+
+
+@dataclass
+class CutCheck:
+    """What :func:`prove_by_cuts` showed; proved when nothing mismatches."""
+
+    # golden cell names, or "<ports>" / "<clock>" for the interface
+    mismatches: list = field(default_factory=list)
+    cells: int = 0     # golden combinational cells compared
+    ffs: int = 0       # golden FFs
+    patterns: int = 0  # local input patterns evaluated: the sum of 2^k
+
+    @property
+    def proved(self):
+        return not self.mismatches
+
+
+def _cone(root, drivers, stop, leaves):
+    """Cells of the combinational cone of cell ``root`` cut at the nets
+    in ``stop``, in evaluation order; None when the cone runs into an FF
+    or reads a ``stop`` net outside ``leaves``."""
+    order = []
+    seen = set()
+    stack = [(root, False)]
+    while stack:
+        cell, expanded = stack.pop()
+        if expanded:
+            order.append(cell)
+            continue
+        if cell.is_ff:
+            return None
+        if cell.name in seen:
+            continue
+        seen.add(cell.name)
+        stack.append((cell, True))
+        for net in cell.inputs:
+            if net in stop:
+                if net not in leaves:
+                    return None
+            elif drivers[net].name not in seen:
+                stack.append((drivers[net], False))
+    return order
+
+
+def prove_by_cuts(golden, device) -> CutCheck:
+    """Prove ``device`` equivalent to ``golden`` cell by cell, or name
+    the golden cells where the proof does not close.
+
+    Both designs are validated.  The ports and the clock must match and
+    the FFs must correspond one to one (names, Q and D nets, init
+    values).  Each golden combinational cell is then compared, over all
+    2^k patterns of its k distinct input nets, with the device's cone of
+    the same output net cut at golden nets; the cone may read only the
+    cell's inputs.  Reconfigurable LUTs compute with the programmed
+    configuration registers, never with the netlist masks.
+
+    When every cell closes, both machines hold equal values on every
+    golden net in every cycle from the same state, so this proves
+    combinational and sequential equivalence alike: the cut-point method
+    of Kuehlmann & Krohm (DAC 1997) with the induction step of register
+    correspondence (van Eijk, IEEE TCAD 2000).  A mismatch is not a
+    counterexample: a cell's inputs may never take the patterns that
+    tell the cones apart.
+    """
+    g, g_configs = _design(golden)
+    d, d_configs = _design(device)
+    g.validate()
+    d.validate()
+    check = CutCheck()
+    if not _ports_match(g, d):
+        check.mismatches.append("<ports>")
+        return check
+    if g.clock != d.clock:
+        check.mismatches.append("<clock>")
+        return check
+    g_ffs = {c.name: (c.output, c.inputs[0], c.init)
+             for c in g.cells.values() if c.is_ff}
+    d_ffs = {c.name: (c.output, c.inputs[0], c.init)
+             for c in d.cells.values() if c.is_ff}
+    check.ffs = len(g_ffs)
+    check.mismatches += sorted(name for name in g_ffs.keys() | d_ffs.keys()
+                               if g_ffs.get(name) != d_ffs.get(name))
+    stop = set(g.driver_map())
+    drivers = {c.output: c for c in d.cells.values()}
+    g_bits = _lut_bits(g_configs)
+    d_bits = _lut_bits(d_configs)
+    for cell in g.cells.values():
+        if cell.is_ff:
+            continue
+        nets = list(dict.fromkeys(cell.inputs))
+        count = 1 << len(nets)
+        check.cells += 1
+        check.patterns += count
+        root = drivers.get(cell.output)
+        cone = None if root is None else _cone(root, drivers, stop, set(nets))
+        if cone is None:
+            check.mismatches.append(cell.name)
+            continue
+        full = (1 << count) - 1
+        values = {net: _input_pattern(i, count) for i, net in enumerate(nets)}
+        want = eval_cells([cell], dict(values), full, g_bits)[cell.output]
+        if eval_cells(cone, values, full, d_bits)[cell.output] != want:
+            check.mismatches.append(cell.name)
+    return check
 
 
 def check_equivalence(a, b, policy: EquivalencePolicy | None = None) -> EquivalenceReport:

@@ -400,25 +400,29 @@ def find_critical(graph: TimingGraph, excluded=frozenset(), cache=None):
     non-excluded alternative.  Ties across endpoints break on
     lexicographic endpoint id, then on the cell sequence.
 
-    ``cache`` maps an endpoint id to its candidate list (worst path,
-    then its deviations once needed).  Excluding a path does not retime
-    the graph, so a caller can pass the same dict on every call; after
-    a :meth:`TimingGraph.splice` it drops the endpoints the splice
+    ``cache`` maps an endpoint id to ``[start, candidates]``: the
+    candidate list (worst path, then its deviations once needed) and the
+    index of its first path not yet excluded.  Excluding a path does not
+    retime the graph, so a caller can pass the same dict on every call
+    as long as ``excluded`` only grows; after a
+    :meth:`TimingGraph.splice` it drops the endpoints the splice
     returns, and after any other retiming it clears the dict.
     """
     if cache is None:
         cache = {}
     candidates = []
     for triple in graph.endpoints():
-        listed = cache.get(triple[0])
-        if listed is None:
-            listed = cache[triple[0]] = [endpoint_worst_path(graph, triple)]
-        if listed[0].path_id in excluded and len(listed) == 1:
-            listed.extend(endpoint_deviations(graph, triple, listed[0]))
-        for path in listed:
-            if path.path_id not in excluded:
-                candidates.append(path)
-                break
+        entry = cache.get(triple[0])
+        if entry is None:
+            entry = cache[triple[0]] = [0, [endpoint_worst_path(graph, triple)]]
+        start, listed = entry
+        while start < len(listed) and listed[start].path_id in excluded:
+            start += 1
+            if start == 1:
+                listed.extend(endpoint_deviations(graph, triple, listed[0]))
+        entry[0] = start
+        if start < len(listed):
+            candidates.append(listed[start])
     if not candidates:
         return None
     return min(candidates, key=lambda p: (-p.delay, p.endpoint, p.cells))

@@ -28,6 +28,38 @@ def netlist(name, inputs, outputs, cells, clock=None):
     return nl
 
 
+def cut_golden():
+    """A LUT pipeline with one FF that feeds back: y = (a ^ b) & q | c."""
+    return netlist("cuts", ["a", "b", "c"], ["y", "q"], [
+        lut("n1", ("a", "b"), XOR2),
+        lut("n2", ("n1", "q"), AND2),
+        lut("y", ("n2", "c"), OR2),
+        ff("q", "n2"),
+    ], clock="clk")
+
+
+def _set_inputs(name, inputs):
+    def edit(nl):
+        nl.cells[name].inputs = inputs
+    return edit
+
+
+def _rename_clock(nl):
+    nl.cells["q"].inputs = ("n2", "clk2")
+    nl.clock = "clk2"
+
+
+# edits of cut_golden's cells or ports that a cut-point check must
+# refuse, with what it names
+CUT_REFUSALS = {
+    "ff-init": (lambda nl: setattr(nl.cells["q"], "init", 1), ["q"]),
+    "ff-d-net": (_set_inputs("q", ("n1", "clk")), ["q"]),
+    "ports": (lambda nl: nl.inputs.reverse(), ["<ports>"]),
+    "clock": (_rename_clock, ["<clock>"]),
+    "outside-read": (_set_inputs("y", ("n2", "a")), ["y"]),
+}
+
+
 def random_mask(rng, width):
     return LutMask(width, rng.getrandbits(1 << width))
 

@@ -3,8 +3,12 @@ import shutil
 
 import pytest
 
-from easic import parse_blif, read_bitstream
+from easic import (ObfuscationConfig, emit_blif, parse_blif, read_bitstream,
+                   run_obfuscation, serialize, write_bitstream)
+from easic.bitstream import Bitstream
 from easic.cli import main
+
+from circuits import CUT_REFUSALS, cut_golden
 
 
 def run_cli(*args):
@@ -160,6 +164,63 @@ def test_verify_rejects_trailing_bytes(tmp_path, designs_dir, sbm_out):
     ebs.write_bytes(ebs.read_bytes() + b"junk")
     assert run_cli("verify", "--golden", designs_dir / "sbm29.blif",
                    "--easic", run_dir, "--out", tmp_path / "v") == 3
+
+
+def test_verify_proves_every_corpus_hybrid(tmp_path, designs_dir):
+    for src in sorted(designs_dir.glob("*.blif")):
+        for level in (0, 50, 86, 100):
+            run = tmp_path / f"{src.stem}_{level}"
+            assert run_cli("obfuscate", "--input", src, "--obf", level,
+                           "--out", run) == 0
+            assert run_cli("verify", "--golden", src, "--easic", run,
+                           "--out", run) == 0
+            report = json.loads((run / "verify.json").read_text())
+            assert (report["method"], report["mode"], report["seed"]) == \
+                ("cut-point-proof", "cut-point", None), (src.stem, level)
+            assert report["note"].startswith("cut-point proof over ")
+
+
+def test_verify_labels_a_sampled_verdict(tmp_path, designs_dir, capsys):
+    # flipping bit 3 breaks the cut check on cc1, but random lock-step
+    # cycles rarely reach the states that show it: the verdict is
+    # sampled evidence, not a proof
+    src = designs_dir / "counter8.blif"
+    run = tmp_path / "run"
+    assert run_cli("obfuscate", "--input", src, "--obf", "50",
+                   "--out", run) == 0
+    stream = read_bitstream(run / "easic.ebs")
+    bits = list(stream.bits)
+    bits[3] ^= 1
+    write_bitstream(Bitstream(stream.design, stream.chain, tuple(bits)),
+                    run / "easic.ebs")
+    capsys.readouterr()
+    assert run_cli("verify", "--golden", src, "--easic", run,
+                   "--out", run) == 0
+    report = json.loads((run / "verify.json").read_text())
+    assert (report["verdict"], report["method"]) == ("equivalent", "sampled")
+    assert report["note"].endswith("cut-point check: 1 mismatch, first cc1")
+    assert report["note"] in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("edit", sorted(CUT_REFUSALS))
+def test_verify_falls_back_on_cut_refusals(tmp_path, edit):
+    golden = tmp_path / "cuts.blif"
+    golden.write_text(emit_blif(cut_golden()))
+    hybrid = run_obfuscation(cut_golden(), ObfuscationConfig(obf_percent=100)).netlist
+    change, named = CUT_REFUSALS[edit]
+    change(hybrid)
+    run = tmp_path / "run"
+    run.mkdir()
+    (run / "easic.blif").write_text(emit_blif(hybrid))
+    write_bitstream(serialize(hybrid), run / "easic.ebs")
+    code = run_cli("verify", "--golden", golden, "--easic", run, "--out", run)
+    if edit == "ports":
+        assert code == 3  # simulation refuses to compare other ports
+        return
+    report = json.loads((run / "verify.json").read_text())
+    assert code == (0 if report["verdict"] == "equivalent" else 5)
+    assert report["method"] in ("exhaustive", "sampled")
+    assert report["note"].endswith(f"first {named[0]}")
 
 
 TOY = ".model toy\n.inputs a b\n.outputs y\n.names a b y\n11 1\n.end\n"

@@ -1,17 +1,22 @@
 """Property tests over random LUT DAGs (hypothesis)."""
 
+import random
+
 import pytest
 
 pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from easic import (  # noqa: E402
-    ObfuscationConfig, build_and_time, decompose_lut, default_library,
-    find_critical, report, run_obfuscation, sweep)
+    EquivalencePolicy, ObfuscationConfig, blank_state, build_and_time,
+    check_equivalence, decompose_lut, default_library, find_critical, program,
+    prove_by_cuts, report, run_obfuscation, serialize, sweep)
+from easic.bitstream import Bitstream  # noqa: E402
 from easic.netlist import LutMask  # noqa: E402
 from easic.obfuscate import _splice_network  # noqa: E402
 
-from circuits import lut, netlist  # noqa: E402
+from circuits import (  # noqa: E402
+    lut, netlist, random_comb_netlist, random_seq_netlist)
 
 LIB = default_library()
 
@@ -82,3 +87,30 @@ def test_splices_match_a_rebuild(nl, data):
             if path is None:
                 break
             excluded.add(path.path_id)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.booleans(), st.integers(0, 2**32), st.sampled_from([0, 50, 86, 100]),
+       st.data())
+def test_cut_check_proves_hybrids_and_never_passes_a_refuted_flip(
+        sequential, seed, level, data):
+    """A programmed hybrid is proved; a configuration bit flip that
+    simulation refutes is never proved."""
+    rng = random.Random(seed)
+    nl = (random_seq_netlist(rng, n_cells=rng.randint(4, 14)) if sequential
+          else random_comb_netlist(rng, n_cells=rng.randint(4, 20)))
+    hybrid = run_obfuscation(nl, ObfuscationConfig(obf_percent=level,
+                                                   library=LIB)).netlist
+    stream = serialize(hybrid)
+    assert prove_by_cuts(nl, program(blank_state(hybrid), stream)).proved
+    if not stream.bits:
+        return
+    policy = EquivalencePolicy(seed=seed, n_cycles=200)
+    for index in data.draw(st.lists(st.integers(0, len(stream.bits) - 1),
+                                    min_size=1, max_size=4, unique=True)):
+        bits = list(stream.bits)
+        bits[index] ^= 1
+        device = program(blank_state(hybrid),
+                         Bitstream(stream.design, stream.chain, tuple(bits)))
+        if not check_equivalence(nl, device, policy).equivalent:
+            assert not prove_by_cuts(nl, device).proved

@@ -10,13 +10,15 @@ from easic import (
     check_equivalence,
     eval_comb,
     program,
+    prove_by_cuts,
     run_obfuscation,
     serialize,
 )
 from easic.netlist import GATE_TRUTH, Cell, LutMask
 from easic.sim import SimError, _input_pattern, replay_counterexample
 
-from circuits import INV1, ff, lut, netlist, random_comb_netlist
+from circuits import (CUT_REFUSALS, INV1, cut_golden, ff, lut, netlist,
+                      random_comb_netlist)
 
 
 def and_lut_netlist():
@@ -213,3 +215,38 @@ def test_tie_nets_hold_constants_in_every_state():
     assert values["k1"] == 0b1111
     assert values["k0"] == 0
     assert values["y"] == 0b1111
+
+
+def test_cut_check_proves_obfuscated_hybrids(lib):
+    golden = cut_golden()
+    for level in (0, 50, 100):
+        res = run_obfuscation(golden, ObfuscationConfig(obf_percent=level,
+                                                        library=lib))
+        state = program(blank_state(res.netlist), serialize(res.netlist))
+        check = prove_by_cuts(golden, state)
+        assert check.proved, check.mismatches
+        assert (check.cells, check.ffs, check.patterns) == (3, 1, 12)
+
+
+@pytest.mark.parametrize("edit", sorted(CUT_REFUSALS))
+def test_cut_check_refuses_structural_changes(edit):
+    change, named = CUT_REFUSALS[edit]
+    device = cut_golden()
+    change(device)
+    assert prove_by_cuts(cut_golden(), device).mismatches == named
+
+
+def test_cut_check_reads_the_registers_not_the_masks(designs, lib):
+    nl = designs["cmp4"]
+    res = run_obfuscation(nl, ObfuscationConfig(obf_percent=50, library=lib))
+    stream = serialize(res.netlist)
+    lut_name, _ = stream.chain[0]
+    bits = list(stream.bits)
+    bits[0] ^= 1
+    from easic.bitstream import Bitstream
+
+    state = program(blank_state(res.netlist),
+                    Bitstream(stream.design, stream.chain, tuple(bits)))
+    assert prove_by_cuts(nl, state).mismatches == [lut_name]
+    with pytest.raises(SimError, match="unprogrammed LUT"):
+        prove_by_cuts(nl, blank_state(res.netlist))
