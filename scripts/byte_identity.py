@@ -1,0 +1,203 @@
+#!/usr/bin/env python3
+"""Check that two easic source trees write the same bytes.
+
+    python3 scripts/byte_identity.py --parent <src> --change <src> [--work <dir>]
+
+Each <src> is a directory holding the ``easic`` package (a tree's
+``src/``).  One fixed set of inputs is written once:
+
+* the 12 designs under designs/;
+* ``bench/workloads.lut6_dag`` at 120 LUT6 for mask seeds 1-3, and at
+  430 LUT6 for mask seed 1;
+* ``bench/workloads.seqmix`` and ``bench/workloads.toy`` for seeds 1-8;
+* eight ``tests/circuits.random_seq_netlist`` designs from seeds 1-8,
+  emitted with the parent tree's ``emit_blif``.
+
+Both trees then run the same `easic` commands through ``easic.cli.main``,
+each tree in its own interpreter under PYTHONHASHSEED=0 and in its own
+working directory, with the same relative paths.  Per input: obfuscate
+at 0/37/50/86/100 percent, each followed by verify; the composition
+attack (against a histogram corpus of the 12 designs) and the
+structural attack at 37 and 86 percent; three sweeps.  Then the
+430-LUT6 DAG at 50 percent and its verify.
+
+Every file the commands write, and every command's exit code, standard
+output and standard error, must be the same in both trees.  The script
+prints the differences it finds and exits 1 when there is any, 0 when
+there is none.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import random
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+
+REPO = Path(__file__).resolve().parent.parent
+LEVELS = (0, 37, 50, 86, 100)
+ATTACK_LEVELS = (37, 86)
+SWEEPS = ("100,50,0", "0,37,50,86,100", "90,10")
+
+# Runs one tree's commands in this directory and writes results.json:
+# argv[1] is the tree's src/, argv[2] the JSON list of command lines.
+RUNNER = r"""
+import contextlib, io, json, sys
+from pathlib import Path
+src = Path(sys.argv[1]).resolve()
+sys.path.insert(0, str(src))
+import easic
+from easic.cli import main
+if Path(easic.__file__).resolve() != src / "easic" / "__init__.py":
+    sys.exit(f"easic resolves to {easic.__file__}, not to {src}")
+results = []
+for argv in json.loads(Path(sys.argv[2]).read_text()):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        except Exception as exc:
+            code = f"raised {type(exc).__name__}: {exc}"
+    results.append({"argv": argv, "code": code,
+                    "stdout": out.getvalue(), "stderr": err.getvalue()})
+Path("results.json").write_text(json.dumps(results, indent=1) + "\n")
+"""
+
+
+def write_inputs(parent_src: Path, inputs: Path):
+    """Write every input BLIF into ``inputs``; returns (name, path) pairs
+    (paths relative to a tree's working directory)."""
+    sys.path[:0] = [str(parent_src), str(REPO / "bench"), str(REPO / "tests")]
+    import circuits
+    import workloads
+    from easic import emit_blif
+
+    texts = {}
+    for src in sorted((REPO / "designs").glob("*.blif")):
+        texts[src.stem] = src.read_text(encoding="utf-8")
+    for seed in (1, 2, 3):
+        texts[f"lut6_120_{seed}"] = workloads.lut6_dag(f"lut6_{seed}", 120, seed)
+    for seed in range(1, 9):
+        texts[f"seqmix{seed}"] = workloads.seqmix(seed)
+        texts[f"toy{seed}"] = workloads.toy(seed)
+    for seed in range(1, 9):
+        rng = random.Random(seed)
+        texts[f"randseq{seed}"] = emit_blif(circuits.random_seq_netlist(
+            rng, n_cells=rng.randint(4, 14), name=f"randseq{seed}"))
+    texts["lut6_430"] = workloads.lut6_dag("lut6_430", 430, 1)
+    inputs.mkdir(parents=True)
+    for name, text in texts.items():
+        (inputs / f"{name}.blif").write_text(text, encoding="utf-8")
+    return [(name, f"{inputs.name}/{name}.blif") for name in texts]
+
+
+def command_lines(inputs):
+    corpus = {src.stem for src in (REPO / "designs").glob("*.blif")}
+    designs = [path for name, path in inputs if name in corpus]
+    cmds = [["attack", "corpus", "--inputs", *designs, "--out", "corpus"]]
+    for name, path in inputs:
+        if name == "lut6_430":
+            continue
+        for level in LEVELS:
+            run = f"runs/{name}/obf{level}"
+            cmds.append(["obfuscate", "--input", path, "--obf", str(level),
+                         "--out", run])
+            cmds.append(["verify", "--golden", path, "--easic", run,
+                         "--out", f"{run}/verify"])
+        for level in ATTACK_LEVELS:
+            run = f"runs/{name}/obf{level}"
+            cmds.append(["attack", "composition", "--victim", run,
+                         "--corpus", "corpus", "--out", f"{run}/composition"])
+            cmds.append(["attack", "structural", "--input", run,
+                         "--out", f"{run}/structural"])
+        for k, levels in enumerate(SWEEPS):
+            cmds.append(["sweep", "--input", path, "--levels", levels,
+                         "--out", f"runs/{name}/sweep{k}"])
+    path = dict(inputs)["lut6_430"]
+    cmds.append(["obfuscate", "--input", path, "--obf", "50",
+                 "--out", "runs/lut6_430/obf50"])
+    cmds.append(["verify", "--golden", path, "--easic", "runs/lut6_430/obf50",
+                 "--out", "runs/lut6_430/obf50/verify"])
+    return cmds
+
+
+def run_tree(src: Path, work: Path, commands: Path):
+    env = dict(os.environ, PYTHONHASHSEED="0")
+    env.pop("PYTHONPATH", None)
+    start = time.perf_counter()
+    subprocess.run([sys.executable, "-c", RUNNER, str(src), str(commands)],
+                   cwd=work, env=env, check=True)
+    return time.perf_counter() - start
+
+
+def tree_files(root: Path):
+    return {str(p.relative_to(root)) for p in root.rglob("*") if p.is_file()}
+
+
+def compare(parent: Path, change: Path):
+    """Differences between the two working directories, as lines."""
+    diffs = []
+    a = json.loads((parent / "results.json").read_text())
+    b = json.loads((change / "results.json").read_text())
+    for ra, rb in zip(a, b):
+        for key in ("code", "stdout", "stderr"):
+            if ra[key] != rb[key]:
+                diffs.append(f"{' '.join(ra['argv'])}: {key} "
+                             f"{ra[key]!r} != {rb[key]!r}")
+    files_a, files_b = tree_files(parent), tree_files(change)
+    for name in sorted(files_a ^ files_b):
+        diffs.append(f"{name}: only in {'parent' if name in files_a else 'change'}")
+    for name in sorted(files_a & files_b - {"results.json"}):
+        if (parent / name).read_bytes() != (change / name).read_bytes():
+            diffs.append(f"{name}: bytes differ")
+    outputs = [n for n in files_a & files_b
+               if n != "results.json" and not n.startswith("inputs/")]
+    return diffs, len(outputs), a
+
+
+def src_dir(text):
+    path = Path(text).resolve()
+    if not (path / "easic" / "__init__.py").is_file():
+        raise argparse.ArgumentTypeError(f"{path} holds no easic package")
+    return path
+
+
+def main(argv=None):
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--parent", required=True, type=src_dir)
+    parser.add_argument("--change", required=True, type=src_dir)
+    parser.add_argument("--work", type=Path,
+                        help="empty directory to keep the outputs in "
+                             "(default: a temporary one, removed)")
+    args = parser.parse_args(argv)
+    with tempfile.TemporaryDirectory() as tmp:
+        work = (args.work or Path(tmp)).resolve()
+        work.mkdir(parents=True, exist_ok=True)
+        inputs = write_inputs(args.parent, work / "inputs")
+        commands = work / "commands.json"
+        commands.write_text(json.dumps(command_lines(inputs), indent=1) + "\n")
+        seconds = {}
+        for side, src in (("parent", args.parent), ("change", args.change)):
+            shutil.copytree(work / "inputs", work / side / "inputs")
+            seconds[side] = run_tree(src, work / side, commands)
+        diffs, n_files, results = compare(work / "parent", work / "change")
+    codes = sorted({str(r["code"]) for r in results})
+    print(f"{len(inputs)} inputs, {len(results)} commands (exit codes "
+          f"{', '.join(codes)}), {n_files} output files; parent "
+          f"{seconds['parent']:.1f} s, change {seconds['change']:.1f} s")
+    for line in diffs:
+        print(line)
+    print(f"{len(diffs)} difference(s)")
+    return 1 if diffs else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

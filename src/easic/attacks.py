@@ -20,9 +20,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import bitstream as bs
-from .netlist import LutMask, Netlist
+from .netlist import LutMask, Netlist, _input_pattern
 from .obfuscate import ObfuscationResult
-from .sim import Evaluator, _input_pattern
+from .sim import Evaluator
 
 PATTERN_WIDTH = 6
 

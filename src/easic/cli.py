@@ -12,6 +12,7 @@ Exit codes: 0 ok, 2 netlist parse error, 3 configuration error,
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import os
@@ -418,7 +419,11 @@ def cmd_attack_bruteforce(args) -> int:
 # -- argument parsing --------------------------------------------------------
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: building it takes
+    over a millisecond, which a process running many commands would
+    otherwise pay on every one."""
     parser = argparse.ArgumentParser(
         prog="easic",
         description="Tuneable LUT-netlist obfuscation tool",

@@ -226,7 +226,8 @@ class Netlist:
     # -- validation ----------------------------------------------------
 
     def validate(self):
-        """Check driver uniqueness, connectivity, clocking, and acyclicity."""
+        """Check driver uniqueness, connectivity, clocking, and acyclicity;
+        returns the combinational cells in topological order."""
         if len(set(self.inputs)) != len(self.inputs):
             raise NetlistError("duplicate primary input")
         if len(set(self.outputs)) != len(self.outputs):
@@ -256,8 +257,7 @@ class Netlist:
             if net not in drivers:
                 raise NetlistError(f"primary output {net} has no driver")
 
-        self._comb_order(drivers)
-        return self
+        return self._comb_order(drivers)
 
     def _comb_order(self, drivers):
         """Kahn's algorithm over the combinational subgraph (FFs cut);
@@ -291,7 +291,7 @@ class Netlist:
 
     def topo_cells(self):
         """Combinational cells in topological order, then FFs (sorted)."""
-        order = self._comb_order(self.driver_map())
+        order = self.validate()
         order.extend(sorted((c for c in self.cells.values() if c.is_ff),
                             key=lambda c: c.name))
         return order
@@ -344,17 +344,28 @@ def stats(netlist: Netlist) -> NetlistStats:
 _STATIC_MARK = re.compile(r"#\s*@static\s+(\S+)\s*$")
 
 
-def _expand_cube(pattern, lineno):
-    """Minterm indices covered by one cube (in_0 = first char = LSB)."""
-    indices = [0]
-    for pos, ch in enumerate(pattern):
-        if ch == "1":
-            indices = [i | (1 << pos) for i in indices]
-        elif ch == "-":
-            indices = indices + [i | (1 << pos) for i in indices]
-        elif ch != "0":
-            raise BlifError(f"bad cube character {ch!r}", lineno)
-    return indices
+def _input_pattern(i, count):
+    """Packed truth table of input i over vector indices 0..count-1
+    (bit v is bit i of v: in_0 is the LSB)."""
+    block = 1 << i
+    pattern = ((1 << block) - 1) << block
+    span = block << 1
+    while span < count:
+        pattern |= pattern << span
+        span <<= 1
+    return pattern & ((1 << count) - 1)
+
+
+def _cube_literals(width):
+    """All minterms of a ``width``-input table, and per input position
+    the minterms each cube character admits."""
+    full = (1 << (1 << width)) - 1
+    return full, tuple(
+        {"0": full ^ p, "1": p, "-": full}
+        for p in (_input_pattern(i, 1 << width) for i in range(width)))
+
+
+_CUBE_LITERALS = tuple(_cube_literals(w) for w in range(MAX_LUT_WIDTH + 1))
 
 
 def _cover_to_mask(n_inputs, rows):
@@ -362,6 +373,7 @@ def _cover_to_mask(n_inputs, rows):
     out_values = {value for _, value, _ in rows}
     if len(out_values) > 1:
         raise BlifError("cover mixes output values 0 and 1", rows[0][2])
+    full, literals = _CUBE_LITERALS[n_inputs]
     bits = 0
     for pattern, _, lineno in rows:
         if len(pattern) != n_inputs:
@@ -369,10 +381,15 @@ def _cover_to_mask(n_inputs, rows):
                 f"cube width {len(pattern)} does not match {n_inputs} inputs",
                 lineno,
             )
-        for idx in _expand_cube(pattern, lineno):
-            bits |= 1 << idx
+        cube = full
+        for ch, literal in zip(pattern, literals):
+            try:
+                cube &= literal[ch]
+            except KeyError:
+                raise BlifError(f"bad cube character {ch!r}", lineno) from None
+        bits |= cube
     if rows and rows[0][1] == "0":
-        bits = ((1 << (1 << n_inputs)) - 1) & ~bits
+        bits ^= full
     return bits
 
 
@@ -578,7 +595,7 @@ def parse_blif(text: str) -> Netlist:
     """Parse a BLIF subset (.model/.inputs/.outputs/.names/.latch/.end).
 
     Every plain ``.names`` block becomes a reconfigurable LUT whose mask
-    is computed by cube expansion; zero-input blocks become TIE cells;
+    is the union of its cubes; zero-input blocks become TIE cells;
     ``.latch`` becomes an FF.  A ``# @static KIND`` comment immediately
     before a ``.names`` block rebuilds a static cell of that kind, which
     is what makes emit_blif round-trippable.

@@ -170,7 +170,6 @@ class _Engine:
         self.config = config
         self.lib = config.library
         self.netlist = netlist.copy()
-        self.netlist.validate()
         self.graph = build_and_time(self.netlist, self.lib)
         self.l_re = {c.name for c in self.netlist.reconfigurable_luts()}
         self.l_st = set()

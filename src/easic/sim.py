@@ -12,7 +12,7 @@ import random
 from dataclasses import dataclass, field
 
 from .bitstream import ChainState
-from .netlist import KIND_LUT, MODE_RE, Netlist
+from .netlist import KIND_LUT, MODE_RE, Netlist, _input_pattern
 
 
 class SimError(Exception):
@@ -29,11 +29,9 @@ class SimState:
 
 @dataclass
 class EquivalencePolicy:
-    mode: str = "auto"   # auto | exhaustive | random | sequential
     seed: int = 0
     n_vectors: int = 10000
     n_cycles: int = 1000
-    exhaustive_limit: int = 16
 
 
 @dataclass
@@ -64,17 +62,6 @@ class EquivalenceReport:
             "counterexample": self.counterexample,
             "note": self.note,
         }
-
-
-def _input_pattern(i, count):
-    """Packed truth table of PI i over vector indices 0..count-1."""
-    block = 1 << i
-    pattern = ((1 << block) - 1) << block
-    span = block << 1
-    while span < count:
-        pattern |= pattern << span
-        span <<= 1
-    return pattern & ((1 << count) - 1)
 
 
 def _eval_mask(bits, ins, full):
@@ -162,8 +149,7 @@ class Evaluator:
     def __init__(self, design):
         self.netlist, self._configs = _design(design)
         self._mask_bits = _lut_bits(self._configs)
-        self.netlist.validate()
-        self._order = [c for c in self.netlist.topo_cells() if not c.is_ff]
+        self._order = self.netlist.validate()
         self._ffs = sorted(
             (c for c in self.netlist.cells.values() if c.is_ff),
             key=lambda c: c.name,
@@ -338,10 +324,10 @@ def prove_by_cuts(golden, device) -> CutCheck:
 def check_equivalence(a, b, policy: EquivalencePolicy | None = None) -> EquivalenceReport:
     """Compare two designs (netlists or programmed devices).
 
-    Policy ``auto`` picks exhaustive simulation for combinational
-    designs with at most ``exhaustive_limit`` inputs, lock-step cycling
-    for sequential ones, and seeded random vectors otherwise.  Any
-    reported counterexample is replayable.
+    Sequential designs are cycled in lock step; combinational ones are
+    simulated on every input vector when they have at most 16 inputs
+    and on seeded random vectors otherwise.  Any reported counterexample
+    is replayable.
     """
     policy = policy or EquivalencePolicy()
     ea = Evaluator(a)
@@ -351,22 +337,10 @@ def check_equivalence(a, b, policy: EquivalencePolicy | None = None) -> Equivale
             f"port mismatch: {ea.netlist.inputs}/{ea.netlist.outputs} vs "
             f"{eb.netlist.inputs}/{eb.netlist.outputs}"
         )
-    sequential = ea.netlist.is_sequential or eb.netlist.is_sequential
-    mode = policy.mode
-    if mode == "auto":
-        if sequential:
-            mode = "sequential"
-        elif len(ea.netlist.inputs) <= policy.exhaustive_limit:
-            mode = "exhaustive"
-        else:
-            mode = "random"
-    if mode == "exhaustive":
-        return _check_comb(ea, eb, policy, exhaustive=True)
-    if mode == "random":
-        return _check_comb(ea, eb, policy, exhaustive=False)
-    if mode == "sequential":
+    if ea.netlist.is_sequential or eb.netlist.is_sequential:
         return _check_sequential(ea, eb, policy)
-    raise SimError(f"unknown equivalence mode {policy.mode}")
+    return _check_comb(ea, eb, policy,
+                       exhaustive=len(ea.netlist.inputs) <= 16)
 
 
 def _check_comb(ea, eb, policy, exhaustive):

@@ -10,10 +10,10 @@ module.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
-from .netlist import LutMask
-from .sim import _input_pattern, eval_cells
+from .netlist import LutMask, _input_pattern
+from .sim import eval_cells
 from .techlib import TechLibrary
 
 
@@ -227,17 +227,7 @@ def decompose_lut(mask: LutMask, lib: TechLibrary) -> GateNetwork:
     mismatch is an internal error and never ships.  Under the calibrated
     default library the network delay never exceeds the LUT delay.
     """
-    bdd = build_bdd(mask)
-    network = bdd_to_gates(bdd, lib)
-    network = GateNetwork(
-        width=network.width,
-        cells=network.cells,
-        output=network.output,
-        depth=network.depth,
-        delay=network.delay,
-        area=network.area,
-        source_mask=mask,
-    )
+    network = replace(bdd_to_gates(build_bdd(mask), lib), source_mask=mask)
     if network.eval_table() != mask.bits:
         raise StaticGenError(
             f"decomposition of {mask} produced a non-equivalent network"

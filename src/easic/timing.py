@@ -96,12 +96,12 @@ class TimingGraph:
         self.netlist = netlist
         self.lib = lib
         self.delay_override = dict(overrides or {})
-        self._drivers = netlist.driver_map()
+        comb = netlist.validate()
+        self._drivers = {c.output: c.name for c in netlist.cells.values()}
         self._endpoints = None
         self._delay = {}
         for cell in netlist.cells.values():
             self._refresh_delay(cell)
-        comb = [c for c in netlist.topo_cells() if not c.is_ff]
         # order keys are tuples so that a splice can slot gates in between
         self._index = {c.name: (i,) for i, c in enumerate(comb)}
         self._active = {}
@@ -226,7 +226,6 @@ class TimingGraph:
 
 def build_and_time(netlist: Netlist, lib: TechLibrary, overrides=None) -> TimingGraph:
     """Validate, levelize, and propagate arrivals in one topological pass."""
-    netlist.validate()
     return TimingGraph(netlist, lib, overrides)
 
 

@@ -7,6 +7,7 @@ from easic import (ObfuscationConfig, emit_blif, parse_blif, read_bitstream,
                    run_obfuscation, serialize, write_bitstream)
 from easic.bitstream import Bitstream
 from easic.cli import main
+from easic.netlist import Netlist
 
 from circuits import CUT_REFUSALS, cut_golden
 
@@ -180,6 +181,14 @@ def test_verify_proves_every_corpus_hybrid(tmp_path, designs_dir):
             assert report["note"].startswith("cut-point proof over ")
 
 
+def _flip_bit(run, index):
+    stream = read_bitstream(run / "easic.ebs")
+    bits = list(stream.bits)
+    bits[index] ^= 1
+    write_bitstream(Bitstream(stream.design, stream.chain, tuple(bits)),
+                    run / "easic.ebs")
+
+
 def test_verify_labels_a_sampled_verdict(tmp_path, designs_dir, capsys):
     # flipping bit 3 breaks the cut check on cc1, but random lock-step
     # cycles rarely reach the states that show it: the verdict is
@@ -188,11 +197,7 @@ def test_verify_labels_a_sampled_verdict(tmp_path, designs_dir, capsys):
     run = tmp_path / "run"
     assert run_cli("obfuscate", "--input", src, "--obf", "50",
                    "--out", run) == 0
-    stream = read_bitstream(run / "easic.ebs")
-    bits = list(stream.bits)
-    bits[3] ^= 1
-    write_bitstream(Bitstream(stream.design, stream.chain, tuple(bits)),
-                    run / "easic.ebs")
+    _flip_bit(run, 3)
     capsys.readouterr()
     assert run_cli("verify", "--golden", src, "--easic", run,
                    "--out", run) == 0
@@ -446,3 +451,37 @@ def test_custom_library_via_flag(tmp_path, designs_dir):
                    "--obf", "50", "--lib", lib_path, "--out", out) == 0
     manifest = json.loads((out / "manifest.json").read_text())
     assert str(lib_path) in manifest["config"]["library"]
+
+
+def test_each_command_sorts_each_netlist_once(tmp_path, designs_dir,
+                                             monkeypatch):
+    """One topological sort per netlist read, per timing graph, per
+    file written and per design compared; none repeated."""
+    sorts = []
+    sort = Netlist._comb_order
+
+    def counted(self, drivers):
+        sorts.append(self.name)
+        return sort(self, drivers)
+
+    monkeypatch.setattr(Netlist, "_comb_order", counted)
+    src = designs_dir / "counter8.blif"
+    run = tmp_path / "run"
+    expected = [
+        # parse, graph, emit_blif, emit_verilog
+        (("obfuscate", "--input", src, "--obf", "50", "--out", run), 4),
+        # parse, graph
+        (("sweep", "--input", src, "--levels", "0,50,100",
+          "--out", tmp_path / "sweep"), 2),
+        # parse twice, prove_by_cuts on both designs
+        (("verify", "--golden", src, "--easic", run, "--out", run), 4),
+    ]
+    for args, count in expected:
+        sorts.clear()
+        assert run_cli(*args) == 0
+        assert len(sorts) == count, args[0]
+    _flip_bit(run, 3)
+    sorts.clear()
+    assert run_cli("verify", "--golden", src, "--easic", run, "--out", run) == 0
+    # the cut check fails on cc1: simulation sorts each design once more
+    assert len(sorts) == 6

@@ -53,6 +53,59 @@ def test_parse_dont_care_expansion():
     assert nl.cells["y"].mask.bits == (1 << 1) | (1 << 3)
 
 
+def _expand_cube(pattern):
+    """Minterm indices a cube covers (in_0 = first char = LSB)."""
+    indices = [0]
+    for pos, ch in enumerate(pattern):
+        if ch == "1":
+            indices = [i | 1 << pos for i in indices]
+        elif ch == "-":
+            indices += [i | 1 << pos for i in indices]
+    return indices
+
+
+def test_covers_match_minterm_expansion():
+    rng = random.Random(11)
+    for _ in range(300):
+        width = rng.randint(0, 6)
+        value = rng.choice("01")
+        rows = ["".join(rng.choice("01--") for _ in range(width))
+                for _ in range(rng.randint(0, 5))]
+        want = 0
+        for pattern in rows:
+            for index in _expand_cube(pattern):
+                want |= 1 << index
+        if rows and value == "0":
+            want ^= (1 << (1 << width)) - 1
+        ins = [f"i{k}" for k in range(width)]
+        text = "".join([
+            ".model m\n",
+            f".inputs {' '.join(ins)}\n" if ins else "",
+            ".outputs y\n",
+            f".names {' '.join([*ins, 'y'])}\n",
+            *(f"{p} {value}\n" if width else f"{value}\n" for p in rows),
+            ".end\n",
+        ])
+        cell = parse_blif(text).cells["y"]
+        if width:
+            assert cell.mask == LutMask(width, want)
+        else:
+            assert cell.kind == ("TIE1" if want else "TIE0")
+
+
+@pytest.mark.parametrize("rows, error", [
+    (["1x 1", "1 0"], "line 5: cover mixes output values"),
+    (["1x 1", "1 1"], "line 5: bad cube character 'x'"),
+    (["11 1", "1 1", "x1 1"], "line 6: cube width 1 does not match"),
+    (["1x0 1"], "line 5: cube width 3 does not match"),
+])
+def test_cover_errors_keep_their_precedence(rows, error):
+    text = ".model m\n.inputs a b\n.outputs y\n.names a b y\n"
+    with pytest.raises(BlifError) as info:
+        parse_blif(text + "\n".join(rows) + "\n.end\n")
+    assert str(info.value).startswith(error)
+
+
 def test_parse_line_continuation_and_comments():
     text = (
         ".model m\n.inputs a \\\nb\n.outputs y\n"

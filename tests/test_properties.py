@@ -9,10 +9,11 @@ from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from easic import (  # noqa: E402
     EquivalencePolicy, ObfuscationConfig, blank_state, build_and_time,
-    check_equivalence, decompose_lut, default_library, find_critical, program,
-    prove_by_cuts, report, run_obfuscation, serialize, sweep)
+    check_equivalence, decompose_lut, default_library, emit_blif, find_critical,
+    parse_blif, program, prove_by_cuts, report, run_obfuscation, serialize,
+    sweep)
 from easic.bitstream import Bitstream  # noqa: E402
-from easic.netlist import LutMask  # noqa: E402
+from easic.netlist import LutMask, isomorphic  # noqa: E402
 from easic.obfuscate import _splice_network  # noqa: E402
 
 from circuits import (  # noqa: E402
@@ -114,3 +115,21 @@ def test_cut_check_proves_hybrids_and_never_passes_a_refuted_flip(
                          Bitstream(stream.design, stream.chain, tuple(bits)))
         if not check_equivalence(nl, device, policy).equivalent:
             assert not prove_by_cuts(nl, device).proved
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.booleans(), st.integers(0, 2**32), st.sampled_from([0, 50, 100]))
+def test_blif_emit_parse_is_an_isomorphism(sequential, seed, level):
+    """Emitting a netlist or its hybrid and parsing the text back gives
+    the same netlist, and emitting that gives the same text."""
+    rng = random.Random(seed)
+    nl = (random_seq_netlist(rng, n_cells=rng.randint(4, 14)) if sequential
+          else random_comb_netlist(rng, n_cells=rng.randint(4, 20)))
+    hybrid = run_obfuscation(nl, ObfuscationConfig(obf_percent=level,
+                                                   library=LIB)).netlist
+    for design in (nl, hybrid):
+        text = emit_blif(design)
+        again = parse_blif(text)
+        assert isomorphic(design, again)
+        assert (again.name, again.clock) == (design.name, design.clock)
+        assert emit_blif(again) == text
