@@ -9,9 +9,12 @@ Each <src> is a directory holding the ``easic`` package (a tree's
 * the 12 designs under designs/;
 * ``bench/workloads.lut6_dag`` at 120 LUT6 for mask seeds 1-3, and at
   430 LUT6 for mask seed 1;
-* ``bench/workloads.seqmix`` and ``bench/workloads.toy`` for seeds 1-8;
+* ``bench/workloads.seqmix`` for seeds 1-8, and ``bench/workloads.toy``
+  for seeds 1-8 and ``bench/workloads.TOY_SEEDS``;
 * eight ``tests/circuits.random_seq_netlist`` designs from seeds 1-8,
-  emitted with the parent tree's ``emit_blif``.
+  emitted with the parent tree's ``emit_blif``;
+* the FLIPS run directories: a design obfuscated by the parent tree with
+  one bit of its easic.ebs flipped (``bench/checker.flip_ebs_bit``).
 
 Both trees then run the same `easic` commands through ``easic.cli.main``,
 each tree in its own interpreter under PYTHONHASHSEED=0 and in its own
@@ -19,17 +22,21 @@ working directory, with the same relative paths.  Per input: obfuscate
 at 0/37/50/86/100 percent, each followed by verify; the composition
 attack (against a histogram corpus of the 12 designs) and the
 structural attack at 37 and 86 percent; three sweeps.  Then the
-430-LUT6 DAG at 50 percent and its verify.
+brute-force attack on each TOY_SEEDS toy at 50 percent, the 430-LUT6
+DAG at 50 percent and its verify, and a verify of each FLIPS directory.
 
 Every file the commands write, and every command's exit code, standard
-output and standard error, must be the same in both trees.  The script
-prints the differences it finds and exits 1 when there is any, 0 when
-there is none.
+output and standard error, must be the same in both trees, and each
+FLIPS verify must end in the mode and exit code listed for it.  The
+script prints the differences it finds and exits 1 when there is any, 0
+when there is none.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
+import io
 import json
 import os
 import random
@@ -44,6 +51,17 @@ REPO = Path(__file__).resolve().parent.parent
 LEVELS = (0, 37, 50, 86, 100)
 ATTACK_LEVELS = (37, 86)
 SWEEPS = ("100,50,0", "0,37,50,86,100", "90,10")
+TOY_LEVEL = 50
+# (design, obf percent, flipped stream bit, verify mode, verify exit code):
+# counterexamples of every simulation mode, and two flips that the
+# cut-point check refutes but sampling passes
+FLIPS = (
+    ("cmp4", 50, 5, "exhaustive", 5),
+    ("mux16", 50, 0, "random", 5),
+    ("mux16", 50, 1, "random", 0),
+    ("sbm29", 50, 4, "sequential", 5),
+    ("counter8", 50, 3, "sequential", 0),
+)
 
 # Runs one tree's commands in this directory and writes results.json:
 # argv[1] is the tree's src/, argv[2] the JSON list of command lines.
@@ -72,10 +90,10 @@ Path("results.json").write_text(json.dumps(results, indent=1) + "\n")
 """
 
 
-def write_inputs(parent_src: Path, inputs: Path):
-    """Write every input BLIF into ``inputs``; returns (name, path) pairs
-    (paths relative to a tree's working directory)."""
-    sys.path[:0] = [str(parent_src), str(REPO / "bench"), str(REPO / "tests")]
+def write_inputs(inputs: Path):
+    """Write every input BLIF into ``inputs`` with the parent tree;
+    returns (name, path) pairs (paths relative to a tree's working
+    directory)."""
     import circuits
     import workloads
     from easic import emit_blif
@@ -87,6 +105,7 @@ def write_inputs(parent_src: Path, inputs: Path):
         texts[f"lut6_120_{seed}"] = workloads.lut6_dag(f"lut6_{seed}", 120, seed)
     for seed in range(1, 9):
         texts[f"seqmix{seed}"] = workloads.seqmix(seed)
+    for seed in sorted({*range(1, 9), *workloads.TOY_SEEDS}):
         texts[f"toy{seed}"] = workloads.toy(seed)
     for seed in range(1, 9):
         rng = random.Random(seed)
@@ -99,7 +118,28 @@ def write_inputs(parent_src: Path, inputs: Path):
     return [(name, f"{inputs.name}/{name}.blif") for name in texts]
 
 
-def command_lines(inputs):
+def write_flips(inputs: Path):
+    """Obfuscate each FLIPS design with the parent tree and flip one bit
+    of its bitstream; returns the run directories (relative paths)."""
+    import checker
+    from easic.cli import main
+
+    runs = []
+    for design, level, bit, _, _ in FLIPS:
+        run = inputs / "flips" / f"{design}_{level}_bit{bit}"
+        with contextlib.redirect_stdout(io.StringIO()):
+            main(["obfuscate", "--input", str(inputs / f"{design}.blif"),
+                  "--obf", str(level), "--out", str(run)])
+        ebs = run / "easic.ebs"
+        data = ebs.read_bytes()
+        ebs.write_bytes(checker.flip_ebs_bit(data, checker.read_ebs(data), bit))
+        runs.append(str(run.relative_to(inputs.parent)))
+    return runs
+
+
+def command_lines(inputs, flips):
+    from workloads import TOY_SEEDS
+
     corpus = {src.stem for src in (REPO / "designs").glob("*.blif")}
     designs = [path for name, path in inputs if name in corpus]
     cmds = [["attack", "corpus", "--inputs", *designs, "--out", "corpus"]]
@@ -121,11 +161,19 @@ def command_lines(inputs):
         for k, levels in enumerate(SWEEPS):
             cmds.append(["sweep", "--input", path, "--levels", levels,
                          "--out", f"runs/{name}/sweep{k}"])
-    path = dict(inputs)["lut6_430"]
+    paths = dict(inputs)
+    for seed in TOY_SEEDS:
+        run = f"runs/toy{seed}/obf{TOY_LEVEL}"
+        cmds.append(["attack", "bruteforce", "--easic", run,
+                     "--golden", paths[f"toy{seed}"], "--out", f"{run}/bruteforce"])
+    path = paths["lut6_430"]
     cmds.append(["obfuscate", "--input", path, "--obf", "50",
                  "--out", "runs/lut6_430/obf50"])
     cmds.append(["verify", "--golden", path, "--easic", "runs/lut6_430/obf50",
                  "--out", "runs/lut6_430/obf50/verify"])
+    for (design, *_), run in zip(FLIPS, flips):
+        cmds.append(["verify", "--golden", paths[design], "--easic", run,
+                     "--out", f"flips/{Path(run).name}"])
     return cmds
 
 
@@ -163,6 +211,21 @@ def compare(parent: Path, change: Path):
     return diffs, len(outputs), a
 
 
+def flip_misses(parent: Path, results):
+    """FLIPS whose verify (the last commands) no longer ends in the
+    listed mode and exit code."""
+    misses = []
+    for (*_, mode, code), result in zip(FLIPS, results[-len(FLIPS):]):
+        out = result["argv"][-1]
+        report = parent / out / "verify.json"
+        got = (json.loads(report.read_text())["mode"]
+               if report.is_file() else None, result["code"])
+        if got != (mode, code):
+            misses.append(f"{out}: parent verify gave mode {got[0]} exit "
+                          f"{got[1]}, not mode {mode} exit {code}")
+    return misses
+
+
 def src_dir(text):
     path = Path(text).resolve()
     if not (path / "easic" / "__init__.py").is_file():
@@ -181,14 +244,19 @@ def main(argv=None):
     with tempfile.TemporaryDirectory() as tmp:
         work = (args.work or Path(tmp)).resolve()
         work.mkdir(parents=True, exist_ok=True)
-        inputs = write_inputs(args.parent, work / "inputs")
+        sys.path[:0] = [str(args.parent), str(REPO / "bench"),
+                        str(REPO / "tests")]
+        inputs = write_inputs(work / "inputs")
+        flips = write_flips(work / "inputs")
         commands = work / "commands.json"
-        commands.write_text(json.dumps(command_lines(inputs), indent=1) + "\n")
+        commands.write_text(json.dumps(command_lines(inputs, flips), indent=1)
+                            + "\n")
         seconds = {}
         for side, src in (("parent", args.parent), ("change", args.change)):
             shutil.copytree(work / "inputs", work / side / "inputs")
             seconds[side] = run_tree(src, work / side, commands)
         diffs, n_files, results = compare(work / "parent", work / "change")
+        diffs += flip_misses(work / "parent", results)
     codes = sorted({str(r["code"]) for r in results})
     print(f"{len(inputs)} inputs, {len(results)} commands (exit codes "
           f"{', '.join(codes)}), {n_files} output files; parent "

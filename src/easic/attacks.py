@@ -384,25 +384,21 @@ def brute_force_key(obfuscated: Netlist, oracle: Netlist,
     expected = tuple(oracle_vals[net] for net in oracle.outputs)
 
     state = bs.blank_state(obfuscated)
-    trials = 0
     dev = None
     for key in range(1 << n):
-        trials += 1
-        bits = tuple((key >> i) & 1 for i in range(n))
-        candidate = bs.Bitstream(reference.design, reference.chain, bits)
+        candidate = bs.Bitstream(reference.design, reference.chain, key)
         bs.program(state, candidate)
         if dev is None:
             dev = Evaluator(state)
         else:
             dev.set_configs(state.configs())
         vals = dev.eval_packed(stim, count)
-        got = tuple(vals[net] for net in obfuscated.outputs)
-        if got == expected:
+        if tuple(vals[net] for net in obfuscated.outputs) == expected:
             return BruteForceResult(
                 recovered=candidate,
-                trials=trials,
+                trials=key + 1,
                 key_bits=n,
-                matches_original=(bits == reference.bits),
+                matches_original=key == reference.key,
             )
     raise AttackError(
         "exhausted the key space without a match; the obfuscated design "

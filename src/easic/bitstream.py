@@ -3,19 +3,19 @@
 Every reconfigurable LUT owns a configuration shift register of
 2^width bits.  The registers of all LUTs form one daisy chain ordered
 by cell name (chain head first); the bitstream is the concatenation of
-the per-LUT masks in chain order, LSB-first within each LUT.  The
-programming simulator models the chain as a single long shift register
-with serial_in at the head: because the first bit shifted in travels
-deepest, a programmer streams the bitstream tail-first, exactly like
-loading a scan chain.
+the per-LUT masks in chain order, LSB-first within each LUT, held as
+one integer key whose bit i is stream bit i.  The programming model
+treats the chain as a single long shift register with serial_in at the
+head: because the first bit shifted in travels deepest, a programmer
+streams the bitstream tail-first, exactly like loading a scan chain.
 """
 
 from __future__ import annotations
 
 import json
 import struct
-from collections import deque
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from .netlist import LutMask, Netlist
 
@@ -26,34 +26,56 @@ class BitstreamError(Exception):
     pass
 
 
+def _layout(chain):
+    """(lut, width, offset, size) for each LUT of ``chain``, head first:
+    a LUT of width w holds 2^w stream bits from ``offset`` on."""
+    offset = 0
+    for lut, width in chain:
+        size = 1 << width
+        yield lut, width, offset, size
+        offset += size
+
+
+def chain_length(chain) -> int:
+    return sum(1 << width for _, width in chain)
+
+
+def _chain(netlist: Netlist) -> tuple:
+    return tuple((c.name, c.mask.width) for c in netlist.chain_order())
+
+
 @dataclass(frozen=True)
 class Bitstream:
     design: str
     chain: tuple      # ordered (lut name, width) pairs, head first
-    bits: tuple       # 0/1 ints, chain-head-first, LSB-first per LUT
+    # bit i is stream bit i: chain head first, LSB-first per LUT
+    key: int = field(repr=False)
+
+    def __post_init__(self):
+        if self.key >> self.total_len:
+            raise BitstreamError(
+                f"key does not fit in the {self.total_len}-bit chain")
+
+    @cached_property
+    def total_len(self):
+        return chain_length(self.chain)
 
     @property
-    def total_len(self):
-        return len(self.bits)
+    def bits(self) -> tuple:
+        """The key as 0/1 ints in stream order."""
+        return tuple((self.key >> i) & 1 for i in range(self.total_len))
 
     def offsets(self) -> list:
-        out = []
-        offset = 0
-        for name, width in self.chain:
-            out.append({"lut": name, "width": width, "offset": offset})
-            offset += 1 << width
-        return out
+        return [{"lut": lut, "width": width, "offset": offset}
+                for lut, width, offset, _ in _layout(self.chain)]
 
 
 def serialize(netlist: Netlist) -> Bitstream:
-    chain = []
-    bits = []
-    for cell in netlist.chain_order():
-        width = cell.mask.width
-        chain.append((cell.name, width))
-        for i in range(1 << width):
-            bits.append((cell.mask.bits >> i) & 1)
-    return Bitstream(design=netlist.name, chain=tuple(chain), bits=tuple(bits))
+    chain = _chain(netlist)
+    key = 0
+    for lut, _, offset, _ in _layout(chain):
+        key |= netlist.cells[lut].mask.bits << offset
+    return Bitstream(design=netlist.name, chain=chain, key=key)
 
 
 @dataclass
@@ -64,14 +86,14 @@ class ChainState:
 
     netlist: Netlist
     chain: tuple
-    regs: deque = field(repr=False, default=None)
+    regs: int = field(repr=False, default=0)   # bit p: chain position p, head 0
     enable: bool = False
     shifted: int = 0
     programmed: bool = False
 
-    @property
+    @cached_property
     def total_len(self):
-        return sum(1 << width for _, width in self.chain)
+        return chain_length(self.chain)
 
     def shift_bit(self, bit) -> int | None:
         """One programming clock: with enable high the chain shifts one
@@ -79,34 +101,27 @@ class ChainState:
         serial_out.  With enable low nothing happens."""
         if not self.enable:
             return None
-        out = self.regs.pop()
-        self.regs.appendleft(1 if bit else 0)
+        n = self.total_len
+        out = self.regs >> (n - 1)
+        self.regs = (self.regs << 1 | (1 if bit else 0)) & ((1 << n) - 1)
         self.shifted += 1
         return out
 
     def configs(self) -> dict:
         """All register contents as lut name -> mask bits int."""
-        out = {}
-        start = 0
-        flat = list(self.regs)
-        for lut, width in self.chain:
-            size = 1 << width
-            value = 0
-            for i in range(size):
-                value |= flat[start + i] << i
-            out[lut] = value
-            start += size
-        return out
+        return {lut: (self.regs >> offset) & ((1 << size) - 1)
+                for lut, _, offset, size in _layout(self.chain)}
 
 
 def blank_state(netlist: Netlist) -> ChainState:
-    chain = tuple((c.name, c.mask.width) for c in netlist.chain_order())
-    total = sum(1 << width for _, width in chain)
-    return ChainState(netlist=netlist, chain=chain, regs=deque([0] * total))
+    return ChainState(netlist=netlist, chain=_chain(netlist))
 
 
 def program(state: ChainState, bitstream: Bitstream) -> ChainState:
-    """Shift a full bitstream into a blank (or stale) device."""
+    """Load a full bitstream into a blank (or stale) device.  The end
+    state is that of streaming the bitstream tail-first through
+    ``total_len`` shift cycles with enable high: every register bit is
+    replaced, so the registers hold the key."""
     if bitstream.total_len != state.total_len:
         raise BitstreamError(
             f"bitstream length {bitstream.total_len} does not match chain "
@@ -114,9 +129,8 @@ def program(state: ChainState, bitstream: Bitstream) -> ChainState:
         )
     if tuple(bitstream.chain) != tuple(state.chain):
         raise BitstreamError("bitstream chain manifest does not match design")
-    state.enable = True
-    for bit in reversed(bitstream.bits):
-        state.shift_bit(bit)
+    state.regs = bitstream.key
+    state.shifted += bitstream.total_len
     state.enable = False
     state.programmed = True
     return state
@@ -131,19 +145,6 @@ def readback(state: ChainState) -> dict:
 # -- file format -------------------------------------------------------------
 
 
-def pack_bits(bits) -> bytes:
-    """Bit i of the stream goes to byte i//8, bit position i%8."""
-    out = bytearray((len(bits) + 7) // 8)
-    for i, bit in enumerate(bits):
-        if bit:
-            out[i >> 3] |= 1 << (i & 7)
-    return bytes(out)
-
-
-def unpack_bits(data, count) -> tuple:
-    return tuple((data[i >> 3] >> (i & 7)) & 1 for i in range(count))
-
-
 def write_bitstream(bitstream: Bitstream, path):
     blob = bytearray()
     blob += MAGIC
@@ -153,8 +154,9 @@ def write_bitstream(bitstream: Bitstream, path):
     for lut, width in bitstream.chain:
         lut_b = lut.encode("utf-8")
         blob += struct.pack("<I", len(lut_b)) + lut_b + struct.pack("<B", width)
-    blob += struct.pack("<I", len(bitstream.bits))
-    blob += pack_bits(bitstream.bits)
+    n = bitstream.total_len
+    # stream bit i is byte i // 8, bit position i % 8
+    blob += struct.pack("<I", n) + bitstream.key.to_bytes((n + 7) // 8, "little")
     with open(path, "wb") as handle:
         handle.write(bytes(blob))
 
@@ -190,20 +192,19 @@ def read_bitstream(path) -> Bitstream:
         (width,) = struct.unpack("<B", take(1))
         chain.append((lut, width))
     (bit_count,) = struct.unpack("<I", take(4))
-    expected = sum(1 << width for _, width in chain)
+    expected = chain_length(chain)
     if bit_count != expected:
         raise BitstreamError(
             f"{path}: bit count {bit_count} does not match chain manifest "
             f"total {expected}"
         )
-    packed = take((bit_count + 7) // 8)
+    key = int.from_bytes(take((bit_count + 7) // 8), "little")
     if pos != len(data):
         raise BitstreamError(
             f"{path}: {len(data) - pos} trailing bytes after the bit field")
-    if bit_count % 8 and packed[-1] >> (bit_count % 8):
+    if key >> bit_count:
         raise BitstreamError(f"{path}: nonzero padding bits after the last bit")
-    bits = unpack_bits(packed, bit_count)
-    return Bitstream(design=design, chain=tuple(chain), bits=bits)
+    return Bitstream(design=design, chain=tuple(chain), key=key)
 
 
 def chain_manifest(bitstream: Bitstream) -> dict:

@@ -137,15 +137,13 @@ class ObfuscationResult:
 
 
 def _splice_network(netlist: Netlist, lut: Cell, network: staticgen.GateNetwork,
-                    taken=None):
+                    taken):
     """Replace a LUT cell by its gate network; returns the new cell names.
 
-    ``taken`` is an optional pre-computed set of occupied names shared
-    across many splices (avoids re-scanning the whole netlist per gate).
+    ``taken`` is the set of occupied net and cell names, shared across
+    splices; the new nets are added to it.
     """
     netlist.remove_cell(lut.name)
-    if taken is None:
-        taken = netlist.nets | set(netlist.cells)
     signal_to_net = {f"i{k}": lut.inputs[k] for k in range(len(lut.inputs))}
     signal_to_net[network.output] = lut.output
     new_names = []

@@ -20,14 +20,6 @@ class SimError(Exception):
 
 
 @dataclass
-class SimState:
-    """Sequential state: packed FF values plus a cycle counter."""
-
-    ff: dict
-    cycle: int = 0
-
-
-@dataclass
 class EquivalencePolicy:
     seed: int = 0
     n_vectors: int = 10000
@@ -172,45 +164,28 @@ class Evaluator:
             values[ff.output] = (ff_values or {}).get(ff.name, 0) & full
         return eval_cells(self._order, values, full, self._mask_bits)
 
-    def eval_comb(self, vector) -> tuple:
-        """Evaluate one input vector (sequence ordered like netlist.inputs)."""
-        pis = self.netlist.inputs
-        if len(vector) != len(pis):
-            raise SimError(
-                f"vector length {len(vector)} != {len(pis)} primary inputs"
-            )
-        values = self.eval_packed(
-            {net: (v & 1) for net, v in zip(pis, vector)}, 1,
-            ff_values=None,
-        )
-        return tuple(values[net] for net in self.netlist.outputs)
-
-    def initial_state(self, count=1) -> SimState:
-        full = (1 << count) - 1
-        return SimState(
-            ff={c.name: (full if c.init else 0) for c in self._ffs}, cycle=0
-        )
-
-    def step(self, state: SimState, vector, count=1):
-        """Clock the design once: outputs from the current state, then
+    def run(self, cycles, count=1):
+        """Clock the design from power-up: ``cycles`` holds one dict of
+        packed primary-input values per cycle, and each cycle yields the
+        packed outputs (ordered like netlist.outputs), read before the
         FFs latch their D inputs."""
-        pis = self.netlist.inputs
-        if len(vector) != len(pis):
-            raise SimError(
-                f"vector length {len(vector)} != {len(pis)} primary inputs"
-            )
         full = (1 << count) - 1
-        values = self.eval_packed(
-            {net: (v & full) for net, v in zip(pis, vector)}, count,
-            ff_values=state.ff,
-        )
-        outputs = tuple(values[net] for net in self.netlist.outputs)
-        next_ff = {c.name: values[c.inputs[0]] & full for c in self._ffs}
-        return SimState(ff=next_ff, cycle=state.cycle + 1), outputs
+        ff = {c.name: (full if c.init else 0) for c in self._ffs}
+        for pis in cycles:
+            values = self.eval_packed(pis, count, ff)
+            yield tuple(values[net] for net in self.netlist.outputs)
+            ff = {c.name: values[c.inputs[0]] for c in self._ffs}
 
 
-def eval_comb(design, vector):
-    return Evaluator(design).eval_comb(vector)
+def eval_comb(design, vector) -> tuple:
+    """Outputs of one input vector (ordered like netlist.inputs) in the
+    power-up state."""
+    ev = Evaluator(design)
+    pis = ev.netlist.inputs
+    if len(vector) != len(pis):
+        raise SimError(f"vector length {len(vector)} != {len(pis)} primary inputs")
+    (outputs,) = ev.run([{net: v & 1 for net, v in zip(pis, vector)}])
+    return outputs
 
 
 def _ports_match(a: Netlist, b: Netlist):
@@ -297,7 +272,8 @@ def prove_by_cuts(golden, device) -> CutCheck:
     check.ffs = len(g_ffs)
     check.mismatches += sorted(name for name in g_ffs.keys() | d_ffs.keys()
                                if g_ffs.get(name) != d_ffs.get(name))
-    stop = set(g.driver_map())
+    # the golden nets, all driven once validate() passed
+    stop = {g.clock, *g.inputs, *(c.output for c in g.cells.values())}
     drivers = {c.output: c for c in d.cells.values()}
     g_bits = _lut_bits(g_configs)
     d_bits = _lut_bits(d_configs)
@@ -321,6 +297,10 @@ def prove_by_cuts(golden, device) -> CutCheck:
     return check
 
 
+# sequential lock-step packs this many independent random streams per pass
+_SEQ_LANES = 64
+
+
 def check_equivalence(a, b, policy: EquivalencePolicy | None = None) -> EquivalenceReport:
     """Compare two designs (netlists or programmed devices).
 
@@ -337,107 +317,63 @@ def check_equivalence(a, b, policy: EquivalencePolicy | None = None) -> Equivale
             f"port mismatch: {ea.netlist.inputs}/{ea.netlist.outputs} vs "
             f"{eb.netlist.inputs}/{eb.netlist.outputs}"
         )
-    if ea.netlist.is_sequential or eb.netlist.is_sequential:
-        return _check_sequential(ea, eb, policy)
-    return _check_comb(ea, eb, policy,
-                       exhaustive=len(ea.netlist.inputs) <= 16)
-
-
-def _check_comb(ea, eb, policy, exhaustive):
-    pis = ea.netlist.inputs
-    if exhaustive:
-        count = 1 << len(pis)
-        stim = {net: _input_pattern(i, count) for i, net in enumerate(pis)}
-        n_note = f"exhaustive over {count} vectors"
-    else:
-        count = policy.n_vectors
-        rng = random.Random(policy.seed)
-        stim = {net: rng.getrandbits(count) for net in pis}
-        n_note = f"{count} random vectors, seed {policy.seed}"
-    va = ea.eval_packed(stim, count)
-    vb = eb.eval_packed(stim, count)
-    for out in ea.netlist.outputs:
-        diff = va[out] ^ vb[out]
-        if diff:
-            v = (diff & -diff).bit_length() - 1
-            vector = {net: (stim[net] >> v) & 1 for net in pis}
-            return EquivalenceReport(
-                mode="exhaustive" if exhaustive else "random",
-                equivalent=False,
-                seed=None if exhaustive else policy.seed,
-                vectors=count,
-                counterexample={"output": out, "vector": vector},
-                note=n_note,
-            )
-    return EquivalenceReport(
-        mode="exhaustive" if exhaustive else "random",
-        equivalent=True,
-        seed=None if exhaustive else policy.seed,
-        vectors=count,
-        note=n_note,
-    )
-
-
-# sequential lock-step packs this many independent random streams per pass
-_SEQ_LANES = 64
-
-
-def _check_sequential(ea, eb, policy):
     pis = ea.netlist.inputs
     rng = random.Random(policy.seed)
-    lanes = min(_SEQ_LANES, max(1, policy.n_cycles))
-    sa = ea.initial_state(lanes)
-    sb = eb.initial_state(lanes)
-    history = []
-    for cycle in range(policy.n_cycles):
-        vector = [rng.getrandbits(lanes) for _ in pis]
-        history.append(vector)
-        sa, outs_a = ea.step(sa, vector, lanes)
-        sb, outs_b = eb.step(sb, vector, lanes)
-        for out, va, vb in zip(ea.netlist.outputs, outs_a, outs_b):
+    if ea.netlist.is_sequential or eb.netlist.is_sequential:
+        count = min(_SEQ_LANES, max(1, policy.n_cycles))
+        cycles = [{net: rng.getrandbits(count) for net in pis}
+                  for _ in range(policy.n_cycles)]
+        report = EquivalenceReport(
+            mode="sequential", equivalent=True, seed=policy.seed,
+            cycles=policy.n_cycles,
+            note=f"{policy.n_cycles} lock-step cycles x {count} lanes, "
+                 f"seed {policy.seed}")
+    elif len(pis) <= 16:
+        count = 1 << len(pis)
+        cycles = [{net: _input_pattern(i, count) for i, net in enumerate(pis)}]
+        report = EquivalenceReport(
+            mode="exhaustive", equivalent=True, vectors=count,
+            note=f"exhaustive over {count} vectors")
+    else:
+        count = policy.n_vectors
+        cycles = [{net: rng.getrandbits(count) for net in pis}]
+        report = EquivalenceReport(
+            mode="random", equivalent=True, seed=policy.seed, vectors=count,
+            note=f"{count} random vectors, seed {policy.seed}")
+    found = _first_difference(ea, eb, cycles, count)
+    if found is None:
+        return report
+    cycle, output, lane = found
+    trace = [{net: (pis_at[net] >> lane) & 1 for net in pis}
+             for pis_at in cycles[:cycle + 1]]
+    report.equivalent = False
+    if report.mode == "sequential":
+        report.cycles = cycle + 1
+        report.counterexample = {"output": output, "cycle": cycle,
+                                 "inputs": trace}
+        report.note = f"lock-step mismatch at cycle {cycle}"
+    else:
+        report.counterexample = {"output": output, "vector": trace[0]}
+    return report
+
+
+def _first_difference(ea, eb, cycles, count):
+    """(cycle, output, lane) of the first output two evaluators disagree
+    on when clocked in lock step through ``cycles``, or None."""
+    runs = zip(ea.run(cycles, count), eb.run(cycles, count))
+    for cycle, (outs_a, outs_b) in enumerate(runs):
+        for output, va, vb in zip(ea.netlist.outputs, outs_a, outs_b):
             diff = va ^ vb
             if diff:
-                lane = (diff & -diff).bit_length() - 1
-                trace = [
-                    {net: (vec[i] >> lane) & 1 for i, net in enumerate(pis)}
-                    for vec in history
-                ]
-                return EquivalenceReport(
-                    mode="sequential",
-                    equivalent=False,
-                    seed=policy.seed,
-                    cycles=cycle + 1,
-                    counterexample={
-                        "output": out,
-                        "cycle": cycle,
-                        "inputs": trace,
-                    },
-                    note=f"lock-step mismatch at cycle {cycle}",
-                )
-    return EquivalenceReport(
-        mode="sequential",
-        equivalent=True,
-        seed=policy.seed,
-        cycles=policy.n_cycles,
-        note=f"{policy.n_cycles} lock-step cycles x {lanes} lanes, "
-             f"seed {policy.seed}",
-    )
+                return cycle, output, (diff & -diff).bit_length() - 1
+    return None
 
 
 def replay_counterexample(a, b, report: EquivalenceReport) -> bool:
     """Re-run a reported counterexample; True when it still distinguishes."""
-    if report.counterexample is None:
-        return False
-    ea = Evaluator(a)
-    eb = Evaluator(b)
     cex = report.counterexample
-    if "vector" in cex:
-        vec = [cex["vector"][net] for net in ea.netlist.inputs]
-        return ea.eval_comb(vec) != eb.eval_comb(vec)
-    sa = ea.initial_state()
-    sb = eb.initial_state()
-    for step_inputs in cex["inputs"]:
-        vec = [step_inputs[net] for net in ea.netlist.inputs]
-        sa, outs_a = ea.step(sa, vec)
-        sb, outs_b = eb.step(sb, vec)
-    return outs_a != outs_b
+    if cex is None:
+        return False
+    cycles = [cex["vector"]] if "vector" in cex else cex["inputs"]
+    last_a, last_b = (list(Evaluator(d).run(cycles))[-1] for d in (a, b))
+    return last_a != last_b

@@ -170,18 +170,15 @@ def test_criterion_5_bitstream_roundtrip_and_flip(designs, lib, tmp_path):
     netlist = parse_blif((run_dir / "easic.blif").read_text())
     stream = read_bitstream(run_dir / "easic.ebs")
     pis = set(netlist.inputs)
-    offset = 0
     flip_at = None
-    for lut_name, width in stream.chain:
-        cell = netlist.cells[lut_name]
+    for entry in stream.offsets():
+        cell = netlist.cells[entry["lut"]]
         if set(cell.inputs) <= pis:
             support = sorted(lut_support(cell.mask))
-            flip_at = offset + (1 << support[0])
+            flip_at = entry["offset"] + (1 << support[0])
             break
-        offset += 1 << width
-    bits = list(stream.bits)
-    bits[flip_at] ^= 1
-    write_bitstream(Bitstream(stream.design, stream.chain, tuple(bits)),
+    write_bitstream(Bitstream(stream.design, stream.chain,
+                              stream.key ^ 1 << flip_at),
                     run_dir / "easic.ebs")
     verify_code = cli_main(["verify", "--golden",
                             str(DESIGNS_DIR / "adder8.blif"),

@@ -1,4 +1,5 @@
 import random
+import struct
 
 import pytest
 
@@ -16,8 +17,6 @@ from easic.bitstream import (
     Bitstream,
     BitstreamError,
     chain_manifest,
-    pack_bits,
-    unpack_bits,
     write_chain_manifest,
 )
 from easic.netlist import LutMask
@@ -61,28 +60,44 @@ def test_program_readback_roundtrip(designs):
 def test_program_rejects_wrong_length(designs):
     nl = designs["cmp4"]
     stream = serialize(nl)
-    short = Bitstream(stream.design, stream.chain, stream.bits[:-1])
+    short = Bitstream(stream.design, stream.chain[:-1], 0)
     with pytest.raises(BitstreamError) as err:
         program(blank_state(nl), short)
     msg = str(err.value)
-    assert str(stream.total_len) in msg and str(stream.total_len - 1) in msg
+    assert short.total_len < stream.total_len
+    assert str(stream.total_len) in msg and str(short.total_len) in msg
+
+
+def test_key_wider_than_its_chain_is_refused(designs):
+    stream = serialize(designs["cmp4"])
+    for key in (1 << stream.total_len, -1):
+        with pytest.raises(BitstreamError, match="does not fit"):
+            Bitstream(stream.design, stream.chain, key)
+    top = (1 << stream.total_len) - 1
+    assert Bitstream(stream.design, stream.chain, top).bits == \
+        (1,) * stream.total_len
 
 
 def test_shift_with_enable_low_is_noop(designs):
     nl = designs["gray8"]
     state = blank_state(nl)
-    before = list(state.regs)
+    state.regs = before = 0b1011
     assert state.shift_bit(1) is None
-    assert list(state.regs) == before
+    assert state.regs == before
     assert state.shifted == 0
 
 
-def naive_shift_register(total, fed_bits):
+def naive_shift_register(total, fed_bits, regs=None):
     """Independent oracle: plain list shifting, head index 0."""
-    regs = [0] * total
+    regs = list(regs) if regs is not None else [0] * total
     for bit in fed_bits:
         regs = [bit] + regs[:-1]
     return regs
+
+
+def positions(state):
+    """The register as a list of bits, chain head first."""
+    return [(state.regs >> p) & 1 for p in range(state.total_len)]
 
 
 def test_under_programming_detected(designs):
@@ -96,7 +111,7 @@ def test_under_programming_detected(designs):
         state.shift_bit(bit)
     state.enable = False
     expected = naive_shift_register(stream.total_len, fed)
-    assert list(state.regs) == expected
+    assert positions(state) == expected
     masks = readback(state)
     original = {c.name: c.mask for c in nl.chain_order()}
     assert masks != original
@@ -110,10 +125,35 @@ def test_shift_register_matches_naive_model():
     state.enable = True
     fed = [rng.getrandbits(1) for _ in range(11)]
     outs = [state.shift_bit(b) for b in fed]
-    assert list(state.regs) == naive_shift_register(state.total_len, fed)
+    assert positions(state) == naive_shift_register(state.total_len, fed)
     # serial_out replays the pushed-out zeros first
     assert outs[:8] == [0] * 8
     assert outs[8:] == fed[:3]
+
+
+def test_program_equals_streaming_the_key_tail_first(designs):
+    # from a stale register: program loads in one step what total_len
+    # shift cycles with enable high would leave
+    nl = designs["cmp4"]
+    stream = serialize(nl)
+    rng = random.Random(7)
+    stale = rng.getrandbits(stream.total_len)
+    streamed, loaded = blank_state(nl), blank_state(nl)
+    for state in (streamed, loaded):
+        state.regs, state.shifted = stale, 5
+    before = positions(streamed)
+    streamed.enable = True
+    for bit in reversed(stream.bits):
+        streamed.shift_bit(bit)
+    streamed.enable = False
+    assert program(loaded, stream) is loaded
+    assert (loaded.regs, loaded.shifted, loaded.enable) == \
+        (streamed.regs, streamed.shifted, streamed.enable)
+    assert loaded.shifted == 5 + stream.total_len and loaded.programmed
+    fed = list(reversed(stream.bits))
+    assert positions(loaded) == naive_shift_register(stream.total_len, fed,
+                                                     before)
+    assert positions(loaded) == list(stream.bits)
 
 
 def test_serial_out_streams_original_contents(designs):
@@ -190,12 +230,21 @@ def test_bitstream_file_names_must_be_utf8(tmp_path, designs):
             read_bitstream(path)
 
 
-def test_pack_unpack_bits():
-    bits = (1, 0, 1, 1, 0, 0, 0, 1, 1)
-    packed = pack_bits(bits)
-    assert len(packed) == 2
-    assert packed[0] == 0b10001101  # bit i at position i % 8
-    assert unpack_bits(packed, len(bits)) == bits
+def test_bitstream_file_bytes_for_a_known_key(tmp_path):
+    # a LUT3 and a LUT1: ten stream bits, bit i at byte i // 8, position
+    # i % 8, six zero padding bits
+    bits = (1, 0, 1, 1, 0, 0, 0, 1, 1, 0)
+    key = sum(bit << i for i, bit in enumerate(bits))
+    stream = Bitstream("pk", (("u1", 3), ("u2", 1)), key)
+    assert stream.bits == bits
+    path = tmp_path / "pk.ebs"
+    write_bitstream(stream, path)
+    assert path.read_bytes() == (
+        b"EASICBS1" + struct.pack("<I", 2) + b"pk" + struct.pack("<I", 2)
+        + struct.pack("<I", 2) + b"u1" + bytes([3])
+        + struct.pack("<I", 2) + b"u2" + bytes([1])
+        + struct.pack("<I", 10) + bytes([0b10001101, 0b00000001]))
+    assert read_bitstream(path) == stream
 
 
 def test_chain_manifest(tmp_path, designs):

@@ -123,20 +123,17 @@ def test_verify_detects_flipped_support_bit(tmp_path, designs_dir):
     netlist = parse_blif((out / "easic.blif").read_text())
     stream = read_bitstream(out / "easic.ebs")
     pis = set(netlist.inputs)
-    offset = 0
     flip_at = None
-    for name, width in stream.chain:
-        cell = netlist.cells[name]
+    for entry in stream.offsets():
+        cell = netlist.cells[entry["lut"]]
         if set(cell.inputs) <= pis:
             support = sorted(lut_support(cell.mask))
             # flip the output for the all-zeros-except-support vector
-            flip_at = offset + (1 << support[0])
+            flip_at = entry["offset"] + (1 << support[0])
             break
-        offset += 1 << width
     assert flip_at is not None
-    bits = list(stream.bits)
-    bits[flip_at] ^= 1
-    write_bitstream(Bitstream(stream.design, stream.chain, tuple(bits)),
+    write_bitstream(Bitstream(stream.design, stream.chain,
+                              stream.key ^ 1 << flip_at),
                     out / "easic.ebs")
     code = run_cli("verify", "--golden", designs_dir / "adder8.blif",
                    "--easic", out, "--out", tmp_path / "v")
@@ -183,9 +180,8 @@ def test_verify_proves_every_corpus_hybrid(tmp_path, designs_dir):
 
 def _flip_bit(run, index):
     stream = read_bitstream(run / "easic.ebs")
-    bits = list(stream.bits)
-    bits[index] ^= 1
-    write_bitstream(Bitstream(stream.design, stream.chain, tuple(bits)),
+    write_bitstream(Bitstream(stream.design, stream.chain,
+                              stream.key ^ 1 << index),
                     run / "easic.ebs")
 
 
@@ -456,15 +452,24 @@ def test_custom_library_via_flag(tmp_path, designs_dir):
 def test_each_command_sorts_each_netlist_once(tmp_path, designs_dir,
                                              monkeypatch):
     """One topological sort per netlist read, per timing graph, per
-    file written and per design compared; none repeated."""
+    file written and per design compared; none repeated.  Each sort
+    comes with one name-sorted driver map, and no other pass builds
+    one."""
     sorts = []
+    maps = []
     sort = Netlist._comb_order
+    driver_map = Netlist.driver_map
 
     def counted(self, drivers):
         sorts.append(self.name)
         return sort(self, drivers)
 
+    def counted_map(self):
+        maps.append(self.name)
+        return driver_map(self)
+
     monkeypatch.setattr(Netlist, "_comb_order", counted)
+    monkeypatch.setattr(Netlist, "driver_map", counted_map)
     src = designs_dir / "counter8.blif"
     run = tmp_path / "run"
     expected = [
@@ -478,10 +483,14 @@ def test_each_command_sorts_each_netlist_once(tmp_path, designs_dir,
     ]
     for args, count in expected:
         sorts.clear()
+        maps.clear()
         assert run_cli(*args) == 0
         assert len(sorts) == count, args[0]
+        assert len(maps) == count, args[0]
     _flip_bit(run, 3)
     sorts.clear()
+    maps.clear()
     assert run_cli("verify", "--golden", src, "--easic", run, "--out", run) == 0
     # the cut check fails on cc1: simulation sorts each design once more
     assert len(sorts) == 6
+    assert len(maps) == 6

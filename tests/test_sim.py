@@ -47,11 +47,10 @@ def test_static_version_matches_exhaustively(lib):
     rng = random.Random(2)
     nl = random_comb_netlist(rng, n_pis=8, n_cells=25, name="r8")
     res = run_obfuscation(nl, ObfuscationConfig(obf_percent=0, library=lib))
-    ea = Evaluator(nl)
-    eb = Evaluator(res.netlist)
-    for v in range(256):
-        vec = [(v >> i) & 1 for i in range(8)]
-        assert ea.eval_comb(vec) == eb.eval_comb(vec)
+    vectors = [{net: (v >> i) & 1 for i, net in enumerate(nl.inputs)}
+               for v in range(256)]
+    assert list(Evaluator(nl).run(vectors)) == \
+        list(Evaluator(res.netlist).run(vectors))
 
 
 def test_packed_evaluation_matches_lutmask_eval():
@@ -84,12 +83,7 @@ def test_packed_evaluation_matches_lutmask_eval():
 def test_toggle_register():
     cells = [lut("d", ("q",), INV1), ff("q", "d")]
     nl = netlist("tog", [], ["q"], cells, clock="clk")
-    ev = Evaluator(nl)
-    state = ev.initial_state()
-    seen = []
-    for _ in range(4):
-        state, outs = ev.step(state, ())
-        seen.append(outs[0])
+    seen = [outs[0] for outs in Evaluator(nl).run([{}] * 4)]
     assert seen == [0, 1, 0, 1]
 
 
@@ -100,21 +94,17 @@ def test_ff_chain_from_constant():
         ff("q2", "q1"),
     ]
     nl = netlist("chain2", [], ["q2"], cells, clock="clk")
-    ev = Evaluator(nl)
-    state = ev.initial_state()
-    seen = []
-    for _ in range(4):
-        state, outs = ev.step(state, ())
-        seen.append(outs[0])
+    seen = [outs[0] for outs in Evaluator(nl).run([{}] * 4)]
     assert seen == [0, 0, 1, 1]
 
 
 def test_step_respects_ff_init():
     cells = [lut("d", ("q",), INV1), ff("q", "d", init=1)]
     nl = netlist("tog1", [], ["q"], cells, clock="clk")
-    ev = Evaluator(nl)
-    state, outs = ev.step(ev.initial_state(), ())
+    (outs,) = Evaluator(nl).run([{}])
     assert outs == (1,)
+    # packed: every lane starts from the init value
+    assert list(Evaluator(nl).run([{}] * 2, 3)) == [(0b111,), (0,)]
 
 
 def test_equivalence_self(designs):
@@ -187,11 +177,10 @@ def test_sequential_counterexample_replays(designs, lib):
     mask = res.netlist.cells[first_name].mask
     support = sorted(lut_support(mask))
     flip_index = support[0]  # minterm 0 vs its neighbor along a support axis
-    bits = list(stream.bits)
-    bits[1 << flip_index] ^= 1
     from easic.bitstream import Bitstream
 
-    broken = Bitstream(stream.design, stream.chain, tuple(bits))
+    broken = Bitstream(stream.design, stream.chain,
+                       stream.key ^ 1 << (1 << flip_index))
     state = program(blank_state(res.netlist), broken)
     rep = check_equivalence(nl, state, EquivalencePolicy(seed=3))
     if not rep.equivalent:
@@ -241,12 +230,10 @@ def test_cut_check_reads_the_registers_not_the_masks(designs, lib):
     res = run_obfuscation(nl, ObfuscationConfig(obf_percent=50, library=lib))
     stream = serialize(res.netlist)
     lut_name, _ = stream.chain[0]
-    bits = list(stream.bits)
-    bits[0] ^= 1
     from easic.bitstream import Bitstream
 
     state = program(blank_state(res.netlist),
-                    Bitstream(stream.design, stream.chain, tuple(bits)))
+                    Bitstream(stream.design, stream.chain, stream.key ^ 1))
     assert prove_by_cuts(nl, state).mismatches == [lut_name]
     with pytest.raises(SimError, match="unprogrammed LUT"):
         prove_by_cuts(nl, blank_state(res.netlist))
