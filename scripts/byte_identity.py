@@ -22,12 +22,16 @@ working directory, with the same relative paths.  Per input: obfuscate
 at 0/37/50/86/100 percent, each followed by verify; the composition
 attack (against a histogram corpus of the 12 designs) and the
 structural attack at 37 and 86 percent; three sweeps.  Then the
-brute-force attack on each TOY_SEEDS toy at 50 percent, the 430-LUT6
-DAG at 50 percent and its verify, and a verify of each FLIPS directory.
+brute-force attack on each TOY_SEEDS toy at 0, 50 and 86 percent (an
+empty key, keys of 12-20 bits, keys over the 20-bit cap), and on the
+MISMATCH toy at 50 percent against another toy's golden design, the
+430-LUT6 DAG at 50 percent and its verify, and a verify of each FLIPS
+directory.
 
 Every file the commands write, and every command's exit code, standard
-output and standard error, must be the same in both trees, and each
-FLIPS verify must end in the mode and exit code listed for it.  The
+output and standard error, must be the same in both trees.  Each FLIPS
+verify must end in the mode and exit code listed for it, and the
+MISMATCH brute force in exit 3 with the key space exhausted.  The
 script prints the differences it finds and exits 1 when there is any, 0
 when there is none.
 """
@@ -51,7 +55,10 @@ REPO = Path(__file__).resolve().parent.parent
 LEVELS = (0, 37, 50, 86, 100)
 ATTACK_LEVELS = (37, 86)
 SWEEPS = ("100,50,0", "0,37,50,86,100", "90,10")
-TOY_LEVEL = 50
+TOY_LEVELS = (0, 50, 86)
+# (toy seed, toy seed): the first toy's hybrid at 50 percent brute-forced
+# against the second's golden design; same ports, different functions
+MISMATCH = (6, 20)
 # (design, obf percent, flipped stream bit, verify mode, verify exit code):
 # counterexamples of every simulation mode, and two flips that the
 # cut-point check refutes but sampling passes
@@ -163,9 +170,11 @@ def command_lines(inputs, flips):
                          "--out", f"runs/{name}/sweep{k}"])
     paths = dict(inputs)
     for seed in TOY_SEEDS:
-        run = f"runs/toy{seed}/obf{TOY_LEVEL}"
-        cmds.append(["attack", "bruteforce", "--easic", run,
-                     "--golden", paths[f"toy{seed}"], "--out", f"{run}/bruteforce"])
+        for level in TOY_LEVELS:
+            run = f"runs/toy{seed}/obf{level}"
+            cmds.append(["attack", "bruteforce", "--easic", run, "--golden",
+                         paths[f"toy{seed}"], "--out", f"{run}/bruteforce"])
+    cmds.append(mismatch_command(paths))
     path = paths["lut6_430"]
     cmds.append(["obfuscate", "--input", path, "--obf", "50",
                  "--out", "runs/lut6_430/obf50"])
@@ -175,6 +184,13 @@ def command_lines(inputs, flips):
         cmds.append(["verify", "--golden", paths[design], "--easic", run,
                      "--out", f"flips/{Path(run).name}"])
     return cmds
+
+
+def mismatch_command(paths):
+    victim, golden = MISMATCH
+    run = f"runs/toy{victim}/obf50"
+    return ["attack", "bruteforce", "--easic", run, "--golden",
+            paths[f"toy{golden}"], "--out", f"{run}/bruteforce-toy{golden}"]
 
 
 def run_tree(src: Path, work: Path, commands: Path):
@@ -211,10 +227,17 @@ def compare(parent: Path, change: Path):
     return diffs, len(outputs), a
 
 
-def flip_misses(parent: Path, results):
-    """FLIPS whose verify (the last commands) no longer ends in the
-    listed mode and exit code."""
+def outcome_misses(parent: Path, results, paths):
+    """FLIPS verifies (the last commands) that no longer end in the
+    listed mode and exit code, and a MISMATCH brute force that no longer
+    ends in an exhausted key space."""
     misses = []
+    argv = mismatch_command(paths)
+    (result,) = (r for r in results if r["argv"] == argv)
+    if (result["code"], "exhausted the key space" in result["stderr"]) != (3, True):
+        misses.append(f"{' '.join(argv)}: parent gave exit {result['code']} "
+                      f"{result['stderr']!r}, not exit 3 with the key space "
+                      "exhausted")
     for (*_, mode, code), result in zip(FLIPS, results[-len(FLIPS):]):
         out = result["argv"][-1]
         report = parent / out / "verify.json"
@@ -256,7 +279,7 @@ def main(argv=None):
             shutil.copytree(work / "inputs", work / side / "inputs")
             seconds[side] = run_tree(src, work / side, commands)
         diffs, n_files, results = compare(work / "parent", work / "change")
-        diffs += flip_misses(work / "parent", results)
+        diffs += outcome_misses(work / "parent", results, dict(inputs))
     codes = sorted({str(r["code"]) for r in results})
     print(f"{len(inputs)} inputs, {len(results)} commands (exit codes "
           f"{', '.join(codes)}), {n_files} output files; parent "

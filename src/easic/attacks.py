@@ -5,7 +5,10 @@ attack tracks <pattern, frequency> tuples (per design and pooled over a
 corpus) to bound the key search space, and the composition attack
 correlates a victim's exposed static portion against a database of
 known designs to guess the circuit's intent.  A small brute-force
-key-recovery oracle rounds out the picture for desk-scale designs.
+key-recovery oracle rounds out the picture for desk-scale designs; it
+scores a batch of candidate keys in one bit-parallel pass, with the
+key bits carried in the lanes, instead of reprogramming the device once
+per key.
 
 All histograms are lifted to the width-6 pattern space (masks of
 narrower LUTs are replicated over the ignored inputs) so designs with
@@ -22,9 +25,12 @@ import numpy as np
 from . import bitstream as bs
 from .netlist import LutMask, Netlist, _input_pattern
 from .obfuscate import ObfuscationResult
-from .sim import Evaluator
+from .sim import Evaluator, _lut_bits, eval_cells, mux_tree
 
 PATTERN_WIDTH = 6
+
+# brute force scores about this many (key, input vector) lanes per pass
+_BATCH_LANES = 1 << 14
 
 SCOPE_WHOLE = "whole-design"
 SCOPE_STATIC = "static-portion"
@@ -360,8 +366,17 @@ class BruteForceResult:
 
 def brute_force_key(obfuscated: Netlist, oracle: Netlist,
                     max_key_bits=20) -> BruteForceResult:
-    """Enumerate every key, program the device, and keep the first key
-    whose behavior matches the oracle on every input vector.
+    """Enumerate keys in order and keep the first one that makes the
+    device match the oracle on every input vector.
+
+    Each pass scores a batch of consecutive keys at once.  Lane
+    ``j * count + v`` holds key ``k0 + j`` under input vector ``v``, so a
+    key bit below the batch size varies across lanes like an extra
+    primary input and a higher one is constant over the batch.  A
+    reconfigurable LUT evaluates as a multiplexer tree over the lanes of
+    its key bits; static cells keep their netlist masks.  The first key
+    whose lanes all match is the one a key-by-key loop would stop at, so
+    ``trials`` is its index + 1.
 
     The recovered key may differ from the shipped bitstream while being
     functionally equivalent.  Refuses designs whose key is longer than
@@ -379,23 +394,47 @@ def brute_force_key(obfuscated: Netlist, oracle: Netlist,
     pis = oracle.inputs
     count = 1 << len(pis)
     stim = {net: _input_pattern(i, count) for i, net in enumerate(pis)}
-    oracle_eval = Evaluator(oracle)
-    oracle_vals = oracle_eval.eval_packed(stim, count)
-    expected = tuple(oracle_vals[net] for net in oracle.outputs)
+    oracle_vals = Evaluator(oracle).eval_packed(stim, count)
 
-    state = bs.blank_state(obfuscated)
-    dev = None
-    for key in range(1 << n):
-        candidate = bs.Bitstream(reference.design, reference.chain, key)
-        bs.program(state, candidate)
-        if dev is None:
-            dev = Evaluator(state)
-        else:
-            dev.set_configs(state.configs())
-        vals = dev.eval_packed(stim, count)
-        if tuple(vals[net] for net in obfuscated.outputs) == expected:
+    order = obfuscated.validate()
+    chain = {lut: (offset, size)
+             for lut, _, offset, size in bs._layout(reference.chain)}
+    static_bits = _lut_bits(None)
+    batch = min(1 << n, max(1, _BATCH_LANES // count))
+    lanes = batch * count
+    full = (1 << lanes) - 1
+    rep = full // ((1 << count) - 1)   # bit j * count set for every key j
+    inputs = {net: pattern * rep for net, pattern in stim.items()}
+    if obfuscated.clock is not None:
+        inputs.setdefault(obfuscated.clock, 0)
+    expected = [oracle_vals[net] * rep for net in oracle.outputs]
+    # key bit p < log2(batch) is bit p of the key's index j in its batch
+    low = [_input_pattern(len(pis) + p, lanes)
+           for p in range(batch.bit_length() - 1)]
+    for k0 in range(0, 1 << n, batch):
+        keys = low + [full if (k0 >> p) & 1 else 0 for p in range(len(low), n)]
+        values = dict(inputs)
+        for cell in order:
+            if cell.name in chain:
+                offset, size = chain[cell.name]
+                values[cell.output] = mux_tree(keys[offset:offset + size],
+                                               [values[net] for net in cell.inputs])
+            else:
+                eval_cells((cell,), values, full, static_bits)
+        # a device with more or fewer outputs than the oracle matches no key
+        miss = 0 if len(obfuscated.outputs) == len(expected) else full
+        for net, want in zip(obfuscated.outputs, expected):
+            miss |= values[net] ^ want
+        # fold each key's count lanes into its lowest lane
+        shift = 1
+        while shift < count:
+            miss |= miss >> shift
+            shift <<= 1
+        hits = rep & ~miss
+        if hits:
+            key = k0 + ((hits & -hits).bit_length() - 1) // count
             return BruteForceResult(
-                recovered=candidate,
+                recovered=bs.Bitstream(reference.design, reference.chain, key),
                 trials=key + 1,
                 key_bits=n,
                 matches_original=key == reference.key,

@@ -56,9 +56,19 @@ class EquivalenceReport:
         }
 
 
+def mux_tree(leaves, selects):
+    """Packed output of a multiplexer tree: leaf m (a packed value) is
+    picked in the lanes where the selects spell m, selects[0] the LSB.
+    Multiplexers that see equal halves fold away."""
+    for s in selects:
+        it = iter(leaves)
+        leaves = [lo if lo == hi else lo ^ ((lo ^ hi) & s) for lo, hi in zip(it, it)]
+    return leaves[0]
+
+
 def _eval_mask(bits, ins, full):
     """Packed output of a LUT: Shannon expansion of the mask, one input
-    at a time from in_0 (multiplexers that see equal halves fold away)."""
+    at a time from in_0."""
     x = ins[0]
     pair = (0, x ^ full, x, full)   # the function of in_0 for two mask bits
     if len(ins) == 1:
@@ -69,10 +79,7 @@ def _eval_mask(bits, ins, full):
         lo = pair[(bits >> k) & 3]
         hi = pair[(bits >> (k + 2)) & 3]
         level.append(lo if lo == hi else lo ^ ((lo ^ hi) & s))
-    for s in ins[2:]:
-        it = iter(level)
-        level = [lo if lo == hi else lo ^ ((lo ^ hi) & s) for lo, hi in zip(it, it)]
-    return level[0]
+    return mux_tree(level, ins[2:])
 
 
 def eval_cells(cells, values, full, lut_bits=None):
@@ -139,20 +146,13 @@ class Evaluator:
     """Levelized evaluator over a netlist or a programmed device."""
 
     def __init__(self, design):
-        self.netlist, self._configs = _design(design)
-        self._mask_bits = _lut_bits(self._configs)
+        self.netlist, configs = _design(design)
+        self._mask_bits = _lut_bits(configs)
         self._order = self.netlist.validate()
         self._ffs = sorted(
             (c for c in self.netlist.cells.values() if c.is_ff),
             key=lambda c: c.name,
         )
-
-    def set_configs(self, configs):
-        """Swap in fresh configuration registers (device reprogrammed)."""
-        if self._configs is None:
-            raise SimError("evaluator was not built from a programmed device")
-        self._configs = configs
-        self._mask_bits = _lut_bits(configs)
 
     def eval_packed(self, pi_values: dict, count: int, ff_values=None) -> dict:
         """One combinational pass; returns all net values (packed ints)."""

@@ -5,12 +5,14 @@ from scipy import stats as scipy_stats
 
 from easic import (
     ObfuscationConfig,
+    blank_state,
     brute_force_key,
     composition_attack,
     corpus_union,
     correlate,
     fit_trendline,
     pattern_histogram,
+    program,
     run_obfuscation,
     search_space_report,
     serialize,
@@ -24,11 +26,14 @@ from easic.attacks import (
     SCOPE_RECONF,
     SCOPE_STATIC,
     SCOPE_WHOLE,
+    _BATCH_LANES,
     histogram_from_json,
 )
-from easic.netlist import LutMask
+from easic.bitstream import Bitstream
+from easic.netlist import MODE_ST, Cell, LutMask, _input_pattern
+from easic.sim import Evaluator
 
-from circuits import lut, netlist
+from circuits import AND2, XOR2, lut, netlist, random_comb_netlist
 
 
 def hist_from_pairs(name, pairs, scope=SCOPE_WHOLE):
@@ -316,6 +321,111 @@ def test_brute_force_may_find_different_key():
 
     state = program(blank_state(nl), result.recovered)
     assert check_equivalence(nl, state).equivalent
+
+
+def brute_force_by_key(obfuscated, oracle):
+    """(key, trials, matches_original) of the first key that makes the
+    device match the oracle, programming and simulating one key at a
+    time; None when no key does."""
+    reference = serialize(obfuscated)
+    count = 1 << len(oracle.inputs)
+    stim = {net: _input_pattern(i, count) for i, net in enumerate(oracle.inputs)}
+    want = Evaluator(oracle).eval_packed(stim, count)
+    want = [want[net] for net in oracle.outputs]
+    state = blank_state(obfuscated)
+    for key in range(1 << reference.total_len):
+        program(state, Bitstream(reference.design, reference.chain, key))
+        got = Evaluator(state).eval_packed(stim, count)
+        if [got[net] for net in obfuscated.outputs] == want:
+            return key, key + 1, key == reference.key
+    return None
+
+
+def brute_force_outcome(obfuscated, oracle, max_key_bits=20):
+    result = brute_force_key(obfuscated, oracle, max_key_bits=max_key_bits)
+    assert result.key_bits == serialize(obfuscated).total_len
+    return result.recovered.key, result.trials, result.matches_original
+
+
+def test_brute_force_matches_key_by_key_search(lib):
+    # seeded hybrids at several levels, until six of them match past the
+    # first batch of keys
+    rng = random.Random(23)
+    checked = spanning = 0
+    while checked < 24 or spanning < 6:
+        golden = random_comb_netlist(rng, n_pis=rng.choice((1, 3, 5, 6, 6, 6, 6, 6)),
+                                     n_cells=rng.randint(2, 6))
+        level = rng.choice((0, 30, 50, 70, 100))
+        hybrid = run_obfuscation(
+            golden, ObfuscationConfig(obf_percent=level, library=lib)).netlist
+        if serialize(hybrid).total_len > 13:
+            continue
+        checked += 1
+        expected = brute_force_by_key(hybrid, golden)
+        assert brute_force_outcome(hybrid, golden) == expected
+        spanning += expected[0] >= _BATCH_LANES >> len(golden.inputs)
+
+
+def lane_design(key):
+    """Six PIs and two fully observable reconfigurable LUTs: the 12-bit
+    ``key`` is the only one that matches."""
+    return netlist("lanes", [f"i{k}" for k in range(6)], ["k0", "k1"], [
+        lut("k0", ("i0", "i1", "i2"), LutMask(3, key & 0xFF)),
+        lut("k1", ("i3", "i4"), LutMask(2, key >> 8)),
+    ])
+
+
+@pytest.mark.parametrize("lane", ["first-of-second", "last-of-first",
+                                  "last-of-second"])
+def test_brute_force_finds_keys_at_batch_edges(lane):
+    batch = _BATCH_LANES >> 6   # keys per pass under 6 PIs
+    key = {"first-of-second": batch, "last-of-first": batch - 1,
+           "last-of-second": 2 * batch - 1}[lane]
+    nl = lane_design(key)
+    assert serialize(nl).key == key
+    assert brute_force_outcome(nl, nl) == (key, key + 1, True)
+    assert brute_force_by_key(nl, nl) == (key, key + 1, True)
+
+
+def test_brute_force_without_primary_inputs():
+    # one vector per key: the LUTs read tie cells only
+    cells = [
+        Cell("one", "TIE1", (), "one"),
+        Cell("zero", "TIE0", (), "zero"),
+        lut("a", ("zero", "one"), LutMask(2, 0x4)),
+        lut("b", ("a", "one", "a"), LutMask(3, 0xB5)),
+    ]
+    nl = netlist("nopi", [], ["a", "b"], cells)
+    expected = brute_force_by_key(nl, nl)
+    assert expected == (0x804, 0x805, False)
+    assert brute_force_outcome(nl, nl) == expected
+
+
+def test_brute_force_lut_reading_a_net_twice_across_batches():
+    # the repeated pins leave minterms unreachable, so a smaller key than
+    # the shipped 0xA96 matches, past the first batch under 6 PIs
+    cells = [
+        lut("p", ("i0", "i1", "i0"), LutMask(3, 0x96)),
+        lut("q", ("i2", "i2"), LutMask(2, 0xA)),
+        lut("y", ("i3", "i4", "i5"), LutMask(3, 0x6C), mode=MODE_ST),
+    ]
+    nl = netlist("twice", [f"i{k}" for k in range(6)], ["p", "q", "y"], cells)
+    expected = brute_force_by_key(nl, nl)
+    assert expected == (0x884, 0x885, False)
+    assert expected[0] >= _BATCH_LANES >> 6
+    assert brute_force_outcome(nl, nl) == expected
+
+
+def test_brute_force_exhausts_an_inconsistent_pair():
+    # the static AND is 0 whenever b is, so no key gives the oracle's XOR
+    oracle = netlist("x", ["a", "b"], ["y"], [lut("y", ("a", "b"), XOR2)])
+    device = netlist("x", ["a", "b"], ["y"], [
+        lut("k", ("a",), LutMask(1, 0x2)),
+        lut("y", ("k", "b"), AND2, mode=MODE_ST),
+    ])
+    assert brute_force_by_key(device, oracle) is None
+    with pytest.raises(AttackError, match="exhausted the key space"):
+        brute_force_key(device, oracle)
 
 
 def test_histogram_conservation_across_corpus(designs):
