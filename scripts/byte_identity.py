@@ -31,15 +31,20 @@ directory.
 Every file the commands write, and every command's exit code, standard
 output and standard error, must be the same in both trees.  Each FLIPS
 verify must end in the mode and exit code listed for it, and the
-MISMATCH brute force in exit 3 with the key space exhausted.  The
-script prints the differences it finds and exits 1 when there is any, 0
-when there is none.
+MISMATCH brute force in exit 3 with the key space exhausted.  In the
+change tree, every output digest of every manifest.json the commands
+wrote must be the sha256 of that file on disk: a tree hashes its
+outputs as it writes them, so two trees that agree byte for byte could
+still both record a digest that no file has.  The script prints the
+differences it finds and exits 1 when there is any, 0 when there is
+none.
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
+import hashlib
 import io
 import json
 import os
@@ -249,6 +254,28 @@ def outcome_misses(parent: Path, results, paths):
     return misses
 
 
+def digest_misses(root: Path):
+    """Outputs, named in a manifest.json the commands wrote under
+    ``root``, whose recorded digest is not the sha256 of the file; and
+    the number of digests checked."""
+    misses = []
+    checked = 0
+    for manifest in sorted(root.rglob("manifest.json")):
+        rel = manifest.parent.relative_to(root)
+        if rel.parts[0] == "inputs":
+            continue
+        outputs = json.loads(manifest.read_text())["outputs"]
+        for name, digest in sorted(outputs.items()):
+            checked += 1
+            path = manifest.parent / name
+            if not path.is_file():
+                misses.append(f"{rel / name}: in manifest.json, not on disk")
+            elif digest != "sha256:" + hashlib.sha256(path.read_bytes()).hexdigest():
+                misses.append(f"{rel / name}: manifest.json digest {digest} "
+                              "is not the file's")
+    return misses, checked
+
+
 def src_dir(text):
     path = Path(text).resolve()
     if not (path / "easic" / "__init__.py").is_file():
@@ -280,9 +307,12 @@ def main(argv=None):
             seconds[side] = run_tree(src, work / side, commands)
         diffs, n_files, results = compare(work / "parent", work / "change")
         diffs += outcome_misses(work / "parent", results, dict(inputs))
+        misses, digests = digest_misses(work / "change")
+        diffs += misses
     codes = sorted({str(r["code"]) for r in results})
     print(f"{len(inputs)} inputs, {len(results)} commands (exit codes "
-          f"{', '.join(codes)}), {n_files} output files; parent "
+          f"{', '.join(codes)}), {n_files} output files, {digests} "
+          f"manifest digests checked in the change tree; parent "
           f"{seconds['parent']:.1f} s, change {seconds['change']:.1f} s")
     for line in diffs:
         print(line)

@@ -36,7 +36,6 @@ from .bitstream import (
     blank_state,
     program,
     read_bitstream,
-    readback,
     serialize,
     write_bitstream,
 )
@@ -46,7 +45,6 @@ from .sim import (
     EquivalenceReport,
     Evaluator,
     check_equivalence,
-    eval_comb,
     prove_by_cuts,
 )
 from .attacks import (

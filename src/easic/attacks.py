@@ -25,7 +25,7 @@ import numpy as np
 from . import bitstream as bs
 from .netlist import LutMask, Netlist, _input_pattern
 from .obfuscate import ObfuscationResult
-from .sim import Evaluator, _lut_bits, eval_cells, mux_tree
+from .sim import Evaluator, _lut_bits, _ports_match, eval_cells, mux_tree
 
 PATTERN_WIDTH = 6
 
@@ -380,7 +380,7 @@ def brute_force_key(obfuscated: Netlist, oracle: Netlist,
 
     The recovered key may differ from the shipped bitstream while being
     functionally equivalent.  Refuses designs whose key is longer than
-    ``max_key_bits``.
+    ``max_key_bits`` and a device whose ports differ from the oracle's.
     """
     reference = bs.serialize(obfuscated)
     n = reference.total_len
@@ -390,6 +390,11 @@ def brute_force_key(obfuscated: Netlist, oracle: Netlist,
         )
     if oracle.is_sequential or obfuscated.is_sequential:
         raise AttackError("brute-force oracle supports combinational toys only")
+    if not _ports_match(obfuscated, oracle):
+        raise AttackError(
+            f"port mismatch: {obfuscated.inputs}/{obfuscated.outputs} vs "
+            f"{oracle.inputs}/{oracle.outputs}"
+        )
 
     pis = oracle.inputs
     count = 1 << len(pis)
@@ -421,8 +426,7 @@ def brute_force_key(obfuscated: Netlist, oracle: Netlist,
                                                [values[net] for net in cell.inputs])
             else:
                 eval_cells((cell,), values, full, static_bits)
-        # a device with more or fewer outputs than the oracle matches no key
-        miss = 0 if len(obfuscated.outputs) == len(expected) else full
+        miss = 0
         for net, want in zip(obfuscated.outputs, expected):
             miss |= values[net] ^ want
         # fold each key's count lanes into its lowest lane

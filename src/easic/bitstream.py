@@ -12,12 +12,11 @@ streams the bitstream tail-first, exactly like loading a scan chain.
 
 from __future__ import annotations
 
-import json
 import struct
 from dataclasses import dataclass, field
 from functools import cached_property
 
-from .netlist import LutMask, Netlist
+from .netlist import Netlist
 
 MAGIC = b"EASICBS1"
 
@@ -87,25 +86,11 @@ class ChainState:
     netlist: Netlist
     chain: tuple
     regs: int = field(repr=False, default=0)   # bit p: chain position p, head 0
-    enable: bool = False
-    shifted: int = 0
     programmed: bool = False
 
     @cached_property
     def total_len(self):
         return chain_length(self.chain)
-
-    def shift_bit(self, bit) -> int | None:
-        """One programming clock: with enable high the chain shifts one
-        position (head takes ``bit``) and the old tail falls out as
-        serial_out.  With enable low nothing happens."""
-        if not self.enable:
-            return None
-        n = self.total_len
-        out = self.regs >> (n - 1)
-        self.regs = (self.regs << 1 | (1 if bit else 0)) & ((1 << n) - 1)
-        self.shifted += 1
-        return out
 
     def configs(self) -> dict:
         """All register contents as lut name -> mask bits int."""
@@ -120,8 +105,8 @@ def blank_state(netlist: Netlist) -> ChainState:
 def program(state: ChainState, bitstream: Bitstream) -> ChainState:
     """Load a full bitstream into a blank (or stale) device.  The end
     state is that of streaming the bitstream tail-first through
-    ``total_len`` shift cycles with enable high: every register bit is
-    replaced, so the registers hold the key."""
+    ``total_len`` shift cycles: every register bit is replaced, so the
+    registers hold the key."""
     if bitstream.total_len != state.total_len:
         raise BitstreamError(
             f"bitstream length {bitstream.total_len} does not match chain "
@@ -130,22 +115,15 @@ def program(state: ChainState, bitstream: Bitstream) -> ChainState:
     if tuple(bitstream.chain) != tuple(state.chain):
         raise BitstreamError("bitstream chain manifest does not match design")
     state.regs = bitstream.key
-    state.shifted += bitstream.total_len
-    state.enable = False
     state.programmed = True
     return state
-
-
-def readback(state: ChainState) -> dict:
-    """Current register contents as per-LUT masks."""
-    configs = state.configs()
-    return {name: LutMask(width, configs[name]) for name, width in state.chain}
 
 
 # -- file format -------------------------------------------------------------
 
 
-def write_bitstream(bitstream: Bitstream, path):
+def write_bitstream(bitstream: Bitstream, path) -> bytes:
+    """Write the .ebs file; returns the bytes written."""
     blob = bytearray()
     blob += MAGIC
     name = bitstream.design.encode("utf-8")
@@ -157,8 +135,10 @@ def write_bitstream(bitstream: Bitstream, path):
     n = bitstream.total_len
     # stream bit i is byte i // 8, bit position i % 8
     blob += struct.pack("<I", n) + bitstream.key.to_bytes((n + 7) // 8, "little")
+    data = bytes(blob)
     with open(path, "wb") as handle:
-        handle.write(bytes(blob))
+        handle.write(data)
+    return data
 
 
 def read_bitstream(path) -> Bitstream:
@@ -214,8 +194,3 @@ def chain_manifest(bitstream: Bitstream) -> dict:
         "chain": bitstream.offsets(),
     }
 
-
-def write_chain_manifest(bitstream: Bitstream, path):
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(chain_manifest(bitstream), handle, indent=2, sort_keys=True)
-        handle.write("\n")

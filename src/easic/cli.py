@@ -92,12 +92,15 @@ def _read_histogram(path):
     return hist
 
 
-def _write_text(path: Path, text: str):
-    path.write_text(text, encoding="utf-8", newline="\n")
+def _write_text(path: Path, text: str) -> bytes:
+    """Write ``text`` as UTF-8; returns the bytes written."""
+    data = text.encode("utf-8")
+    path.write_bytes(data)
+    return data
 
 
-def _write_json(path: Path, payload):
-    _write_text(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
+def _write_json(path: Path, payload) -> bytes:
+    return _write_text(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
 def _load_library(args):
@@ -114,18 +117,16 @@ def _out_dir(args) -> Path:
 
 
 def _manifest(command, inputs, config, outputs, out_dir):
-    manifest = {
+    """Write manifest.json: ``inputs`` maps input names to their bytes,
+    ``outputs`` maps output names to the digests of the bytes written."""
+    _write_json(out_dir / "manifest.json", {
         "tool": "easic",
         "version": __version__,
         "command": command,
-        "inputs": {name: _sha256(data) for name, data in sorted(inputs.items())},
+        "inputs": {name: _sha256(data) for name, data in inputs.items()},
         "config": config,
-        "outputs": {
-            name: _sha256((out_dir / name).read_bytes())
-            for name in sorted(outputs)
-        },
-    }
-    _write_json(out_dir / "manifest.json", manifest)
+        "outputs": outputs,
+    })
 
 
 # -- obfuscate ---------------------------------------------------------------
@@ -161,15 +162,22 @@ def cmd_obfuscate(args) -> int:
     result = run_obfuscation(netlist, config)
     out = _out_dir(args)
 
-    _write_text(out / "easic.blif", emit_blif(result.netlist))
-    _write_text(out / "easic.v", emit_verilog(result.netlist))
+    # each output is hashed as soon as it is written, so that no output
+    # stays in memory until the manifest is written
+    digests = {}
+
+    def save(name, write, payload):
+        digests[name] = _sha256(write(out / name, payload))
+
+    save("easic.blif", _write_text, emit_blif(result.netlist))
+    save("easic.v", _write_text, emit_verilog(result.netlist))
     stream = bs.serialize(result.netlist)
-    bs.write_bitstream(stream, out / "easic.ebs")
-    bs.write_chain_manifest(stream, out / "chain.json")
-    _write_json(out / "timing.json", timing_report(result.graph).to_json_dict())
-    _write_json(out / "area.json", result.area_report().to_json_dict())
-    _write_json(out / "constraints.json", gen_case_constraints(result))
-    _write_json(out / "trace.json", _trace_payload(result))
+    digests["easic.ebs"] = _sha256(bs.write_bitstream(stream, out / "easic.ebs"))
+    save("chain.json", _write_json, bs.chain_manifest(stream))
+    save("timing.json", _write_json, timing_report(result.graph).to_json_dict())
+    save("area.json", _write_json, result.area_report().to_json_dict())
+    save("constraints.json", _write_json, gen_case_constraints(result))
+    save("trace.json", _write_json, _trace_payload(result))
 
     _manifest(
         "obfuscate",
@@ -179,10 +187,7 @@ def cmd_obfuscate(args) -> int:
             "seed": args.seed,
             "library": lib_name,
         },
-        outputs=[
-            "easic.blif", "easic.v", "easic.ebs", "chain.json",
-            "timing.json", "area.json", "constraints.json", "trace.json",
-        ],
+        outputs=digests,
         out_dir=out,
     )
     st = stats(result.netlist)
@@ -215,7 +220,7 @@ def cmd_sweep(args) -> int:
     rows = sweep(netlist, levels, library=library)
     out = _out_dir(args)
     csv_text = sweep_to_csv(rows)
-    _write_text(out / "sweep.csv", csv_text)
+    digest = _sha256(_write_text(out / "sweep.csv", csv_text))
     _manifest(
         "sweep",
         inputs={Path(args.input).name: text.encode("utf-8")},
@@ -224,7 +229,7 @@ def cmd_sweep(args) -> int:
             "seed": args.seed,
             "library": lib_name,
         },
-        outputs=["sweep.csv"],
+        outputs={"sweep.csv": digest},
         out_dir=out,
     )
     sys.stdout.write(csv_text)
@@ -234,30 +239,24 @@ def cmd_sweep(args) -> int:
 # -- verify ------------------------------------------------------------------
 
 
-def _load_run_dir(path):
-    """Load the netlist + bitstream + conversion trace of an obfuscate run."""
-    run = Path(path)
-    blif = run / "easic.blif"
-    ebs = run / "easic.ebs"
-    if not blif.is_file() or not ebs.is_file():
+def _load_run_netlist(run: Path, *names):
+    """The parsed easic.blif of an obfuscate run directory, once the
+    directory is known to hold it and the files ``names`` too."""
+    needed = ("easic.blif", *names)
+    if not all((run / name).is_file() for name in needed):
         raise CliConfigError(
             f"{run} is not an obfuscate output directory "
-            "(missing easic.blif / easic.ebs)"
+            f"(missing {' / '.join(needed)})"
         )
-    netlist = parse_blif(_read_text(blif, BlifError))
-    stream = bs.read_bitstream(ebs)
-    trace = None
-    trace_path = run / "trace.json"
-    if trace_path.is_file():
-        trace = _read_json(trace_path)
-    return netlist, stream, trace
+    return parse_blif(_read_text(run / "easic.blif", BlifError))
 
 
 def cmd_verify(args) -> int:
     golden = parse_blif(_read_text(args.golden, BlifError))
-    netlist, stream, _ = _load_run_dir(args.easic)
+    run = Path(args.easic)
+    netlist = _load_run_netlist(run, "easic.ebs")
     state = bs.blank_state(netlist)
-    bs.program(state, stream)
+    bs.program(state, bs.read_bitstream(run / "easic.ebs"))
     cut = prove_by_cuts(golden, state)
     if cut.proved:
         rep = EquivalenceReport(
@@ -282,9 +281,13 @@ def cmd_verify(args) -> int:
 
 
 def _result_from_run_dir(path) -> ObfuscationResult:
-    netlist, stream, trace = _load_run_dir(path)
-    if trace is None:
+    """The obfuscation result an attack sees in a run directory: the
+    hybrid netlist and the conversion trace, which must describe it."""
+    run = Path(path)
+    netlist = _load_run_netlist(run)
+    if not (run / "trace.json").is_file():
         raise CliConfigError(f"{path}/trace.json is required for this attack")
+    trace = _read_json(run / "trace.json")
     try:
         origins = {}
         for entry in trace["conversions"]:
@@ -297,13 +300,24 @@ def _result_from_run_dir(path) -> ObfuscationResult:
             )
         config = ObfuscationConfig(obf_percent=trace["obf_percent"],
                                    seed=trace.get("seed", 0))
+        lut_re = trace["lut_re"]
     except _SHAPE_ERRORS as exc:
         raise CliConfigError(f"{path}/trace.json: not a conversion trace "
                              f"({type(exc).__name__}: {exc})") from None
+    l_re = {c.name for c in netlist.reconfigurable_luts()}
+    still = sorted(l_re & origins.keys())
+    if still:
+        raise CliConfigError(
+            f"{path}/trace.json does not describe easic.blif: converted LUT "
+            f"{still[0]} is still reconfigurable ({len(still)} in all)")
+    if lut_re != len(l_re):
+        raise CliConfigError(
+            f"{path}/trace.json does not describe easic.blif: lut_re is "
+            f"{lut_re!r}, the netlist has {len(l_re)} reconfigurable LUTs")
     return ObfuscationResult(
         netlist=netlist,
         l_st=set(origins),
-        l_re={c.name for c in netlist.reconfigurable_luts()},
+        l_re=l_re,
         origins=origins,
         trace=[],
         fallback_count=trace.get("fallback_count", 0),
@@ -402,7 +416,7 @@ def cmd_attack_composition(args) -> int:
 
 
 def cmd_attack_bruteforce(args) -> int:
-    netlist, _, _ = _load_run_dir(args.easic)
+    netlist = _load_run_netlist(Path(args.easic))
     golden = parse_blif(_read_text(args.golden, BlifError))
     result = atk.brute_force_key(netlist, golden, max_key_bits=args.max_key_bits)
     out = _out_dir(args)

@@ -71,9 +71,6 @@ class LutMask:
     def table_size(self):
         return 1 << self.width
 
-    def eval_index(self, index: int) -> int:
-        return (self.bits >> index) & 1
-
     def eval(self, values) -> int:
         """Evaluate on a sequence of 0/1 input values (in_0 first)."""
         index = 0
@@ -661,17 +658,3 @@ def emit_blif(netlist: Netlist) -> str:
     lines.append(".end")
     return "\n".join(lines) + "\n"
 
-
-def isomorphic(a: Netlist, b: Netlist) -> bool:
-    """Name-preserving structural equality (cells, ports, modes, masks)."""
-    if (a.inputs, a.outputs) != (b.inputs, b.outputs):
-        return False
-    if set(a.cells) != set(b.cells):
-        return False
-    for name, ca in a.cells.items():
-        cb = b.cells[name]
-        if (ca.kind, ca.inputs, ca.output, ca.mask, ca.mode, ca.init) != (
-            cb.kind, cb.inputs, cb.output, cb.mask, cb.mode, cb.init
-        ):
-            return False
-    return True

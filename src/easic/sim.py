@@ -177,17 +177,6 @@ class Evaluator:
             ff = {c.name: values[c.inputs[0]] for c in self._ffs}
 
 
-def eval_comb(design, vector) -> tuple:
-    """Outputs of one input vector (ordered like netlist.inputs) in the
-    power-up state."""
-    ev = Evaluator(design)
-    pis = ev.netlist.inputs
-    if len(vector) != len(pis):
-        raise SimError(f"vector length {len(vector)} != {len(pis)} primary inputs")
-    (outputs,) = ev.run([{net: v & 1 for net, v in zip(pis, vector)}])
-    return outputs
-
-
 def _ports_match(a: Netlist, b: Netlist):
     return a.inputs == b.inputs and a.outputs == b.outputs
 
@@ -368,12 +357,3 @@ def _first_difference(ea, eb, cycles, count):
                 return cycle, output, (diff & -diff).bit_length() - 1
     return None
 
-
-def replay_counterexample(a, b, report: EquivalenceReport) -> bool:
-    """Re-run a reported counterexample; True when it still distinguishes."""
-    cex = report.counterexample
-    if cex is None:
-        return False
-    cycles = [cex["vector"]] if "vector" in cex else cex["inputs"]
-    last_a, last_b = (list(Evaluator(d).run(cycles))[-1] for d in (a, b))
-    return last_a != last_b

@@ -30,10 +30,6 @@ class Bdd:
     nodes: tuple
     root: int
 
-    @property
-    def node_count(self):
-        return len(self.nodes)
-
     def node(self, ref):
         return self.nodes[ref - 2]
 
@@ -116,10 +112,6 @@ class GateNetwork:
     @property
     def gate_count(self):
         return len(self.cells)
-
-    def mux_class_gate_count(self):
-        """Gates that realize a BDD node (excludes INV/BUF/TIE plumbing)."""
-        return sum(1 for g in self.cells if g.kind in ("AND2", "OR2", "MUX2"))
 
     def eval_table(self) -> int:
         """Truth table of the network over all 2^width input vectors,

@@ -53,17 +53,10 @@ class TimedPath:
 
 
 @dataclass
-class EndpointArrival:
-    endpoint: str
-    arrival: float
-    worst_path: tuple
-
-
-@dataclass
 class TimingReport:
     cp: float
     sum_cp: float
-    endpoints: list
+    endpoints: list    # the worst TimedPath of each endpoint
     warning: str | None = None
 
     def to_json_dict(self):
@@ -73,11 +66,11 @@ class TimingReport:
             "fmax_ghz": (1.0 / self.cp) if self.cp > 0 else None,
             "endpoints": [
                 {
-                    "id": e.endpoint,
-                    "arrival_ns": e.arrival,
-                    "worst_path": list(e.worst_path),
+                    "id": p.endpoint,
+                    "arrival_ns": p.delay,
+                    "worst_path": list(p.cells),
                 }
-                for e in self.endpoints
+                for p in self.endpoints
             ],
         }
 
@@ -85,17 +78,15 @@ class TimingReport:
 class TimingGraph:
     """Arrival-annotated view of one netlist under one library.
 
-    The graph keeps per-cell delay overrides (used by incremental-update
-    tests and by what-if analyses) and a per-cell delay table with the
-    overrides folded in; :func:`update_timing` refreshes the entries of
-    the cells it is given.  :meth:`splice` swaps a LUT for the gates
-    that replaced it without re-sorting the netlist.
+    The graph keeps a per-cell delay table read from the library;
+    :func:`update_timing` refreshes the entries of the cells it is
+    given.  :meth:`splice` swaps a LUT for the gates that replaced it
+    without re-sorting the netlist.
     """
 
-    def __init__(self, netlist: Netlist, lib: TechLibrary, overrides=None):
+    def __init__(self, netlist: Netlist, lib: TechLibrary):
         self.netlist = netlist
         self.lib = lib
-        self.delay_override = dict(overrides or {})
         comb = netlist.validate()
         self._drivers = {c.output: c.name for c in netlist.cells.values()}
         self._endpoints = None
@@ -170,9 +161,7 @@ class TimingGraph:
                 if reached >> i & 1]
 
     def _refresh_delay(self, cell):
-        override = self.delay_override.get(cell.name)
-        self._delay[cell.name] = (override if override is not None
-                                  else self.lib.cell_delay(cell))
+        self._delay[cell.name] = self.lib.cell_delay(cell)
 
     def cell_delay(self, cell) -> float:
         return self._delay[cell.name]
@@ -224,17 +213,16 @@ class TimingGraph:
         return max(self.endpoint_arrival(net, extra) for _, net, extra in eps)
 
 
-def build_and_time(netlist: Netlist, lib: TechLibrary, overrides=None) -> TimingGraph:
+def build_and_time(netlist: Netlist, lib: TechLibrary) -> TimingGraph:
     """Validate, levelize, and propagate arrivals in one topological pass."""
-    return TimingGraph(netlist, lib, overrides)
+    return TimingGraph(netlist, lib)
 
 
 def update_timing(graph: TimingGraph, changed) -> TimingGraph:
     """Recompute arrivals over the fan-out cone of the changed cells.
 
     ``changed`` is a cell name or iterable of cell names; their entries
-    in the delay table are refreshed from the overrides and the library
-    first.  The result is exactly what a fresh full pass would produce;
+    in the delay table are refreshed from the library first.  The result is exactly what a fresh full pass would produce;
     incremental-vs-full equality is a tested invariant.
     """
     if isinstance(changed, str):
@@ -277,16 +265,14 @@ def report(graph: TimingGraph) -> TimingReport:
     eps = graph.endpoints()
     if not eps:
         return TimingReport(0.0, 0.0, [], warning="netlist has no endpoints")
-    entries = []
+    paths = [_backtrack(graph, net, extra, endpoint)
+             for endpoint, net, extra in eps]
     total = 0.0
     worst = 0.0
-    for endpoint, net, extra in eps:
-        arr = graph.endpoint_arrival(net, extra)
-        path = _backtrack(graph, net, extra, endpoint)
-        entries.append(EndpointArrival(endpoint, arr, path.cells))
-        total += arr
-        worst = max(worst, arr)
-    return TimingReport(worst, total, entries)
+    for path in paths:
+        total += path.delay
+        worst = max(worst, path.delay)
+    return TimingReport(worst, total, paths)
 
 
 def _greedy_fanin(arrival, ins, skip=None):

@@ -3,6 +3,7 @@
 import random
 
 from easic.netlist import Cell, LutMask, MODE_RE, Netlist
+from easic.sim import Evaluator
 
 XOR2 = LutMask(2, 0x6)
 AND2 = LutMask(2, 0x8)
@@ -108,3 +109,42 @@ def random_timing_dag(rng, max_cells=500, name="timedag"):
     if n_ffs:
         return random_seq_netlist(rng, n_pis, n_ffs, n_cells, name=name)
     return random_comb_netlist(rng, n_pis, n_cells, name=name)
+
+
+def isomorphic(a: Netlist, b: Netlist) -> bool:
+    """Name-preserving structural equality (cells, ports, modes, masks)."""
+    if (a.inputs, a.outputs) != (b.inputs, b.outputs):
+        return False
+    if set(a.cells) != set(b.cells):
+        return False
+    for name, ca in a.cells.items():
+        cb = b.cells[name]
+        if (ca.kind, ca.inputs, ca.output, ca.mask, ca.mode, ca.init) != (
+            cb.kind, cb.inputs, cb.output, cb.mask, cb.mode, cb.init
+        ):
+            return False
+    return True
+
+
+def replay_counterexample(a, b, report) -> bool:
+    """Re-run a reported counterexample; True when it still distinguishes."""
+    cex = report.counterexample
+    if cex is None:
+        return False
+    cycles = [cex["vector"]] if "vector" in cex else cex["inputs"]
+    return list(Evaluator(a).run(cycles))[-1] != list(Evaluator(b).run(cycles))[-1]
+
+
+class DelayTable:
+    """A library stand-in for timing tests: a cell named in ``table``
+    takes that delay, any other cell its delay in ``lib``.  Edit
+    ``table`` and call update_timing to retime."""
+
+    def __init__(self, lib, table):
+        self.lib = lib
+        self.table = table
+        self.ff_setup = lib.ff_setup
+
+    def cell_delay(self, cell):
+        delay = self.table.get(cell.name)
+        return self.lib.cell_delay(cell) if delay is None else delay

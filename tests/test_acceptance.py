@@ -28,7 +28,6 @@ from easic import (
     pattern_histogram,
     program,
     read_bitstream,
-    readback,
     run_obfuscation,
     serialize,
     static_target,
@@ -40,7 +39,7 @@ from easic.bitstream import Bitstream, write_bitstream
 from easic.cli import main as cli_main
 from easic.netlist import LutMask
 
-from circuits import random_mask, random_timing_dag
+from circuits import DelayTable, random_mask, random_timing_dag
 
 EQUIV_LEVELS = (0, 25, 50, 75, 86, 92, 100)
 TREND_LEVELS = (100, 98, 95, 92, 89, 86)
@@ -153,9 +152,9 @@ def test_criterion_5_bitstream_roundtrip_and_flip(designs, lib, tmp_path):
             res = results[(name, level)]
             stream = serialize(res.netlist)
             state = program(blank_state(res.netlist), stream)
-            expected = {c.name: c.mask
+            expected = {c.name: c.mask.bits
                         for c in res.netlist.chain_order()}
-            if readback(state) != expected:
+            if state.configs() != expected:
                 bad.append((name, level))
 
     # flip experiment through the CLI: pick a first-level LUT, flip the
@@ -200,14 +199,13 @@ def test_criterion_6_incremental_timing_oracle(lib):
     while updates < 1000:
         nl = random_timing_dag(rng, max_cells=500, name=f"acc6_{updates}")
         overrides = {}
-        graph = build_and_time(nl, lib, overrides=overrides)
+        graph = build_and_time(nl, DelayTable(lib, overrides))
         names = sorted(nl.cells)
         for _ in range(min(40, 1000 - updates)):
             target = rng.choice(names)
             overrides[target] = round(rng.uniform(0.0, 2.0), 3)
-            graph.delay_override = overrides
             update_timing(graph, target)
-            fresh = build_and_time(nl, lib, overrides=dict(overrides))
+            fresh = build_and_time(nl, DelayTable(lib, dict(overrides)))
             if graph.arrival != fresh.arrival:
                 mismatches += 1
             updates += 1

@@ -428,6 +428,19 @@ def test_brute_force_exhausts_an_inconsistent_pair():
         brute_force_key(device, oracle)
 
 
+def test_brute_force_refuses_other_ports():
+    # the same outputs in the other order, and one input more: the ports
+    # are compared as check_equivalence compares them, before any key
+    device = lane_design(0x5A3)
+    swapped = lane_design(0x5A3)
+    swapped.outputs.reverse()
+    wider = lane_design(0x5A3)
+    wider.inputs.append("i6")
+    for oracle in (swapped, wider):
+        with pytest.raises(AttackError, match="port mismatch"):
+            brute_force_key(device, oracle)
+
+
 def test_histogram_conservation_across_corpus(designs):
     for name, nl in designs.items():
         hist = pattern_histogram(nl, SCOPE_WHOLE)

@@ -1,5 +1,8 @@
+import builtins
+import hashlib
 import json
 import shutil
+from pathlib import Path
 
 import pytest
 
@@ -494,3 +497,161 @@ def test_each_command_sorts_each_netlist_once(tmp_path, designs_dir,
     # the cut check fails on cc1: simulation sorts each design once more
     assert len(sorts) == 6
     assert len(maps) == 6
+
+
+def _counter8_runs(tmp_path, designs_dir):
+    """counter8 obfuscated at 50 and 86 percent, and a histogram corpus."""
+    runs = {}
+    for level in (50, 86):
+        runs[level] = tmp_path / f"obf{level}"
+        assert run_cli("obfuscate", "--input", designs_dir / "counter8.blif",
+                       "--obf", level, "--out", runs[level]) == 0
+    corpus = tmp_path / "corpus"
+    assert run_cli("attack", "corpus", "--inputs", designs_dir / "counter8.blif",
+                   designs_dir / "cmp4.blif", "--out", corpus) == 0
+    return runs, corpus
+
+
+@pytest.mark.parametrize("trace_level, blif_level, reason", [
+    # the 86% netlist keeps 8 of the LUTs the 50% trace converted
+    (50, 86, "converted LUT cc4 is still reconfigurable (8 in all)"),
+    # the 50% netlist has 11 reconfigurable LUTs, the 86% trace says 19
+    (86, 50, "lut_re is 19, the netlist has 11 reconfigurable LUTs"),
+])
+def test_attacks_refuse_a_trace_of_another_netlist(tmp_path, designs_dir,
+                                                   capsys, trace_level,
+                                                   blif_level, reason):
+    runs, corpus = _counter8_runs(tmp_path, designs_dir)
+    for level in (50, 86):
+        for victim in (("structural", "--input"), ("composition", "--victim")):
+            extra = ("--corpus", corpus) if victim[0] == "composition" else ()
+            assert run_cli("attack", *victim, runs[level], *extra,
+                           "--out", tmp_path / "ok") == 0
+    mixed = tmp_path / "mixed"
+    shutil.copytree(runs[trace_level], mixed)
+    shutil.copyfile(runs[blif_level] / "easic.blif", mixed / "easic.blif")
+    capsys.readouterr()
+    assert run_cli("attack", "structural", "--input", mixed,
+                   "--out", tmp_path / "s") == 3
+    assert reason in capsys.readouterr().err
+    assert run_cli("attack", "composition", "--victim", mixed,
+                   "--corpus", corpus, "--out", tmp_path / "c") == 3
+    assert reason in capsys.readouterr().err
+
+
+def test_attacks_do_not_need_the_bitstream(tmp_path, designs_dir):
+    runs, corpus = _counter8_runs(tmp_path, designs_dir)
+    (runs[50] / "easic.ebs").unlink()
+    assert run_cli("attack", "structural", "--input", runs[50],
+                   "--out", tmp_path / "s") == 0
+    assert run_cli("attack", "composition", "--victim", runs[50],
+                   "--corpus", corpus, "--out", tmp_path / "c") == 0
+    assert run_cli("verify", "--golden", designs_dir / "counter8.blif",
+                   "--easic", runs[50], "--out", tmp_path / "v") == 3
+
+
+def test_verify_ignores_the_trace(tmp_path, designs_dir, sbm_out):
+    (sbm_out / "trace.json").write_text("{nope")
+    assert run_cli("verify", "--golden", designs_dir / "sbm29.blif",
+                   "--easic", sbm_out, "--out", tmp_path / "v") == 0
+
+
+def test_bruteforce_refuses_other_ports(tmp_path, designs_dir, capsys,
+                                        monkeypatch):
+    # a six-input toy against the eight-input cmp4 once raised KeyError
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "bench"))
+    import workloads
+
+    toy = tmp_path / "toy6.blif"
+    toy.write_text(workloads.toy(6))
+    run = tmp_path / "run"
+    assert run_cli("obfuscate", "--input", toy, "--obf", "50",
+                   "--out", run) == 0
+    capsys.readouterr()
+    assert run_cli("attack", "bruteforce", "--easic", run, "--golden",
+                   designs_dir / "cmp4.blif", "--out", tmp_path / "bf") == 3
+    assert "port mismatch" in capsys.readouterr().err
+
+
+def test_manifest_digests_match_the_files(tmp_path, designs_dir):
+    src = designs_dir / "cmp4.blif"
+    runs = [("obfuscate", "--input", src, "--obf", "50", "--out", tmp_path / "o"),
+            ("sweep", "--input", src, "--levels", "0,50", "--out", tmp_path / "s")]
+    for args in runs:
+        assert run_cli(*args) == 0
+        out = args[-1]
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["outputs"]
+        for name, digest in manifest["outputs"].items():
+            data = (out / name).read_bytes()
+            assert digest == "sha256:" + hashlib.sha256(data).hexdigest(), name
+        assert manifest["inputs"] == {
+            "cmp4.blif": "sha256:" + hashlib.sha256(src.read_bytes()).hexdigest()}
+
+
+def test_each_command_reads_only_what_it_uses(tmp_path, designs_dir,
+                                             monkeypatch):
+    """The files each command opens, by name: obfuscate reads only its
+    input, verify the golden design, easic.blif and easic.ebs, no attack
+    opens easic.ebs, and no command opens a file twice for one role."""
+    opened = []
+    path_open = Path.open
+    builtin_open = builtins.open
+
+    def note(file, mode):
+        opened.append(("w" if set(mode) & set("wax") else "r", Path(file).name))
+
+    def counted_path_open(self, mode="r", *args, **kwargs):
+        note(self, mode)
+        return path_open(self, mode, *args, **kwargs)
+
+    def counted_open(file, mode="r", *args, **kwargs):
+        note(file, mode)
+        return builtin_open(file, mode, *args, **kwargs)
+
+    src = designs_dir / "counter8.blif"
+    toy = tmp_path / "toy.blif"
+    toy.write_text(TOY)
+    run, toy_run, corpus = tmp_path / "run", tmp_path / "toy_run", tmp_path / "corpus"
+    outputs = ["easic.blif", "easic.v", "easic.ebs", "chain.json", "timing.json",
+               "area.json", "constraints.json", "trace.json", "manifest.json"]
+    histograms = ["counter8.histogram.json", "cmp4.histogram.json"]
+    expected = [
+        (("obfuscate", "--input", src, "--obf", "50", "--out", run),
+         ["counter8.blif"], outputs),
+        (("obfuscate", "--input", toy, "--obf", "100", "--out", toy_run),
+         ["toy.blif"], outputs),
+        (("sweep", "--input", src, "--levels", "0,50", "--out", tmp_path / "sw"),
+         ["counter8.blif"], ["sweep.csv", "manifest.json"]),
+        (("verify", "--golden", src, "--easic", run, "--out", tmp_path / "v"),
+         ["counter8.blif", "easic.blif", "easic.ebs"], ["verify.json"]),
+        (("attack", "corpus", "--inputs", src, designs_dir / "cmp4.blif",
+          "--out", corpus),
+         ["counter8.blif", "cmp4.blif"],
+         histograms + ["union.json", "settling.csv"]),
+        (("attack", "structural", "--input", run, "--out", tmp_path / "st"),
+         ["easic.blif", "trace.json"], ["histogram.json", "ranks.csv"]),
+        (("attack", "structural", "--input", src, "--out", tmp_path / "st"),
+         ["counter8.blif"], ["histogram.json", "ranks.csv"]),
+        (("attack", "composition", "--victim", run, "--corpus", corpus,
+          "--out", tmp_path / "co"),
+         ["easic.blif", "trace.json"] + histograms,
+         ["composition.json", "search_space.json"]),
+        # the victim histogram is read once as the victim and once as a
+        # member of the corpus
+        (("attack", "composition", "--victim", corpus / "cmp4.histogram.json",
+          "--corpus", corpus, "--out", tmp_path / "co"),
+         ["cmp4.histogram.json"] + histograms, ["composition.json"]),
+        (("attack", "bruteforce", "--easic", toy_run, "--golden", toy,
+          "--out", tmp_path / "bf"),
+         ["easic.blif", "toy.blif"], ["bruteforce.json", "recovered.ebs"]),
+    ]
+    monkeypatch.setattr(Path, "open", counted_path_open)
+    monkeypatch.setattr(builtins, "open", counted_open)
+    for args, reads, writes in expected:
+        opened.clear()
+        assert run_cli(*args) == 0, args
+        assert sorted(name for kind, name in opened if kind == "r") == \
+            sorted(reads), args[:2]
+        assert sorted(name for kind, name in opened if kind == "w") == \
+            sorted(writes), args[:2]

@@ -13,10 +13,10 @@ from easic import (
     static_target,
     sweep,
 )
-from easic.netlist import LutMask, isomorphic
+from easic.netlist import LutMask
 from easic.obfuscate import ObfuscationError, sweep_to_csv
 
-from circuits import lut, netlist, random_comb_netlist, random_mask
+from circuits import isomorphic, lut, netlist, random_comb_netlist, random_mask
 
 
 def test_static_target_reproduces_sbm_rows():

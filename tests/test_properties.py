@@ -12,12 +12,13 @@ from easic import (  # noqa: E402
     check_equivalence, decompose_lut, default_library, emit_blif, find_critical,
     parse_blif, program, prove_by_cuts, report, run_obfuscation, serialize,
     sweep)
-from easic.bitstream import Bitstream  # noqa: E402
-from easic.netlist import LutMask, isomorphic  # noqa: E402
+from easic.bitstream import (  # noqa: E402
+    Bitstream, BitstreamError, read_bitstream, write_bitstream)
+from easic.netlist import LutMask  # noqa: E402
 from easic.obfuscate import _splice_network  # noqa: E402
 
 from circuits import (  # noqa: E402
-    lut, netlist, random_comb_netlist, random_seq_netlist)
+    isomorphic, lut, netlist, random_comb_netlist, random_seq_netlist)
 
 LIB = default_library()
 
@@ -132,3 +133,28 @@ def test_blif_emit_parse_is_an_isomorphism(sequential, seed, level):
         assert isomorphic(design, again)
         assert (again.name, again.clock) == (design.name, design.clock)
         assert emit_blif(again) == text
+
+
+@st.composite
+def bitstreams(draw):
+    """A design name and a chain of distinct LUT names (any UTF-8
+    text) with widths 1..6, holding a random key."""
+    names = draw(st.lists(st.text(max_size=6), max_size=5, unique=True))
+    chain = tuple((name, draw(st.integers(1, 6))) for name in names)
+    total = sum(1 << width for _, width in chain)
+    return Bitstream(draw(st.text(max_size=6)), chain,
+                     draw(st.integers(0, (1 << total) - 1)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(bitstreams())
+def test_ebs_write_read_is_the_identity(tmp_path_factory, stream):
+    path = tmp_path_factory.mktemp("ebs") / "key.ebs"
+    data = write_bitstream(stream, path)
+    assert path.read_bytes() == data
+    assert read_bitstream(path) == stream
+    cut = path.with_name("cut.ebs")
+    for size in range(len(data)):
+        cut.write_bytes(data[:size])
+        with pytest.raises(BitstreamError):
+            read_bitstream(cut)

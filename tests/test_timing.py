@@ -6,7 +6,8 @@ from easic import (ObfuscationConfig, build_and_time, find_critical,
                    lut_support, report, run_obfuscation, update_timing)
 from easic.timing import endpoint_deviations, endpoint_worst_path
 from easic.netlist import Cell, LutMask
-from circuits import BUF1, ff, lut, netlist, random_mask, random_timing_dag
+from circuits import (BUF1, DelayTable, ff, lut, netlist, random_mask,
+                      random_timing_dag)
 
 
 def buf_chain(n):
@@ -18,7 +19,7 @@ def buf_chain(n):
 
 def test_chain_arrivals(lib):
     nl = buf_chain(2)
-    graph = build_and_time(nl, lib, overrides={"g1": 1.0, "g2": 2.0})
+    graph = build_and_time(nl, DelayTable(lib, {"g1": 1.0, "g2": 2.0}))
     assert graph.arrival["g2"] == 3.0
 
 
@@ -35,14 +36,14 @@ def test_diamond_max_rule(lib):
         lut("y", ("p", "q"), LutMask(2, 0x8)),
     ]
     nl = netlist("diamond", ["a"], ["y"], cells)
-    graph = build_and_time(nl, lib, overrides={"p": 3.0, "q": 2.0, "y": 1.0})
+    graph = build_and_time(nl, DelayTable(lib, {"p": 3.0, "q": 2.0, "y": 1.0}))
     assert graph.arrival["y"] == 4.0
 
 
 def test_report_cp_and_sum(lib):
     cells = [lut("x", ("a",), BUF1), lut("y", ("a",), BUF1)]
     nl = netlist("two", ["a"], ["x", "y"], cells)
-    graph = build_and_time(nl, lib, overrides={"x": 3.0, "y": 2.0})
+    graph = build_and_time(nl, DelayTable(lib, {"x": 3.0, "y": 2.0}))
     rep = report(graph)
     assert rep.cp == 3.0
     assert rep.sum_cp == 5.0
@@ -66,7 +67,7 @@ def test_ff_boundaries_add_clk2q_and_setup(lib):
         ff("q", "d"),
     ]
     nl = netlist("loop", [], ["q"], cells, clock="clk")
-    graph = build_and_time(nl, lib, overrides={"d": 1.0})
+    graph = build_and_time(nl, DelayTable(lib, {"d": 1.0}))
     rep = report(graph)
     ff_arrival = lib.ff_clk2q + 1.0 + lib.ff_setup
     assert rep.cp == pytest.approx(max(ff_arrival, lib.ff_clk2q), abs=0)
@@ -77,7 +78,7 @@ def test_ff_boundaries_add_clk2q_and_setup(lib):
 def test_find_critical_picks_worst_then_excluded(lib):
     cells = [lut("x", ("a",), BUF1), lut("y", ("a",), BUF1)]
     nl = netlist("two", ["a"], ["x", "y"], cells)
-    graph = build_and_time(nl, lib, overrides={"x": 3.0, "y": 2.0})
+    graph = build_and_time(nl, DelayTable(lib, {"x": 3.0, "y": 2.0}))
     p1 = find_critical(graph)
     assert p1.cells == ("x",)
     assert p1.delay == 3.0
@@ -89,7 +90,7 @@ def test_find_critical_picks_worst_then_excluded(lib):
 def test_find_critical_endpoint_tie_rule(lib):
     cells = [lut("b", ("i",), BUF1), lut("a", ("i",), BUF1)]
     nl = netlist("tie", ["i"], ["b", "a"], cells)
-    graph = build_and_time(nl, lib, overrides={"a": 3.0, "b": 3.0})
+    graph = build_and_time(nl, DelayTable(lib, {"a": 3.0, "b": 3.0}))
     assert find_critical(graph).endpoint == "a"
 
 
@@ -102,7 +103,7 @@ def test_find_critical_deviation_search(lib):
         lut("y", ("p", "q"), LutMask(2, 0x6)),
     ]
     nl = netlist("dev", ["a"], ["y"], cells)
-    graph = build_and_time(nl, lib, overrides={"p": 5.0, "q": 4.0, "y": 1.0})
+    graph = build_and_time(nl, DelayTable(lib, {"p": 5.0, "q": 4.0, "y": 1.0}))
     worst = find_critical(graph)
     assert worst.cells == ("p", "y")
     nxt = find_critical(graph, {worst.path_id})
@@ -176,10 +177,10 @@ def test_deviations_match_rewalked_oracle(lib):
 
 def test_update_timing_delay_change(lib):
     nl = buf_chain(3)
-    overrides = {"g1": 1.0, "g2": 2.0, "g3": 0.0}
-    graph = build_and_time(nl, lib, overrides=overrides)
+    delays = DelayTable(lib, {"g1": 1.0, "g2": 2.0, "g3": 0.0})
+    graph = build_and_time(nl, delays)
     assert report(graph).cp == 3.0
-    graph.delay_override["g2"] = 1.0
+    delays.table["g2"] = 1.0
     update_timing(graph, "g2")
     assert report(graph).cp == 2.0
 
@@ -187,9 +188,10 @@ def test_update_timing_delay_change(lib):
 def test_update_timing_empty_fanout(lib):
     cells = [lut("x", ("a",), BUF1), lut("y", ("a",), BUF1)]
     nl = netlist("two", ["a"], ["x", "y"], cells)
-    graph = build_and_time(nl, lib, overrides={"x": 1.0, "y": 1.0})
+    delays = DelayTable(lib, {"x": 1.0, "y": 1.0})
+    graph = build_and_time(nl, delays)
     before_y = graph.arrival["y"]
-    graph.delay_override["x"] = 0.5
+    delays.table["x"] = 0.5
     update_timing(graph, "x")
     assert graph.arrival["x"] == 0.5
     assert graph.arrival["y"] == before_y
@@ -200,14 +202,13 @@ def test_incremental_equals_full_on_random_dags(lib):
     for trial in range(25):
         nl = random_timing_dag(rng, max_cells=120, name=f"dag{trial}")
         overrides = {}
-        graph = build_and_time(nl, lib, overrides=overrides)
+        graph = build_and_time(nl, DelayTable(lib, overrides))
         names = sorted(nl.cells)
         for _ in range(8):
             target = rng.choice(names)
             overrides[target] = round(rng.uniform(0.0, 2.0), 3)
-            graph.delay_override = overrides
             update_timing(graph, target)
-            fresh = build_and_time(nl, lib, overrides=dict(overrides))
+            fresh = build_and_time(nl, DelayTable(lib, dict(overrides)))
             assert graph.arrival == fresh.arrival
 
 
@@ -215,11 +216,12 @@ def test_cp_non_increasing_when_delay_drops(lib):
     rng = random.Random(55)
     for trial in range(10):
         nl = random_timing_dag(rng, max_cells=80, name=f"mono{trial}")
-        graph = build_and_time(nl, lib)
+        delays = DelayTable(lib, {})
+        graph = build_and_time(nl, delays)
         base_cp = graph.cp()
         target = rng.choice(sorted(nl.cells))
         cell = nl.cells[target]
-        graph.delay_override[target] = max(
+        delays.table[target] = max(
             0.0, lib.cell_delay(cell) - rng.uniform(0.0, 0.2))
         update_timing(graph, target)
         assert graph.cp() <= base_cp + 1e-15
@@ -265,7 +267,7 @@ def test_lut_support_matches_flip_oracle():
         expected = set()
         for i in range(6):
             for v in range(64):
-                if mask.eval_index(v) != mask.eval_index(v ^ (1 << i)):
+                if (mask.bits >> v) & 1 != (mask.bits >> (v ^ (1 << i))) & 1:
                     expected.add(i)
                     break
         assert lut_support(mask) == expected
@@ -278,7 +280,7 @@ def test_support_free_lut_has_zero_arrival(lib):
         lut("k", ("slow",), LutMask(1, 0x3)),
     ]
     nl = netlist("const", ["a"], ["k"], cells)
-    graph = build_and_time(nl, lib, overrides={"slow": 5.0})
+    graph = build_and_time(nl, DelayTable(lib, {"slow": 5.0}))
     assert graph.arrival["k"] == 0.0
 
 
