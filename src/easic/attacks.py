@@ -113,17 +113,18 @@ def pattern_histogram(source, scope=SCOPE_WHOLE) -> PatternHistogram:
     """<pattern, frequency> statistics for one design.
 
     ``source`` is a plain netlist (whole-design view) or an obfuscation
-    result, whose recorded origin masks feed the static-portion view;
-    the adversary is granted perfect LUT reconstruction of static logic.
+    result, whose trace of converted masks feeds the static-portion
+    view; the adversary is granted perfect LUT reconstruction of static
+    logic.
     """
     if isinstance(source, ObfuscationResult):
         name = source.netlist.name
         level = float(source.config.obf_percent)
         if scope == SCOPE_WHOLE:
-            masks = [o.mask for o in source.origins.values()]
+            masks = [c.mask for c in source.trace]
             masks += [source.netlist.cells[n].mask for n in source.l_re]
         elif scope == SCOPE_STATIC:
-            masks = [o.mask for o in source.origins.values()]
+            masks = [c.mask for c in source.trace]
         elif scope == SCOPE_RECONF:
             masks = [source.netlist.cells[n].mask for n in source.l_re]
         else:
@@ -178,6 +179,8 @@ class TrendlineFit:
 
 def fit_trendline(histogram: PatternHistogram, degree: int) -> TrendlineFit:
     """Least-squares polynomial over (identifier, frequency) pairs."""
+    if degree < 0:
+        raise AttackError(f"trendline degree must be >= 0, not {degree}")
     if histogram.unique_count < degree + 1:
         raise AttackError(
             f"cannot fit degree {degree} to {histogram.unique_count} entries"

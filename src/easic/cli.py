@@ -22,13 +22,14 @@ from pathlib import Path
 from . import __version__
 from . import attacks as atk
 from . import bitstream as bs
-from .netlist import BlifError, LutMask, NetlistError, parse_blif, emit_blif, stats
+from .netlist import BlifError, NetlistError, parse_blif, emit_blif, stats
 from .obfuscate import (
-    LutOrigin,
     ObfuscationConfig,
     ObfuscationError,
     ObfuscationResult,
+    TraceMismatch,
     gen_case_constraints,
+    result_from_json,
     run_obfuscation,
     sweep,
     sweep_to_csv,
@@ -112,7 +113,11 @@ def _load_library(args):
 
 def _out_dir(args) -> Path:
     out = Path(getattr(args, "out", None) or ".")
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise CliConfigError(f"cannot make output directory {out}: "
+                             f"{exc.strerror}") from None
     return out
 
 
@@ -130,27 +135,6 @@ def _manifest(command, inputs, config, outputs, out_dir):
 
 
 # -- obfuscate ---------------------------------------------------------------
-
-
-def _trace_payload(result: ObfuscationResult) -> dict:
-    conversions = []
-    for record in result.trace:
-        entry = record.to_json_dict()
-        origin = result.origins[record.lut]
-        entry["mask"] = f"0x{origin.mask.bits:x}"
-        entry["network_area_um2"] = origin.network_area
-        entry["network_delay_ns"] = origin.network_delay
-        conversions.append(entry)
-    return {
-        "design": result.netlist.name,
-        "obf_percent": float(result.config.obf_percent),
-        "seed": result.config.seed,
-        "lut_total": result.total_luts,
-        "lut_re": len(result.l_re),
-        "lut_st": len(result.l_st),
-        "fallback_count": result.fallback_count,
-        "conversions": conversions,
-    }
 
 
 def cmd_obfuscate(args) -> int:
@@ -177,7 +161,7 @@ def cmd_obfuscate(args) -> int:
     save("timing.json", _write_json, timing_report(result.graph).to_json_dict())
     save("area.json", _write_json, result.area_report().to_json_dict())
     save("constraints.json", _write_json, gen_case_constraints(result))
-    save("trace.json", _write_json, _trace_payload(result))
+    save("trace.json", _write_json, result.to_json_dict())
 
     _manifest(
         "obfuscate",
@@ -287,42 +271,15 @@ def _result_from_run_dir(path) -> ObfuscationResult:
     netlist = _load_run_netlist(run)
     if not (run / "trace.json").is_file():
         raise CliConfigError(f"{path}/trace.json is required for this attack")
-    trace = _read_json(run / "trace.json")
+    payload = _read_json(run / "trace.json")
     try:
-        origins = {}
-        for entry in trace["conversions"]:
-            mask = LutMask(entry["width"], int(entry["mask"], 16))
-            origins[entry["lut"]] = LutOrigin(
-                mask=mask,
-                replacement_cells=(),
-                network_area=entry.get("network_area_um2", 0.0),
-                network_delay=entry.get("network_delay_ns", 0.0),
-            )
-        config = ObfuscationConfig(obf_percent=trace["obf_percent"],
-                                   seed=trace.get("seed", 0))
-        lut_re = trace["lut_re"]
+        return result_from_json(payload, netlist)
     except _SHAPE_ERRORS as exc:
         raise CliConfigError(f"{path}/trace.json: not a conversion trace "
                              f"({type(exc).__name__}: {exc})") from None
-    l_re = {c.name for c in netlist.reconfigurable_luts()}
-    still = sorted(l_re & origins.keys())
-    if still:
-        raise CliConfigError(
-            f"{path}/trace.json does not describe easic.blif: converted LUT "
-            f"{still[0]} is still reconfigurable ({len(still)} in all)")
-    if lut_re != len(l_re):
-        raise CliConfigError(
-            f"{path}/trace.json does not describe easic.blif: lut_re is "
-            f"{lut_re!r}, the netlist has {len(l_re)} reconfigurable LUTs")
-    return ObfuscationResult(
-        netlist=netlist,
-        l_st=set(origins),
-        l_re=l_re,
-        origins=origins,
-        trace=[],
-        fallback_count=trace.get("fallback_count", 0),
-        config=config,
-    )
+    except TraceMismatch as exc:
+        raise CliConfigError(f"{path}/trace.json does not describe "
+                             f"easic.blif: {exc}") from None
 
 
 def _load_corpus_dir(path):

@@ -12,7 +12,7 @@ converted in a documented fallback order.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from math import floor
 
@@ -32,19 +32,21 @@ class ObfuscationError(Exception):
     pass
 
 
+class TraceMismatch(ObfuscationError):
+    """A trace.json document that does not describe its netlist."""
+
+
 @dataclass
 class ObfuscationConfig:
     obf_percent: float
     seed: int = 0    # recorded in trace.json; the engine is deterministic
-    library: TechLibrary | None = None
+    library: TechLibrary | None = None   # None: the built-in default
 
     def __post_init__(self):
         if not 0 <= float(self.obf_percent) <= 100:
             raise ObfuscationError(
                 f"obfuscation percentage {self.obf_percent} outside [0, 100]"
             )
-        if self.library is None:
-            self.library = default_library()
 
 
 def static_target(total_luts: int, obf_percent) -> int:
@@ -59,36 +61,46 @@ def static_target(total_luts: int, obf_percent) -> int:
     return int(floor(total_luts * share))
 
 
-@dataclass
-class ConversionRecord:
+@dataclass(frozen=True)
+class Conversion:
+    """One LUT turned into static gates.  ``endpoint`` is None for a
+    fallback; ``cells`` names the replacement network's cells, which
+    trace.json does not record."""
+
     iteration: int
     lut: str
-    width: int
+    mask: LutMask
     endpoint: str | None
     cp_before: float
     cp_after: float
-    fallback: bool = False
+    fallback: bool
+    network_area: float
+    network_delay: float
+    cells: tuple = ()
 
     def to_json_dict(self):
         return {
             "iteration": self.iteration,
             "lut": self.lut,
-            "width": self.width,
+            "width": self.mask.width,
             "endpoint": self.endpoint,
             "cp_before_ns": self.cp_before,
             "cp_after_ns": self.cp_after,
             "fallback": self.fallback,
+            "mask": f"0x{self.mask.bits:x}",
+            "network_area_um2": self.network_area,
+            "network_delay_ns": self.network_delay,
         }
 
-
-@dataclass
-class LutOrigin:
-    """What a converted LUT used to be, and what replaced it."""
-
-    mask: LutMask
-    replacement_cells: tuple
-    network_area: float
-    network_delay: float
+    @classmethod
+    def from_json_dict(cls, entry):
+        """Only ``width``, ``mask`` and ``lut`` are required."""
+        mask = LutMask(entry["width"], int(entry["mask"], 16))
+        return cls(entry.get("iteration"), entry["lut"], mask,
+                   entry.get("endpoint"), entry.get("cp_before_ns"),
+                   entry.get("cp_after_ns"), entry.get("fallback", False),
+                   entry.get("network_area_um2", 0.0),
+                   entry.get("network_delay_ns", 0.0))
 
 
 @dataclass
@@ -108,32 +120,73 @@ class AreaReport:
 @dataclass
 class ObfuscationResult:
     netlist: Netlist
-    l_st: set
-    l_re: set
-    origins: dict           # converted lut id -> LutOrigin
-    trace: list
-    fallback_count: int
+    l_re: set               # names of the LUTs still reconfigurable
+    trace: list             # Conversion, in conversion order
     config: ObfuscationConfig
     graph: TimingGraph = field(repr=False, default=None)
 
     @property
+    def l_st(self):
+        return {c.lut for c in self.trace}
+
+    @property
+    def fallback_count(self):
+        return sum(c.fallback for c in self.trace)
+
+    @property
     def total_luts(self):
-        return len(self.l_st) + len(self.l_re)
+        return len(self.trace) + len(self.l_re)
 
     def area_report(self) -> AreaReport:
         lib = self.config.library
         area_re = sum(lib.cell_area(self.netlist.cells[name])
                       for name in self.l_re)
-        area_st = sum(origin.network_area for origin in self.origins.values())
-        replacement = set()
-        for origin in self.origins.values():
-            replacement.update(origin.replacement_cells)
+        area_st = sum(c.network_area for c in self.trace)
+        replacement = {name for c in self.trace for name in c.cells}
         other = sum(
             lib.cell_area(cell)
             for cell in self.netlist.cells.values()
             if cell.name not in self.l_re and cell.name not in replacement
         )
         return AreaReport(area_re, area_st, other)
+
+    def to_json_dict(self):
+        """The trace.json document."""
+        return {
+            "design": self.netlist.name,
+            "obf_percent": float(self.config.obf_percent),
+            "seed": self.config.seed,
+            "lut_total": self.total_luts,
+            "lut_re": len(self.l_re),
+            "lut_st": len(self.trace),
+            "fallback_count": self.fallback_count,
+            "conversions": [c.to_json_dict() for c in self.trace],
+        }
+
+
+def result_from_json(payload, netlist: Netlist) -> ObfuscationResult:
+    """The result a trace.json document records for ``netlist``, without
+    timing graph or library.  A document of the wrong shape or that
+    lists a LUT twice raises KeyError, TypeError, ValueError or
+    NetlistError; one that does not describe ``netlist``, TraceMismatch."""
+    trace = [Conversion.from_json_dict(e) for e in payload["conversions"]]
+    seen = set()
+    for c in trace:
+        if c.lut in seen:
+            raise ValueError(f"LUT {c.lut} is listed twice")
+        seen.add(c.lut)
+    config = ObfuscationConfig(obf_percent=payload["obf_percent"],
+                               seed=payload.get("seed", 0))
+    lut_re = payload["lut_re"]
+    l_re = {c.name for c in netlist.reconfigurable_luts()}
+    still = sorted(l_re & seen)
+    if still:
+        raise TraceMismatch(f"converted LUT {still[0]} is still "
+                            f"reconfigurable ({len(still)} in all)")
+    if lut_re != len(l_re):
+        raise TraceMismatch(f"lut_re is {lut_re!r}, the netlist has "
+                            f"{len(l_re)} reconfigurable LUTs")
+    return ObfuscationResult(netlist, l_re, trace, config)
 
 
 def _splice_network(netlist: Netlist, lut: Cell, network: staticgen.GateNetwork,
@@ -165,15 +218,14 @@ def _splice_network(netlist: Netlist, lut: Cell, network: staticgen.GateNetwork,
 
 class _Engine:
     def __init__(self, netlist: Netlist, config: ObfuscationConfig):
+        if config.library is None:
+            config = replace(config, library=default_library())
         self.config = config
         self.lib = config.library
         self.netlist = netlist.copy()
         self.graph = build_and_time(self.netlist, self.lib)
         self.l_re = {c.name for c in self.netlist.reconfigurable_luts()}
-        self.l_st = set()
-        self.origins = {}
         self.trace = []
-        self.fallback_count = 0
         self._taken_names = self.netlist.nets | set(self.netlist.cells)
         self._candidate_cache = {}
 
@@ -194,7 +246,6 @@ class _Engine:
                 continue
             yield self._convert(lut, path.endpoint, fallback=False)
         for name in self._fallback_order():
-            self.fallback_count += 1
             yield self._convert(self.netlist.cells[name], None, fallback=True)
 
     def advance(self, steps, target: int):
@@ -203,21 +254,14 @@ class _Engine:
 
         The caller holds the run: an engine that kept its own generator
         would form a reference cycle and outlive its last use."""
-        while len(self.l_st) < target:
+        while len(self.trace) < target:
             if next(steps, None) is None:
                 break
 
     def result(self) -> ObfuscationResult:
-        return ObfuscationResult(
-            netlist=self.netlist,
-            l_st=self.l_st,
-            l_re=self.l_re,
-            origins=self.origins,
-            trace=self.trace,
-            fallback_count=self.fallback_count,
-            config=self.config,
-            graph=self.graph,
-        )
+        return ObfuscationResult(netlist=self.netlist, l_re=self.l_re,
+                                 trace=self.trace, config=self.config,
+                                 graph=self.graph)
 
     def _find_slowest(self, path):
         """Max-delay reconfigurable LUT on the path; ties prefer the
@@ -253,29 +297,25 @@ class _Engine:
         )
         return order
 
-    def _convert(self, lut: Cell, endpoint, fallback) -> ConversionRecord:
+    def _convert(self, lut: Cell, endpoint, fallback) -> Conversion:
         cp_before = self.graph.cp()
         network = staticgen.decompose_lut(lut.mask, self.lib)
-        new_cells = _splice_network(self.netlist, lut, network,
-                                    taken=self._taken_names)
+        cells = _splice_network(self.netlist, lut, network,
+                                taken=self._taken_names)
         self.l_re.discard(lut.name)
-        self.l_st.add(lut.name)
-        self.origins[lut.name] = LutOrigin(
-            mask=lut.mask,
-            replacement_cells=new_cells,
-            network_area=network.area,
-            network_delay=network.delay,
-        )
-        for stale in self.graph.splice(lut, new_cells):
+        for stale in self.graph.splice(lut, cells):
             self._candidate_cache.pop(stale, None)
-        record = ConversionRecord(
+        record = Conversion(
             iteration=len(self.trace) + 1,
             lut=lut.name,
-            width=lut.mask.width,
+            mask=lut.mask,
             endpoint=endpoint,
             cp_before=cp_before,
             cp_after=self.graph.cp(),
             fallback=fallback,
+            network_area=network.area,
+            network_delay=network.delay,
+            cells=cells,
         )
         self.trace.append(record)
         return record
@@ -341,7 +381,7 @@ def sweep(netlist: Netlist, levels, library=None) -> list:
             "area_re_um2": area.area_re,
             "area_st_um2": area.area_st,
             "lut_re": len(engine.l_re),
-            "lut_st": len(engine.l_st),
+            "lut_st": len(engine.trace),
         }
     return [{"obf": level, **snapshots[target]}
             for level, target in zip(levels, targets)]

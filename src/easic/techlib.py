@@ -10,6 +10,7 @@ LUT to static logic never slows any path down.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 
 from .netlist import GATE_KINDS, KIND_FF, KIND_LUT, MAX_LUT_WIDTH
@@ -79,21 +80,43 @@ _DEFAULT_CONFIG = {
 }
 
 
+def _object(value, what):
+    if not isinstance(value, dict):
+        raise LibraryError(
+            f"{what} must be a JSON object, not {type(value).__name__}")
+    return value
+
+
 def _require(table, key, what, where):
     if key not in table:
         raise LibraryError(f"missing {what} for {key!r} in {where}")
     return table[key]
 
 
+def _table(table, key, what, where):
+    return _object(_require(table, key, what, where),
+                   f"{what} {key!r} in {where}")
+
+
+def _number(value, what):
+    try:
+        value = float(value)
+    except (TypeError, ValueError):
+        raise LibraryError(f"{what} is not a number: {value!r}") from None
+    if not math.isfinite(value):
+        raise LibraryError(f"{what} is not finite: {value}")
+    return value
+
+
 def _non_negative(value, what):
-    value = float(value)
+    value = _number(value, what)
     if value < 0:
         raise LibraryError(f"negative {what}: {value}")
     return value
 
 
 def _positive(value, what):
-    value = float(value)
+    value = _number(value, what)
     if value <= 0:
         raise LibraryError(f"non-positive {what}: {value}")
     return value
@@ -108,18 +131,19 @@ def load_library(config=None) -> TechLibrary:
     """
     if config is None:
         config = _DEFAULT_CONFIG
+    _object(config, "library config")
     unknown = set(config) - {"gates", "luts", "ff"}
     if unknown:
         raise LibraryError(f"unknown library sections: {sorted(unknown)}")
 
-    gates_cfg = _require(config, "gates", "section", "library config")
+    gates_cfg = _table(config, "gates", "section", "library config")
     unknown = set(gates_cfg) - GATE_KINDS
     if unknown:
         raise LibraryError(f"unknown gate kinds: {sorted(unknown)}")
     gate_delay = {}
     gate_area = {}
     for kind in sorted(GATE_KINDS):
-        entry = _require(gates_cfg, kind, "gate entry", "gates")
+        entry = _table(gates_cfg, kind, "gate entry", "gates")
         unknown = set(entry) - {"delay_ns", "area_um2"}
         if unknown:
             raise LibraryError(f"unknown keys for gate {kind}: {sorted(unknown)}")
@@ -128,11 +152,11 @@ def load_library(config=None) -> TechLibrary:
         gate_area[kind] = _positive(
             _require(entry, "area_um2", "area", kind), f"{kind} area")
 
-    luts_cfg = _require(config, "luts", "section", "library config")
+    luts_cfg = _table(config, "luts", "section", "library config")
     lut_delay = {}
     lut_area = {}
     for width in range(1, MAX_LUT_WIDTH + 1):
-        entry = _require(luts_cfg, str(width), "LUT entry", "luts")
+        entry = _table(luts_cfg, str(width), "LUT entry", "luts")
         unknown = set(entry) - {"delay_ns", "area_um2"}
         if unknown:
             raise LibraryError(f"unknown keys for LUT{width}: {sorted(unknown)}")
@@ -146,7 +170,7 @@ def load_library(config=None) -> TechLibrary:
     if unknown:
         raise LibraryError(f"unknown LUT widths: {sorted(unknown)}")
 
-    ff_cfg = _require(config, "ff", "section", "library config")
+    ff_cfg = _table(config, "ff", "section", "library config")
     unknown = set(ff_cfg) - {"clk2q_ns", "setup_ns", "area_um2"}
     if unknown:
         raise LibraryError(f"unknown keys in ff section: {sorted(unknown)}")
@@ -175,11 +199,13 @@ def load_library(config=None) -> TechLibrary:
 
 
 def load_library_file(path) -> TechLibrary:
-    with open(path, "r", encoding="utf-8") as handle:
-        try:
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
             config = json.load(handle)
-        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-            raise LibraryError(f"bad library JSON in {path}: {exc}") from exc
+    except OSError as exc:
+        raise LibraryError(f"cannot read library {path}: {exc.strerror}") from None
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        raise LibraryError(f"bad library JSON in {path}: {exc}") from exc
     return load_library(config)
 
 

@@ -452,12 +452,106 @@ def test_custom_library_via_flag(tmp_path, designs_dir):
     assert str(lib_path) in manifest["config"]["library"]
 
 
+def _default_library_with(path, value):
+    """The built-in library as JSON text, with one entry replaced."""
+    import copy
+
+    from easic.techlib import _DEFAULT_CONFIG
+
+    config = copy.deepcopy(_DEFAULT_CONFIG)
+    table = config
+    for key in path[:-1]:
+        table = table[key]
+    table[path[-1]] = value
+    return json.dumps(config)
+
+
+def _obfuscate_cmp4(tmp_path, designs_dir, *options):
+    return ("obfuscate", "--input", designs_dir / "cmp4.blif", "--obf", "50",
+            *options)
+
+
+def _lib(make_path):
+    def args(tmp_path, designs_dir, monkeypatch):
+        return _obfuscate_cmp4(tmp_path, designs_dir, "--lib",
+                               make_path(tmp_path), "--out", tmp_path / "o")
+    return args
+
+
+def _lib_text(text):
+    def write(tmp_path):
+        (tmp_path / "lib.json").write_text(text)
+        return tmp_path / "lib.json"
+    return _lib(write)
+
+
+def _env_lib_missing(tmp_path, designs_dir, monkeypatch):
+    monkeypatch.setenv("EASIC_LIB", str(tmp_path / "absent.json"))
+    return ("sweep", "--input", designs_dir / "cmp4.blif", "--levels", "50",
+            "--out", tmp_path / "o")
+
+
+def _out_is_a_file(tmp_path, designs_dir, monkeypatch):
+    (tmp_path / "taken").write_text("")
+    return _obfuscate_cmp4(tmp_path, designs_dir, "--out", tmp_path / "taken")
+
+
+def _negative_degree(tmp_path, designs_dir, monkeypatch):
+    return ("attack", "structural", "--input", designs_dir / "cmp4.blif",
+            "--degree", "-1", "--out", tmp_path / "o")
+
+
+def _trace_lists_a_lut_twice(tmp_path, designs_dir, monkeypatch):
+    run = tmp_path / "run"
+    assert run_cli(*_obfuscate_cmp4(tmp_path, designs_dir, "--out", run)) == 0
+    trace = json.loads((run / "trace.json").read_text())
+    trace["conversions"].append({**trace["conversions"][0], "iteration": 99})
+    (run / "trace.json").write_text(json.dumps(trace))
+    return ("attack", "structural", "--input", run, "--scope",
+            "static-portion", "--out", tmp_path / "o")
+
+
+@pytest.mark.parametrize("make_args", [
+    pytest.param(_lib(lambda tmp: tmp / "absent.json"), id="lib-missing"),
+    pytest.param(_lib(lambda tmp: tmp), id="lib-directory"),
+    pytest.param(_env_lib_missing, id="env-lib-missing"),
+    pytest.param(_lib_text("5"), id="lib-not-object"),
+    pytest.param(_lib_text(_default_library_with(["gates"], 5)),
+                 id="lib-section-not-object"),
+    pytest.param(_lib_text(_default_library_with(["luts", "3"], 5)),
+                 id="lib-entry-not-object"),
+    pytest.param(_lib_text(_default_library_with(["ff", "setup_ns"], None)),
+                 id="lib-value-not-number"),
+    pytest.param(_lib_text(_default_library_with(["luts", "6", "delay_ns"],
+                                                 float("nan"))),
+                 id="lib-value-not-finite"),
+    pytest.param(_out_is_a_file, id="out-is-a-file"),
+    pytest.param(_negative_degree, id="negative-degree"),
+    pytest.param(_trace_lists_a_lut_twice, id="trace-lists-a-lut-twice"),
+])
+def test_bad_inputs_exit_3_with_a_message(tmp_path, designs_dir, capsys,
+                                          monkeypatch, make_args):
+    args = make_args(tmp_path, designs_dir, monkeypatch)
+    capsys.readouterr()
+    assert run_cli(*args) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
 def test_each_command_sorts_each_netlist_once(tmp_path, designs_dir,
                                              monkeypatch):
     """One topological sort per netlist read, per timing graph, per
-    file written and per design compared; none repeated.  Each sort
-    comes with one name-sorted driver map, and no other pass builds
-    one."""
+    file written and per design compared; none repeated, except where a
+    public entry point checks a netlist it is handed.  Each sort comes
+    with one name-sorted driver map, and no other pass builds one."""
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "bench"))
+    import workloads
+
+    toy = tmp_path / "toy6.blif"
+    toy.write_text(workloads.toy(6))
+    toy_run = tmp_path / "toy_run"
+    assert run_cli("obfuscate", "--input", toy, "--obf", "50",
+                   "--out", toy_run) == 0
     sorts = []
     maps = []
     sort = Netlist._comb_order
@@ -483,6 +577,18 @@ def test_each_command_sorts_each_netlist_once(tmp_path, designs_dir,
           "--out", tmp_path / "sweep"), 2),
         # parse twice, prove_by_cuts on both designs
         (("verify", "--golden", src, "--easic", run, "--out", run), 4),
+        # parse each input
+        (("attack", "corpus", "--inputs", src, designs_dir / "cmp4.blif",
+          "--out", tmp_path / "corpus"), 2),
+        # parse easic.blif
+        (("attack", "structural", "--input", run,
+          "--out", tmp_path / "s"), 1),
+        (("attack", "composition", "--victim", run,
+          "--corpus", tmp_path / "corpus", "--out", tmp_path / "c"), 1),
+        # parse both designs; brute_force_key, a public entry point,
+        # validates both again rather than trust its caller
+        (("attack", "bruteforce", "--easic", toy_run, "--golden", toy,
+          "--out", tmp_path / "bf"), 4),
     ]
     for args, count in expected:
         sorts.clear()

@@ -1,3 +1,5 @@
+import dataclasses
+import json
 import random
 
 import pytest
@@ -14,7 +16,8 @@ from easic import (
     sweep,
 )
 from easic.netlist import LutMask
-from easic.obfuscate import ObfuscationError, sweep_to_csv
+from easic.obfuscate import (ObfuscationError, TraceMismatch,
+                             result_from_json, sweep_to_csv)
 
 from circuits import isomorphic, lut, netlist, random_comb_netlist, random_mask
 
@@ -66,7 +69,7 @@ def test_three_lut_chain_converts_widest_first(lib):
     res = run_obfuscation(nl, ObfuscationConfig(obf_percent=66, library=lib))
     assert res.l_st == {"m1"}
     assert res.trace[0].lut == "m1"
-    assert res.trace[0].width == 6
+    assert res.trace[0].mask.width == 6
 
 
 def test_partition_invariant(designs, lib):
@@ -120,6 +123,33 @@ def test_determinism(designs, lib):
     b = run_obfuscation(nl, cfg)
     assert [t.lut for t in a.trace] == [t.lut for t in b.trace]
     assert emit_blif(a.netlist) == emit_blif(b.netlist)
+
+
+def test_trace_json_reads_back_every_conversion(designs, lib):
+    # trace.json records every field of a conversion but the cell names
+    for name, level in (("counter8", 50), ("alu6", 0), ("cmp4", 100)):
+        res = run_obfuscation(designs[name],
+                              ObfuscationConfig(obf_percent=level, library=lib))
+        payload = json.loads(json.dumps(res.to_json_dict()))
+        back = result_from_json(payload, res.netlist)
+        assert back.trace == [dataclasses.replace(c, cells=())
+                              for c in res.trace]
+        assert back.l_re == res.l_re and back.l_st == res.l_st
+        assert back.fallback_count == res.fallback_count
+        assert back.to_json_dict() == payload
+
+
+def test_trace_json_refuses_what_it_does_not_describe(designs, lib):
+    res = run_obfuscation(designs["counter8"],
+                          ObfuscationConfig(obf_percent=50, library=lib))
+    payload = res.to_json_dict()
+    twice = {**payload, "conversions": payload["conversions"] * 2}
+    with pytest.raises(ValueError, match="listed twice"):
+        result_from_json(twice, res.netlist)
+    with pytest.raises(TraceMismatch, match="lut_re is 12"):
+        result_from_json({**payload, "lut_re": 12}, res.netlist)
+    with pytest.raises(TraceMismatch, match="still reconfigurable"):
+        result_from_json(payload, designs["counter8"])
 
 
 def test_engine_owns_a_copy(designs, lib):
