@@ -8,7 +8,7 @@ Each <src> is a directory holding the ``easic`` package (a tree's
 
 * the 12 designs under designs/;
 * ``bench/workloads.lut6_dag`` at 120 LUT6 for mask seeds 1-3, and at
-  430 LUT6 for mask seed 1;
+  430 and 1000 LUT6 for mask seed 1;
 * ``bench/workloads.seqmix`` for seeds 1-8, and ``bench/workloads.toy``
   for seeds 1-8 and ``bench/workloads.TOY_SEEDS``;
 * eight ``tests/circuits.random_seq_netlist`` designs from seeds 1-8,
@@ -25,8 +25,8 @@ structural attack at 37 and 86 percent; three sweeps.  Then the
 brute-force attack on each TOY_SEEDS toy at 0, 50 and 86 percent (an
 empty key, keys of 12-20 bits, keys over the 20-bit cap), and on the
 MISMATCH toy at 50 percent against another toy's golden design, the
-430-LUT6 DAG at 50 percent and its verify, and a verify of each FLIPS
-directory.
+430- and 1000-LUT6 DAGs at 50 percent, each followed by verify, and a
+verify of each FLIPS directory.
 
 Every file the commands write, and every command's exit code, standard
 output and standard error, must be the same in both trees.  Each FLIPS
@@ -57,6 +57,8 @@ import time
 from pathlib import Path
 
 REPO = Path(__file__).resolve().parent.parent
+# LUT6 DAGs (mask seed 1) obfuscated at 50 percent only: the loop is slow
+BIG = (430, 1000)
 LEVELS = (0, 37, 50, 86, 100)
 ATTACK_LEVELS = (37, 86)
 SWEEPS = ("100,50,0", "0,37,50,86,100", "90,10")
@@ -123,7 +125,8 @@ def write_inputs(inputs: Path):
         rng = random.Random(seed)
         texts[f"randseq{seed}"] = emit_blif(circuits.random_seq_netlist(
             rng, n_cells=rng.randint(4, 14), name=f"randseq{seed}"))
-    texts["lut6_430"] = workloads.lut6_dag("lut6_430", 430, 1)
+    for size in BIG:
+        texts[f"lut6_{size}"] = workloads.lut6_dag(f"lut6_{size}", size, 1)
     inputs.mkdir(parents=True)
     for name, text in texts.items():
         (inputs / f"{name}.blif").write_text(text, encoding="utf-8")
@@ -155,8 +158,9 @@ def command_lines(inputs, flips):
     corpus = {src.stem for src in (REPO / "designs").glob("*.blif")}
     designs = [path for name, path in inputs if name in corpus]
     cmds = [["attack", "corpus", "--inputs", *designs, "--out", "corpus"]]
+    big = {f"lut6_{size}" for size in BIG}
     for name, path in inputs:
-        if name == "lut6_430":
+        if name in big:
             continue
         for level in LEVELS:
             run = f"runs/{name}/obf{level}"
@@ -180,11 +184,13 @@ def command_lines(inputs, flips):
             cmds.append(["attack", "bruteforce", "--easic", run, "--golden",
                          paths[f"toy{seed}"], "--out", f"{run}/bruteforce"])
     cmds.append(mismatch_command(paths))
-    path = paths["lut6_430"]
-    cmds.append(["obfuscate", "--input", path, "--obf", "50",
-                 "--out", "runs/lut6_430/obf50"])
-    cmds.append(["verify", "--golden", path, "--easic", "runs/lut6_430/obf50",
-                 "--out", "runs/lut6_430/obf50/verify"])
+    for size in BIG:
+        run = f"runs/lut6_{size}/obf50"
+        path = paths[f"lut6_{size}"]
+        cmds.append(["obfuscate", "--input", path, "--obf", "50",
+                     "--out", run])
+        cmds.append(["verify", "--golden", path, "--easic", run,
+                     "--out", f"{run}/verify"])
     for (design, *_), run in zip(FLIPS, flips):
         cmds.append(["verify", "--golden", paths[design], "--easic", run,
                      "--out", f"flips/{Path(run).name}"])

@@ -1,0 +1,74 @@
+#!/usr/bin/env python3
+"""Time the conversion loop at sizes the benchmark does not run.
+
+    python3 scripts/loop_scaling.py --src <src>
+
+<src> is a directory holding the ``easic`` package (a tree's ``src/``).
+For each of 430, 1000 and 2000 LUT6, a fresh interpreter builds
+``bench/workloads.lut6_dag`` with that many LUTs (mask seed 1),
+obfuscates it at 50 percent with ``run_obfuscation``, and prints the
+wall seconds that call took and the sha256 of the trace.json and
+timing.json documents `easic obfuscate` would write for it.  Run it on two trees: equal digests show
+that both convert the same LUTs in the same order and time the result
+alike.
+"""
+
+from __future__ import annotations
+
+import argparse
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+REPO = Path(__file__).resolve().parent.parent
+SIZES = (430, 1000, 2000)
+
+# argv[1]: the tree's src/, argv[2]: bench/, argv[3]: the size
+RUNNER = r"""
+import hashlib, json, sys, time
+from pathlib import Path
+src = Path(sys.argv[1]).resolve()
+sys.path[:0] = [str(src), sys.argv[2]]
+import easic
+if Path(easic.__file__).resolve() != src / "easic" / "__init__.py":
+    sys.exit(f"easic resolves to {easic.__file__}, not to {src}")
+import workloads
+from easic import ObfuscationConfig, parse_blif, report, run_obfuscation
+size = int(sys.argv[3])
+netlist = parse_blif(workloads.lut6_dag(f"lut6_{size}", size, 1))
+start = time.perf_counter()
+result = run_obfuscation(netlist, ObfuscationConfig(obf_percent=50))
+seconds = time.perf_counter() - start
+
+def digest(payload):
+    text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+print(f"lut6_{size}  {seconds:7.2f} s  "
+      f"trace.json {digest(result.to_json_dict())}  "
+      f"timing.json {digest(report(result.graph).to_json_dict())}")
+"""
+
+
+def src_dir(text):
+    path = Path(text).resolve()
+    if not (path / "easic" / "__init__.py").is_file():
+        raise argparse.ArgumentTypeError(f"{path} holds no easic package")
+    return path
+
+
+def main(argv=None):
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--src", required=True, type=src_dir)
+    args = parser.parse_args(argv)
+    env = dict(os.environ, PYTHONHASHSEED="0")
+    env.pop("PYTHONPATH", None)
+    for size in SIZES:
+        subprocess.run([sys.executable, "-c", RUNNER, str(args.src),
+                        str(REPO / "bench"), str(size)], env=env, check=True)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

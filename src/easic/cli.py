@@ -143,8 +143,8 @@ def cmd_obfuscate(args) -> int:
     library, lib_name = _load_library(args)
     config = ObfuscationConfig(obf_percent=args.obf, seed=args.seed,
                                library=library)
-    result = run_obfuscation(netlist, config)
     out = _out_dir(args)
+    result = run_obfuscation(netlist, config)
 
     # each output is hashed as soon as it is written, so that no output
     # stays in memory until the manifest is written
@@ -201,8 +201,8 @@ def cmd_sweep(args) -> int:
     netlist = parse_blif(text)
     library, lib_name = _load_library(args)
     levels = _parse_levels(args.levels)
-    rows = sweep(netlist, levels, library=library)
     out = _out_dir(args)
+    rows = sweep(netlist, levels, library=library)
     csv_text = sweep_to_csv(rows)
     digest = _sha256(_write_text(out / "sweep.csv", csv_text))
     _manifest(
@@ -302,6 +302,9 @@ def cmd_attack_structural(args) -> int:
     else:
         netlist = parse_blif(_read_text(source, BlifError))
         hist = atk.pattern_histogram(netlist, args.scope)
+    fit = None
+    if args.degree is not None and hist.entries:
+        fit = atk.fit_trendline(hist, args.degree)
     out = _out_dir(args)
     _write_json(out / "histogram.json", hist.to_json_dict())
     ranks = ["rank,frequency"]
@@ -309,8 +312,7 @@ def cmd_attack_structural(args) -> int:
     _write_text(out / "ranks.csv", "\n".join(ranks) + "\n")
     if not hist.entries:
         print("warning: empty histogram for this scope")
-    if args.degree is not None and hist.entries:
-        fit = atk.fit_trendline(hist, args.degree)
+    if fit is not None:
         _write_json(out / "trendline.json", {
             "degree": fit.degree,
             "coefficients": list(fit.coefficients),

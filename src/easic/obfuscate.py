@@ -269,9 +269,10 @@ class _Engine:
         best = None
         best_key = None
         for pos, name in enumerate(path.cells):
-            cell = self.netlist.cells[name]
-            if not cell.is_reconfigurable:
+            # l_re names exactly the netlist's reconfigurable LUTs
+            if name not in self.l_re:
                 continue
+            cell = self.netlist.cells[name]
             key = (self.graph.cell_delay(cell), pos, name)
             if best_key is None or key > best_key:
                 best = cell

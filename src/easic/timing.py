@@ -15,8 +15,16 @@ import heapq
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .netlist import KIND_LUT, LutMask, Netlist
+from .netlist import KIND_LUT, MAX_LUT_WIDTH, LutMask, Netlist
 from .techlib import TechLibrary
+
+# Order keys: the i-th cell of the first topological sort has the key
+# i * STRIDE, and the k-th cell spliced in for it (k from 0) the key
+# i * STRIDE + k + 1, after the cell's fan-in and before its fan-out.
+# staticgen maps a width-w LUT to at most one gate per ROBDD node
+# (2^w - 1), one inverter per input (w) and one BUF or TIE, so the
+# network of any LUT fits in the STRIDE - 1 keys.
+STRIDE = (1 << MAX_LUT_WIDTH) + MAX_LUT_WIDTH + 1
 
 
 class TimingError(Exception):
@@ -93,10 +101,13 @@ class TimingGraph:
         self._delay = {}
         for cell in netlist.cells.values():
             self._refresh_delay(cell)
-        # order keys are tuples so that a splice can slot gates in between
-        self._index = {c.name: (i,) for i, c in enumerate(comb)}
+        self._index = {c.name: i * STRIDE for i, c in enumerate(comb)}
+        self._cell_at = {key: name for name, key in self._index.items()}
         self._active = {}
-        self._consumers = {}
+        self._consumers = {}    # net -> order keys of the cells it has arcs to
+        # the greedy links walked so far (see _greedy_chain); retiming a
+        # cell drops its output's link
+        self._links = {}
         for cell in comb:
             self._add_arcs(cell)
         self.arrival = self._startpoint_arrivals()
@@ -109,7 +120,7 @@ class TimingGraph:
     def _add_arcs(self, cell):
         arcs = self._active[cell.name] = self._compute_active_inputs(cell)
         for net in arcs:
-            self._consumers.setdefault(net, []).append(cell.name)
+            self._consumers.setdefault(net, []).append(self._index[cell.name])
 
     @staticmethod
     def _compute_active_inputs(cell):
@@ -130,7 +141,7 @@ class TimingGraph:
         for cell in reversed(comb):
             bits = own.get(cell.output, 0)
             for consumer in self._consumers.get(cell.output, ()):
-                bits |= reach[cells[consumer].output]
+                bits |= reach[cells[self._cell_at[consumer]].output]
             reach[cell.output] = bits
         return reach
 
@@ -140,20 +151,28 @@ class TimingGraph:
 
         ``lut`` is already out of the netlist and ``new_cells`` (names,
         in topological order, the last one driving the LUT's output net)
-        are in it.  The k-th new cell takes the order key ``(lut key, k)``,
-        which sorts after the LUT's fan-in and before its fan-out.  A
-        splice keeps every net and the endpoints it reaches, so only the
-        returned endpoints can have new worst paths.
+        are in it.  The k-th new cell takes the order key ``lut key + k +
+        1`` (see STRIDE); a cell that was itself spliced in, or more cells
+        than the keys hold, raise TimingError.  A splice keeps every net
+        and the endpoints it reaches, so only the returned endpoints can
+        have new worst paths.
         """
-        key = self._index.pop(lut.name)
-        del self._delay[lut.name]
+        key = self._index[lut.name]
+        if key % STRIDE:
+            raise TimingError(f"cannot splice cells in for {lut.name}: "
+                              "it was spliced in itself")
+        if len(new_cells) >= STRIDE:
+            raise TimingError(f"cannot splice {len(new_cells)} cells in for "
+                              f"{lut.name}: the order keys hold {STRIDE - 1}")
+        del self._index[lut.name], self._cell_at[key], self._delay[lut.name]
         for net in self._active.pop(lut.name):
-            self._consumers[net].remove(lut.name)
+            self._consumers[net].remove(key)
         cells = self.netlist.cells
-        for k, name in enumerate(new_cells):
+        for key, name in enumerate(new_cells, key + 1):
             cell = cells[name]
             self._drivers[cell.output] = name
-            self._index[name] = key + (k,)
+            self._index[name] = key
+            self._cell_at[key] = name
             self._add_arcs(cell)
         update_timing(self, new_cells)
         reached = self._reach[lut.output]
@@ -222,8 +241,9 @@ def update_timing(graph: TimingGraph, changed) -> TimingGraph:
     """Recompute arrivals over the fan-out cone of the changed cells.
 
     ``changed`` is a cell name or iterable of cell names; their entries
-    in the delay table are refreshed from the library first.  The result is exactly what a fresh full pass would produce;
-    incremental-vs-full equality is a tested invariant.
+    in the delay table are refreshed from the library first.  The result
+    is exactly what a fresh full pass would produce; incremental-vs-full
+    equality is a tested invariant.
     """
     if isinstance(changed, str):
         changed = [changed]
@@ -231,32 +251,40 @@ def update_timing(graph: TimingGraph, changed) -> TimingGraph:
     arrival = graph.arrival
     consumers = graph._consumers
     index = graph._index
-    seeds = []
+    cell_at = graph._cell_at
+    active = graph._active
+    delay = graph._delay
+    links = graph._links
+    seen = set()    # order keys
     for name in changed:
         cell = cells.get(name)
         if cell is None:
             continue
         graph._refresh_delay(cell)
         if not cell.is_ff:
-            seeds.append(name)
-        elif arrival.get(cell.output) != graph._delay[name]:
+            if name in index:
+                seen.add(index[name])
+        elif arrival.get(cell.output) != delay[name]:
             # a Q pin starts its paths at clk-to-q
-            arrival[cell.output] = graph._delay[name]
-            seeds.extend(consumers.get(cell.output, ()))
-    seen = {name for name in seeds if name in index}
-    frontier = [(index[name], name) for name in seen]
-    heapq.heapify(frontier)
+            arrival[cell.output] = delay[name]
+            seen.update(consumers.get(cell.output, ()))
+    frontier = sorted(seen)     # a sorted list is a heap
+    pop, push = heapq.heappop, heapq.heappush
+    arrival_of = arrival.__getitem__
     while frontier:
-        _, name = heapq.heappop(frontier)
+        name = cell_at[pop(frontier)]
+        ins = active[name]
+        # a constant source (TIE or support-free LUT) is ready at t=0
+        new = max(map(arrival_of, ins)) + delay[name] if ins else 0.0
         output = cells[name].output
-        new = graph._cell_arrival(name)
+        links.pop(output, None)
         # when the value is unchanged, the downstream cone keeps its arrivals
         if arrival.get(output) != new:
             arrival[output] = new
-            for consumer in consumers.get(output, ()):
-                if consumer not in seen:
-                    seen.add(consumer)
-                    heapq.heappush(frontier, (index[consumer], consumer))
+            for key in consumers.get(output, ()):
+                if key not in seen:
+                    seen.add(key)
+                    push(frontier, key)
     return graph
 
 
@@ -291,39 +319,50 @@ def _greedy_fanin(arrival, ins, skip=None):
     return best
 
 
-def _greedy_chain(graph, net, memo):
-    """(cells, startpoint) of the greedy worst path that ends on ``net``.
+def _greedy_chain(graph, net, rejoin=()):
+    """(cells, end, rejoined): the greedy worst path that ends on ``net``.
 
     The path runs back through the greedy fan-in of each cell to a
     primary input or FF output (the startpoint) or to a constant source
-    (which is its own startpoint).  ``memo`` maps nets to chains already
-    built and holds only while the arrivals do.
+    (which is its own startpoint), or only to the first net in
+    ``rejoin``.  ``cells`` lists its cells in path order; ``end`` is the
+    startpoint or that net, and ``rejoined`` tells which.
+
+    The graph keeps the links walked: net -> (driver, predecessor net),
+    None for the predecessor of a constant source's output, and None for
+    a startpoint net.  A link depends only on the arrivals at the
+    driver's inputs, so it holds until :func:`update_timing` retimes the
+    driver and drops it.
     """
-    drivers, active, arrival = graph._drivers, graph._active, graph.arrival
-    origin = net
-    walked = []
-    while net not in memo:
-        driver = drivers.get(net)
-        ins = active.get(driver)    # None past a primary input or FF output
-        if ins is None:
-            memo[net] = ((), net)
+    drivers, active = graph._drivers, graph._active
+    arrival, links = graph.arrival, graph._links
+    cells = []
+    while net not in rejoin:
+        link = links.get(net, ())
+        if link == ():
+            driver = drivers.get(net)
+            ins = active.get(driver)    # None past a primary input or FF output
+            link = links[net] = (None if ins is None
+                                 else (driver, _greedy_fanin(arrival, ins)))
+        if link is None:
             break
-        pred = _greedy_fanin(arrival, ins)
-        if pred is None:
-            memo[net] = ((driver,), driver)
+        driver, net = link
+        cells.append(driver)
+        if net is None:
+            net = driver
             break
-        walked.append((net, driver, pred))
-        net = pred
-    for net, driver, pred in reversed(walked):
-        cells, start = memo[pred]
-        memo[net] = (cells + (driver,), start)
-    return memo[origin]
+    else:
+        cells.reverse()
+        return cells, net, True
+    cells.reverse()
+    return cells, net, False
 
 
 def _backtrack(graph, net, extra, endpoint):
     """Greedy worst-path reconstruction from an endpoint net."""
-    cells, start = _greedy_chain(graph, net, {})
-    return TimedPath(cells, graph.arrival.get(net, 0.0) + extra, endpoint, start)
+    cells, start, _ = _greedy_chain(graph, net)
+    return TimedPath(tuple(cells), graph.arrival.get(net, 0.0) + extra,
+                     endpoint, start)
 
 
 def endpoint_worst_path(graph: TimingGraph, endpoint_triple) -> TimedPath:
@@ -331,48 +370,123 @@ def endpoint_worst_path(graph: TimingGraph, endpoint_triple) -> TimedPath:
     return _backtrack(graph, net, extra, endpoint)
 
 
+class _Deviations:
+    """What the deviations off one worst path share: the path, the
+    graph, and the cell sequences built.  The arrivals of the
+    endpoint's fan-in cone hold as long as its cached paths do, so a
+    sequence can be built when first read."""
+
+    __slots__ = ("worst", "graph", "rejoin", "built")
+
+    def __init__(self, graph, worst):
+        self.worst = worst
+        self.graph = graph
+        cells = graph.netlist.cells
+        # net -> number of worst-path cells that end on it: its
+        # prefixes are greedy chains too, so a walk stops there
+        self.rejoin = {cells[name].output: k
+                       for k, name in enumerate(worst.cells, 1)}
+        if graph._active[worst.cells[0]]:
+            self.rejoin[worst.startpoint] = 0
+        self.built = {}
+
+    def cells(self, pos, alt):
+        """(cells, startpoint, d) of the deviation that enters the worst
+        path's ``pos``-th cell through net ``alt``; its cells first
+        differ from the worst path's at index ``d``."""
+        path = self.built.get(pos)
+        if path is None:
+            path = self.built[pos] = self._build(pos, alt)
+        return path
+
+    def _build(self, pos, alt):
+        worst = self.worst
+        suffix = worst.cells[pos:]
+        if alt is None:
+            # every other pin carries the taken net: the path starts here
+            return suffix, suffix[0], 0
+        prefix, end, rejoined = _greedy_chain(self.graph, alt, self.rejoin)
+        if rejoined:
+            k = self.rejoin[end]
+            return (worst.cells[:k] + tuple(prefix) + suffix,
+                    worst.startpoint, k)
+        return tuple(prefix) + suffix, end, 0
+
+    def order(self, pos, alt):
+        """A key that sorts deviations as their cell sequences do.
+
+        Sequences that first differ from the worst path's at index d
+        hold the worst path's first d cells; of two that differ at
+        different indexes, the one with the lower cell there sorts first
+        below the worst path's cell and last above it.  Only sequences
+        that share d and the cell there compare further."""
+        cells, _, d = self.cells(pos, alt)
+        cell = cells[d]
+        if cell < self.worst.cells[d]:
+            return 0, d, cell, cells
+        return 1, -d, cell, cells
+
+
+def deviation_path(record) -> TimedPath:
+    """The path of one :func:`endpoint_deviations` record."""
+    delay, pos, alt, search = record
+    cells, start, _ = search.cells(pos, alt)
+    return TimedPath(cells, delay, search.worst.endpoint, start)
+
+
 def endpoint_deviations(graph: TimingGraph, endpoint_triple,
                         worst: TimedPath) -> list:
-    """One-level deviation candidates off the worst path, sorted by
-    descending realized delay (ties: lexicographic cell sequence).
+    """One-level deviation candidates off the worst path, as
+    ``(delay, pos, alt, search)`` records sorted by descending realized
+    delay (ties: lexicographic cell sequence); :func:`deviation_path`
+    builds the path of one.
 
-    Each candidate forbids exactly one edge of the worst path: at that
-    cell it enters through the greedy fan-in among the other inputs,
-    and before it runs the greedy chain.  Arrivals are the left-to-right
-    sums along greedy chains, so the realized delay is that input's
-    arrival plus the delays from the cell on, added left to right.
-    Candidates identical to the worst path are dropped.
+    Each candidate forbids exactly one edge of the worst path: at its
+    ``pos``-th cell it enters through the greedy fan-in ``alt`` among the
+    other inputs, and before it runs the greedy chain.  Arrivals are the
+    left-to-right sums along greedy chains, so the realized delay is
+    that input's arrival plus the delays from the cell on, added left to
+    right.  The candidate identical to the worst path is dropped.  A
+    candidate's cell sequence is built when it is read, or to order it
+    among candidates of equal delay.
     """
-    endpoint, _, extra = endpoint_triple
+    if not worst.cells:
+        return []
+    _, _, extra = endpoint_triple
     arrival = graph.arrival
     cells = graph.netlist.cells
     delays = [graph._delay[name] for name in worst.cells]
-    # the worst path's prefixes are greedy chains too: alternatives that
-    # rejoin it stop walking there
-    chains = {cells[name].output: (worst.cells[:pos + 1], worst.startpoint)
-              for pos, name in enumerate(worst.cells)}
-    seen = {worst.cells}
+    active, drivers = graph._active, graph._drivers
+    search = _Deviations(graph, worst)
     out = []
     taken = worst.startpoint     # the edge the worst path takes into a cell
     for pos, name in enumerate(worst.cells):
-        ins = graph._active[name]
+        ins = active[name]
         if len(ins) >= 2 and taken in ins:
             alt = _greedy_fanin(arrival, ins, skip=taken)
-            if alt is None:
-                # every other pin carries the taken net: the candidate
-                # starts at this cell
-                prefix, start, total = (), name, arrival.get(name, 0.0)
-            else:
-                prefix, start = _greedy_chain(graph, alt, chains)
-                total = arrival[alt]
-            path = prefix + worst.cells[pos:]
-            if path not in seen:
-                seen.add(path)
-                for delay in delays[pos:]:
-                    total += delay
-                out.append(TimedPath(path, total + extra, endpoint, start))
+            total = arrival.get(name, 0.0) if alt is None else arrival[alt]
+            # a candidate that rejoins the worst path enters one of its
+            # cells from another cell, or starts on a later one: only
+            # one that enters the first cell from another startpoint
+            # has the worst path's cells
+            if pos or (alt is not None
+                    and active.get(drivers.get(alt)) is not None):
+                if total == arrival[taken]:
+                    # from the taken edge's arrival, the sums are the
+                    # worst path's arrivals
+                    total = worst.delay
+                else:
+                    for delay in delays[pos:]:
+                        total += delay
+                    total += extra
+                out.append((total, pos, alt, search))
         taken = cells[name].output
-    out.sort(key=lambda p: (-p.delay, p.cells))
+    # cell sequences are compared, and so built, only on equal delays
+    tied = {}
+    for record in out:
+        tied[record[0]] = record[0] in tied
+    out.sort(key=lambda r: (-r[0], search.order(r[1], r[2]) if tied[r[0]]
+                            else ()))
     return out
 
 
@@ -386,7 +500,8 @@ def find_critical(graph: TimingGraph, excluded=frozenset(), cache=None):
     lexicographic endpoint id, then on the cell sequence.
 
     ``cache`` maps an endpoint id to ``[start, candidates]``: the
-    candidate list (worst path, then its deviations once needed) and the
+    candidate list (worst path, then its deviation records once needed,
+    each built into a path once it is read and not excluded) and the
     index of its first path not yet excluded.  Excluding a path does not
     retime the graph, so a caller can pass the same dict on every call
     as long as ``excluded`` only grows; after a
@@ -401,13 +516,22 @@ def find_critical(graph: TimingGraph, excluded=frozenset(), cache=None):
         if entry is None:
             entry = cache[triple[0]] = [0, [endpoint_worst_path(graph, triple)]]
         start, listed = entry
-        while start < len(listed) and listed[start].path_id in excluded:
+        while start < len(listed):
+            path = listed[start]
+            if isinstance(path, tuple):
+                _, pos, alt, search = path
+                path_id = (triple[0], search.cells(pos, alt)[0])
+            else:
+                path_id = path.path_id
+            if path_id not in excluded:
+                if isinstance(path, tuple):
+                    path = listed[start] = deviation_path(path)
+                candidates.append(path)
+                break
             start += 1
             if start == 1:
-                listed.extend(endpoint_deviations(graph, triple, listed[0]))
+                listed.extend(endpoint_deviations(graph, triple, path))
         entry[0] = start
-        if start < len(listed):
-            candidates.append(listed[start])
     if not candidates:
         return None
     return min(candidates, key=lambda p: (-p.delay, p.endpoint, p.cells))

@@ -111,6 +111,19 @@ def random_timing_dag(rng, max_cells=500, name="timedag"):
     return random_comb_netlist(rng, n_pis, n_cells, name=name)
 
 
+def lut6_dag(rng, n_luts, n_pis=8, n_outs=4, name="lut6"):
+    """LUT6 cells only, each reading 6 distinct earlier nets, as in
+    bench/workloads.lut6_dag: every LUT has the same delay, so paths of
+    the same depth tie."""
+    nets = [f"i{k}" for k in range(n_pis)]
+    cells = []
+    for k in range(n_luts):
+        cell = lut(f"u{k}", rng.sample(nets, 6), random_mask(rng, 6))
+        cells.append(cell)
+        nets.append(cell.name)
+    return netlist(name, nets[:n_pis], nets[-n_outs:], cells)
+
+
 def isomorphic(a: Netlist, b: Netlist) -> bool:
     """Name-preserving structural equality (cells, ports, modes, masks)."""
     if (a.inputs, a.outputs) != (b.inputs, b.outputs):

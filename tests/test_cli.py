@@ -496,6 +496,12 @@ def _out_is_a_file(tmp_path, designs_dir, monkeypatch):
     return _obfuscate_cmp4(tmp_path, designs_dir, "--out", tmp_path / "taken")
 
 
+def _sweep_out_is_a_file(tmp_path, designs_dir, monkeypatch):
+    (tmp_path / "taken").write_text("")
+    return ("sweep", "--input", designs_dir / "cmp4.blif", "--levels", "50",
+            "--out", tmp_path / "taken")
+
+
 def _negative_degree(tmp_path, designs_dir, monkeypatch):
     return ("attack", "structural", "--input", designs_dir / "cmp4.blif",
             "--degree", "-1", "--out", tmp_path / "o")
@@ -526,16 +532,27 @@ def _trace_lists_a_lut_twice(tmp_path, designs_dir, monkeypatch):
                                                  float("nan"))),
                  id="lib-value-not-finite"),
     pytest.param(_out_is_a_file, id="out-is-a-file"),
+    pytest.param(_sweep_out_is_a_file, id="sweep-out-is-a-file"),
     pytest.param(_negative_degree, id="negative-degree"),
     pytest.param(_trace_lists_a_lut_twice, id="trace-lists-a-lut-twice"),
 ])
 def test_bad_inputs_exit_3_with_a_message(tmp_path, designs_dir, capsys,
                                           monkeypatch, make_args):
+    """Each is refused before the conversion loop runs and before any
+    file is written."""
     args = make_args(tmp_path, designs_dir, monkeypatch)
     capsys.readouterr()
+    files = sorted(tmp_path.rglob("*"))
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the conversion loop ran")
+
+    monkeypatch.setattr("easic.cli.run_obfuscation", refuse)
+    monkeypatch.setattr("easic.cli.sweep", refuse)
     assert run_cli(*args) == 3
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "Traceback" not in err
+    assert sorted(tmp_path.rglob("*")) == files
 
 
 def test_each_command_sorts_each_netlist_once(tmp_path, designs_dir,

@@ -82,6 +82,7 @@ def test_splices_match_a_rebuild(nl, data):
             cache.pop(stale, None)
         fresh = build_and_time(nl, LIB)
         assert graph.arrival == fresh.arrival
+        assert report(graph) == report(fresh)
         # excluding found paths fills the cache with deviation lists too
         for _ in range(data.draw(st.integers(0, 3))):
             path = find_critical(graph, excluded, cache)

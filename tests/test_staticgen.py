@@ -3,8 +3,9 @@ import random
 import pytest
 
 from easic import build_bdd, decompose_lut
-from easic.netlist import LutMask
+from easic.netlist import MAX_LUT_WIDTH, LutMask, _input_pattern
 from easic.staticgen import GateNetwork
+from easic.timing import STRIDE
 
 from circuits import random_mask
 
@@ -173,3 +174,53 @@ def test_corrupted_network_detected():
 def test_decompose_records_mask(lib):
     mask = LutMask(4, 0xBEEF)
     assert decompose_lut(mask, lib).source_mask == mask
+
+
+def full_bdd_mask(width):
+    """(mask, nodes): a mask whose ROBDD has on every level as many
+    nodes as a width-``width`` ROBDD can, and their number."""
+    size = 1 << width
+    ones = (1 << size) - 1
+    below = [0, ones]   # the functions a node can branch to
+    level = []          # the nodes one level down, each needs a parent
+    nodes = 0
+    for var in reversed(range(width)):
+        pairs = [(level[j], level[j + 1] if j + 1 < len(level) else 0)
+                 for j in range(0, len(level), 2)]
+        for lo in below:
+            for hi in below:
+                if len(pairs) < 1 << var and lo != hi \
+                        and (lo, hi) not in pairs:
+                    pairs.append((lo, hi))
+        pick = _input_pattern(var, size)
+        level = [(lo & ~pick | hi & pick) & ones for lo, hi in pairs]
+        below += level
+        nodes += len(level)
+    return LutMask(width, level[0]), nodes
+
+
+def parity_mask(width):
+    return LutMask(width, sum(1 << v for v in range(1 << width)
+                              if bin(v).count("1") % 2))
+
+
+def test_full_bdd_masks_are_full():
+    for width in range(1, MAX_LUT_WIDTH + 1):
+        mask, nodes = full_bdd_mask(width)
+        assert len(build_bdd(mask).nodes) == nodes
+    assert full_bdd_mask(6)[1] == 29
+
+
+def test_every_network_fits_the_order_key_stride(lib):
+    """A splice gives the k-th gate of a LUT's network the order key
+    lut key + k + 1, which must stay below the next cell's, lut key +
+    STRIDE.  The bound: one gate per ROBDD node (at most 2^w - 1), one
+    inverter per input and one BUF or TIE."""
+    rng = random.Random(41)
+    masks = [LutMask(w, bits) for w in (1, 2, 3) for bits in range(1 << (1 << w))]
+    for width in range(1, MAX_LUT_WIDTH + 1):
+        masks += [random_mask(rng, width) for _ in range(300)]
+        masks += [parity_mask(width), full_bdd_mask(width)[0]]
+    for mask in masks:
+        gates = decompose_lut(mask, lib).gate_count
+        assert gates <= (1 << mask.width) + mask.width < STRIDE

@@ -4,10 +4,11 @@ import pytest
 
 from easic import (ObfuscationConfig, build_and_time, find_critical,
                    lut_support, report, run_obfuscation, update_timing)
-from easic.timing import endpoint_deviations, endpoint_worst_path
+from easic.timing import (STRIDE, TimingError, deviation_path,
+                          endpoint_deviations, endpoint_worst_path)
 from easic.netlist import Cell, LutMask
-from circuits import (BUF1, DelayTable, ff, lut, netlist, random_mask,
-                      random_timing_dag)
+from circuits import (BUF1, DelayTable, ff, lut, lut6_dag, netlist,
+                      random_mask, random_timing_dag)
 
 
 def buf_chain(n):
@@ -155,9 +156,13 @@ def rewalked_deviations(graph, lib, triple, worst):
 
 def test_deviations_match_rewalked_oracle(lib):
     rng = random.Random(31)
+    designs = [random_timing_dag(rng, max_cells=150, name=f"dev{trial}")
+               for trial in range(12)]
+    # LUT6 delays are all equal: many deviations tie on delay
+    designs += [lut6_dag(rng, rng.randint(40, 80), name=f"lut6_{trial}")
+                for trial in range(4)]
     graphs = []
-    for trial in range(12):
-        nl = random_timing_dag(rng, max_cells=150, name=f"dev{trial}")
+    for nl in designs:
         graphs.append(build_and_time(nl, lib))
         res = run_obfuscation(nl, ObfuscationConfig(obf_percent=50, library=lib))
         graphs.append(res.graph)
@@ -165,14 +170,21 @@ def test_deviations_match_rewalked_oracle(lib):
     graphs.append(build_and_time(netlist("dup", ["a"], ["y"], [
         lut("p", ("a",), BUF1), lut("y", ("p", "p"), LutMask(2, 0x6))]), lib))
     compared = 0
+    ties = 0
     for graph in graphs:
         for triple in graph.endpoints():
             worst = endpoint_worst_path(graph, triple)
-            got = [(-p.delay, p.cells, p.startpoint)
-                   for p in endpoint_deviations(graph, triple, worst)]
+            records = endpoint_deviations(graph, triple, worst)
+            paths = [deviation_path(record) for record in records]
+            assert [p.delay for p in paths] == [r[0] for r in records]
+            assert all(p.endpoint == triple[0] for p in paths)
+            got = [(-p.delay, p.cells, p.startpoint) for p in paths]
             assert got == rewalked_deviations(graph, lib, triple, worst)
             compared += len(got)
-    assert compared > 500
+            ties += sum(a[0] == b[0] for a, b in zip(got, got[1:]))
+    assert compared > 1000
+    # the order of equal delays, which compares cell sequences, is checked
+    assert ties > 300
 
 
 def test_update_timing_delay_change(lib):
@@ -294,6 +306,30 @@ def test_structural_update_matches_rebuild(lib):
     assert graph.splice(old, ["g2"]) == ["g3"]
     fresh = build_and_time(nl, lib)
     assert graph.arrival == fresh.arrival
+
+
+def test_splice_refuses_what_the_order_keys_cannot_hold(lib):
+    nl = buf_chain(3)
+    graph = build_and_time(nl, lib)
+    old = nl.cells["g2"]
+    nl.remove_cell("g2")
+    names = [f"g2_{k}" for k in range(STRIDE - 1)] + ["g2"]
+    for k, name in enumerate(names):
+        nl.add_cell(Cell(name, "BUF", (names[k - 1] if k else "g1",), name))
+    with pytest.raises(TimingError, match="cannot splice"):
+        graph.splice(old, names)
+    # a cell spliced in takes a key between two others: none is left
+    nl = buf_chain(3)
+    graph = build_and_time(nl, lib)
+    old = nl.cells["g2"]
+    nl.remove_cell("g2")
+    nl.add_cell(Cell("g2", "INV", ("g1",), "g2"))
+    graph.splice(old, ["g2"])
+    spliced = nl.cells["g2"]
+    nl.remove_cell("g2")
+    nl.add_cell(Cell("g2", "BUF", ("g1",), "g2"))
+    with pytest.raises(TimingError, match="cannot splice"):
+        graph.splice(spliced, ["g2"])
 
 
 def test_report_json_schema(lib):
