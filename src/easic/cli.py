@@ -105,10 +105,16 @@ def _write_json(path: Path, payload) -> bytes:
 
 
 def _load_library(args):
+    """(library, name): ``--lib``, ``$EASIC_LIB`` or the built-in one.
+    Its calibration warnings go to stderr; stdout may carry a CSV."""
     lib_path = getattr(args, "lib", None) or os.environ.get("EASIC_LIB")
     if lib_path:
-        return load_library_file(lib_path), str(lib_path)
-    return default_library(), "builtin-default"
+        library, name = load_library_file(lib_path), str(lib_path)
+    else:
+        library, name = default_library(), "builtin-default"
+    for warning in library.warnings:
+        print(f"warning: {warning}", file=sys.stderr)
+    return library, name
 
 
 def _out_dir(args) -> Path:

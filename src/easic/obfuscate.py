@@ -4,10 +4,10 @@ Given a parsed LUT netlist and a target obfuscation percentage (the
 share of LUTs that stays reconfigurable), the engine repeatedly finds
 the critical path, picks the slowest reconfigurable LUT on it, and
 replaces that LUT with an equivalent static gate network, updating
-timing incrementally after every conversion.  Paths that carry no
-reconfigurable LUT are excluded from further searches; when every path
-is exhausted before the conversion quota is met, the remaining LUTs are
-converted in a documented fallback order.
+timing incrementally after every conversion.  The search passes over
+paths that carry no reconfigurable LUT; when no path is left before
+the conversion quota is met, the remaining LUTs are converted in a
+documented fallback order.
 """
 
 from __future__ import annotations
@@ -227,7 +227,6 @@ class _Engine:
         self.l_re = {c.name for c in self.netlist.reconfigurable_luts()}
         self.trace = []
         self._taken_names = self.netlist.nets | set(self.netlist.cells)
-        self._candidate_cache = {}
 
     def conversions(self):
         """One conversion per step: critical-path picks first, then the
@@ -235,16 +234,9 @@ class _Engine:
 
         The sequence does not depend on the target, so every obfuscation
         level is a prefix of this one run."""
-        excluded = set()
-        while True:
-            path = find_critical(self.graph, excluded, self._candidate_cache)
-            if path is None:
-                break
-            lut = self._find_slowest(path)
-            if lut is None:
-                excluded.add(path.path_id)
-                continue
-            yield self._convert(lut, path.endpoint, fallback=False)
+        while (path := find_critical(self.graph)) is not None:
+            yield self._convert(self._find_slowest(path), path.endpoint,
+                                fallback=False)
         for name in self._fallback_order():
             yield self._convert(self.netlist.cells[name], None, fallback=True)
 
@@ -264,20 +256,14 @@ class _Engine:
                                  graph=self.graph)
 
     def _find_slowest(self, path):
-        """Max-delay reconfigurable LUT on the path; ties prefer the
-        latest position on the path, then the cell name."""
-        best = None
-        best_key = None
-        for pos, name in enumerate(path.cells):
-            # l_re names exactly the netlist's reconfigurable LUTs
-            if name not in self.l_re:
-                continue
-            cell = self.netlist.cells[name]
-            key = (self.graph.cell_delay(cell), pos, name)
-            if best_key is None or key > best_key:
-                best = cell
-                best_key = key
-        return best
+        """Max-delay reconfigurable LUT on the path, which holds one;
+        ties prefer the latest position on the path."""
+        cells = self.netlist.cells
+        # l_re names exactly the netlist's reconfigurable LUTs
+        _, pos = max((self.graph.cell_delay(cells[name]), pos)
+                     for pos, name in enumerate(path.cells)
+                     if name in self.l_re)
+        return cells[path.cells[pos]]
 
     def _fallback_order(self):
         """Remaining LUTs by descending delay, then descending fanout,
@@ -304,8 +290,7 @@ class _Engine:
         cells = _splice_network(self.netlist, lut, network,
                                 taken=self._taken_names)
         self.l_re.discard(lut.name)
-        for stale in self.graph.splice(lut, cells):
-            self._candidate_cache.pop(stale, None)
+        self.graph.splice(lut, cells)
         record = Conversion(
             iteration=len(self.trace) + 1,
             lut=lut.name,

@@ -10,7 +10,7 @@ module.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .netlist import LutMask, _input_pattern
 from .sim import eval_cells
@@ -104,14 +104,8 @@ class GateNetwork:
     width: int
     cells: tuple
     output: str
-    depth: int
     delay: float
     area: float
-    source_mask: LutMask
-
-    @property
-    def gate_count(self):
-        return len(self.cells)
 
     def eval_table(self) -> int:
         """Truth table of the network over all 2^width input vectors,
@@ -183,33 +177,22 @@ def bdd_to_gates(bdd: Bdd, lib: TechLibrary) -> GateNetwork:
         if root_sig.startswith("i"):
             root_sig = emit("BUF", (root_sig,))
 
-    depth, delay = _levelize(cells, lib)
     area = sum(lib.gate_area[g.kind] for g in cells)
     return GateNetwork(
         width=bdd.width,
         cells=tuple(cells),
         output=root_sig,
-        depth=depth,
-        delay=delay,
+        delay=_network_delay(cells, lib),
         area=area,
-        source_mask=None,
     )
 
 
-def _levelize(cells, lib):
-    depth = {}
+def _network_delay(cells, lib):
     arrival = {}
-    worst_depth = 0
-    worst_delay = 0.0
     for gate in cells:
-        d = 1 + max((depth.get(s, 0) for s in gate.inputs), default=0)
-        t = lib.gate_delay[gate.kind] + max(
+        arrival[gate.output] = lib.gate_delay[gate.kind] + max(
             (arrival.get(s, 0.0) for s in gate.inputs), default=0.0)
-        depth[gate.output] = d
-        arrival[gate.output] = t
-        worst_depth = max(worst_depth, d)
-        worst_delay = max(worst_delay, t)
-    return worst_depth, worst_delay
+    return max(arrival.values(), default=0.0)
 
 
 def decompose_lut(mask: LutMask, lib: TechLibrary) -> GateNetwork:
@@ -219,7 +202,7 @@ def decompose_lut(mask: LutMask, lib: TechLibrary) -> GateNetwork:
     mismatch is an internal error and never ships.  Under the calibrated
     default library the network delay never exceeds the LUT delay.
     """
-    network = replace(bdd_to_gates(build_bdd(mask), lib), source_mask=mask)
+    network = bdd_to_gates(build_bdd(mask), lib)
     if network.eval_table() != mask.bits:
         raise StaticGenError(
             f"decomposition of {mask} produced a non-equivalent network"

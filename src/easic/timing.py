@@ -89,7 +89,8 @@ class TimingGraph:
     The graph keeps a per-cell delay table read from the library;
     :func:`update_timing` refreshes the entries of the cells it is
     given.  :meth:`splice` swaps a LUT for the gates that replaced it
-    without re-sorting the netlist.
+    without re-sorting the netlist.  :func:`find_critical` keeps its
+    per-endpoint answers on the graph until a retiming reaches them.
     """
 
     def __init__(self, netlist: Netlist, lib: TechLibrary):
@@ -114,6 +115,11 @@ class TimingGraph:
         for cell in comb:
             self.arrival[cell.output] = self._cell_arrival(cell.name)
         self._reach = self._endpoint_reach(comb)
+        # endpoint id -> its worst path with a reconfigurable LUT, or None
+        self._candidates = {}
+        # ids of the paths found without a reconfigurable LUT: a LUT only
+        # ever goes from reconfigurable to static, so they stay without
+        self._excluded = set()
 
     # -- structure -----------------------------------------------------
 
@@ -147,15 +153,15 @@ class TimingGraph:
 
     def splice(self, lut, new_cells):
         """Put the cells that replaced ``lut`` in its place and retime
-        its fan-out cone; returns the ids of the endpoints ``lut`` reached.
+        its fan-out cone.
 
         ``lut`` is already out of the netlist and ``new_cells`` (names,
         in topological order, the last one driving the LUT's output net)
         are in it.  The k-th new cell takes the order key ``lut key + k +
         1`` (see STRIDE); a cell that was itself spliced in, or more cells
         than the keys hold, raise TimingError.  A splice keeps every net
-        and the endpoints it reaches, so only the returned endpoints can
-        have new worst paths.
+        and the endpoints it reaches, so the new cells reach the endpoints
+        ``lut`` reached.
         """
         key = self._index[lut.name]
         if key % STRIDE:
@@ -168,16 +174,15 @@ class TimingGraph:
         for net in self._active.pop(lut.name):
             self._consumers[net].remove(key)
         cells = self.netlist.cells
+        reached = self._reach[lut.output]
         for key, name in enumerate(new_cells, key + 1):
             cell = cells[name]
             self._drivers[cell.output] = name
             self._index[name] = key
             self._cell_at[key] = name
+            self._reach[cell.output] = reached
             self._add_arcs(cell)
         update_timing(self, new_cells)
-        reached = self._reach[lut.output]
-        return [endpoint for i, (endpoint, _, _) in enumerate(self.endpoints())
-                if reached >> i & 1]
 
     def _refresh_delay(self, cell):
         self._delay[cell.name] = self.lib.cell_delay(cell)
@@ -243,7 +248,9 @@ def update_timing(graph: TimingGraph, changed) -> TimingGraph:
     ``changed`` is a cell name or iterable of cell names; their entries
     in the delay table are refreshed from the library first.  The result
     is exactly what a fresh full pass would produce; incremental-vs-full
-    equality is a tested invariant.
+    equality is a tested invariant.  The :func:`find_critical` answers
+    of the endpoints the changed cells reach are dropped, all of them
+    when an FF changes.
     """
     if isinstance(changed, str):
         changed = [changed]
@@ -255,6 +262,8 @@ def update_timing(graph: TimingGraph, changed) -> TimingGraph:
     active = graph._active
     delay = graph._delay
     links = graph._links
+    candidates = graph._candidates
+    reached = 0     # bit i: endpoints()[i]
     seen = set()    # order keys
     for name in changed:
         cell = cells.get(name)
@@ -264,10 +273,16 @@ def update_timing(graph: TimingGraph, changed) -> TimingGraph:
         if not cell.is_ff:
             if name in index:
                 seen.add(index[name])
+                reached |= graph._reach[cell.output]
         elif arrival.get(cell.output) != delay[name]:
             # a Q pin starts its paths at clk-to-q
             arrival[cell.output] = delay[name]
             seen.update(consumers.get(cell.output, ()))
+            candidates.clear()
+    if reached:
+        for i, (endpoint, _, _) in enumerate(graph.endpoints()):
+            if reached >> i & 1:
+                candidates.pop(endpoint, None)
     frontier = sorted(seen)     # a sorted list is a heap
     pop, push = heapq.heappop, heapq.heappush
     arrival_of = arrival.__getitem__
@@ -402,9 +417,6 @@ class _Deviations:
     def _build(self, pos, alt):
         worst = self.worst
         suffix = worst.cells[pos:]
-        if alt is None:
-            # every other pin carries the taken net: the path starts here
-            return suffix, suffix[0], 0
         prefix, end, rejoined = _greedy_chain(self.graph, alt, self.rejoin)
         if rejoined:
             k = self.rejoin[end]
@@ -446,7 +458,9 @@ def endpoint_deviations(graph: TimingGraph, endpoint_triple,
     other inputs, and before it runs the greedy chain.  Arrivals are the
     left-to-right sums along greedy chains, so the realized delay is
     that input's arrival plus the delays from the cell on, added left to
-    right.  The candidate identical to the worst path is dropped.  A
+    right.  A cell whose other inputs all carry the taken net has no
+    other edge, and the candidate identical to the worst path is
+    dropped, so no candidate is slower than the worst path.  A
     candidate's cell sequence is built when it is read, or to order it
     among candidates of equal delay.
     """
@@ -461,25 +475,24 @@ def endpoint_deviations(graph: TimingGraph, endpoint_triple,
     out = []
     taken = worst.startpoint     # the edge the worst path takes into a cell
     for pos, name in enumerate(worst.cells):
-        ins = active[name]
-        if len(ins) >= 2 and taken in ins:
-            alt = _greedy_fanin(arrival, ins, skip=taken)
-            total = arrival.get(name, 0.0) if alt is None else arrival[alt]
-            # a candidate that rejoins the worst path enters one of its
-            # cells from another cell, or starts on a later one: only
-            # one that enters the first cell from another startpoint
-            # has the worst path's cells
-            if pos or (alt is not None
-                    and active.get(drivers.get(alt)) is not None):
-                if total == arrival[taken]:
-                    # from the taken edge's arrival, the sums are the
-                    # worst path's arrivals
-                    total = worst.delay
-                else:
-                    for delay in delays[pos:]:
-                        total += delay
-                    total += extra
-                out.append((total, pos, alt, search))
+        # None when every pin carries the taken net
+        alt = _greedy_fanin(arrival, active[name], skip=taken)
+        # a candidate that rejoins the worst path enters one of its
+        # cells from another cell, or starts on a later one: only one
+        # that enters the first cell from another startpoint has the
+        # worst path's cells
+        if alt is not None and (pos or active.get(drivers.get(alt))
+                                is not None):
+            total = arrival[alt]
+            if total == arrival[taken]:
+                # from the taken edge's arrival, the sums are the worst
+                # path's arrivals
+                total = worst.delay
+            else:
+                for delay in delays[pos:]:
+                    total += delay
+                total += extra
+            out.append((total, pos, alt, search))
         taken = cells[name].output
     # cell sequences are compared, and so built, only on equal delays
     tied = {}
@@ -490,48 +503,45 @@ def endpoint_deviations(graph: TimingGraph, endpoint_triple,
     return out
 
 
-def find_critical(graph: TimingGraph, excluded=frozenset(), cache=None):
-    """Worst not-excluded path, or None when everything is excluded.
+def find_critical(graph: TimingGraph):
+    """The worst path that holds a reconfigurable LUT, or None.
 
-    Per endpoint the worst path comes from greedy backtracking; when
-    that exact path is excluded, a one-level deviation search forbids
-    one edge of the excluded path at a time and keeps the best
-    non-excluded alternative.  Ties across endpoints break on
-    lexicographic endpoint id, then on the cell sequence.
-
-    ``cache`` maps an endpoint id to ``[start, candidates]``: the
-    candidate list (worst path, then its deviation records once needed,
-    each built into a path once it is read and not excluded) and the
-    index of its first path not yet excluded.  Excluding a path does not
-    retime the graph, so a caller can pass the same dict on every call
-    as long as ``excluded`` only grows; after a
-    :meth:`TimingGraph.splice` it drops the endpoints the splice
-    returns, and after any other retiming it clears the dict.
+    Per endpoint the answer is the first such path of the greedy worst
+    path and then its one-level deviations (see
+    :func:`endpoint_deviations`), which are never slower; across
+    endpoints the worst wins, ties broken on the endpoint id.  The graph
+    keeps each endpoint's answer until :func:`update_timing` (which a
+    splice calls, and through which any changed cell must pass) retimes
+    a cell that reaches the endpoint, so the result depends only on the
+    netlist and its arrivals, never on earlier searches.
     """
-    if cache is None:
-        cache = {}
-    candidates = []
+    candidates = graph._candidates
     for triple in graph.endpoints():
-        entry = cache.get(triple[0])
-        if entry is None:
-            entry = cache[triple[0]] = [0, [endpoint_worst_path(graph, triple)]]
-        start, listed = entry
-        while start < len(listed):
-            path = listed[start]
-            if isinstance(path, tuple):
-                _, pos, alt, search = path
-                path_id = (triple[0], search.cells(pos, alt)[0])
-            else:
-                path_id = path.path_id
-            if path_id not in excluded:
-                if isinstance(path, tuple):
-                    path = listed[start] = deviation_path(path)
-                candidates.append(path)
-                break
-            start += 1
-            if start == 1:
-                listed.extend(endpoint_deviations(graph, triple, path))
-        entry[0] = start
-    if not candidates:
+        if triple[0] not in candidates:
+            candidates[triple[0]] = _first_reconfigurable(graph, triple)
+    found = [path for path in candidates.values() if path is not None]
+    if not found:
         return None
-    return min(candidates, key=lambda p: (-p.delay, p.endpoint, p.cells))
+    return min(found, key=lambda p: (-p.delay, p.endpoint))
+
+
+def _first_reconfigurable(graph, triple):
+    worst = endpoint_worst_path(graph, triple)
+    if _reconfigurable(graph, worst.path_id):
+        return worst
+    for record in endpoint_deviations(graph, triple, worst):
+        _, pos, alt, search = record
+        if _reconfigurable(graph, (triple[0], search.cells(pos, alt)[0])):
+            return deviation_path(record)
+    return None
+
+
+def _reconfigurable(graph, path_id):
+    """Whether the path ``path_id`` names holds a reconfigurable LUT."""
+    if path_id in graph._excluded:
+        return False
+    cells = graph.netlist.cells
+    if any(cells[name].is_reconfigurable for name in path_id[1]):
+        return True
+    graph._excluded.add(path_id)
+    return False

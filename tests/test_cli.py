@@ -435,7 +435,7 @@ def test_attack_bruteforce_too_many_bits(tmp_path, designs_dir, sbm_out):
     assert code == 3
 
 
-def test_custom_library_via_flag(tmp_path, designs_dir):
+def test_custom_library_via_flag(tmp_path, designs_dir, capsys):
     import copy
     import json as json_mod
 
@@ -450,6 +450,22 @@ def test_custom_library_via_flag(tmp_path, designs_dir):
                    "--obf", "50", "--lib", lib_path, "--out", out) == 0
     manifest = json.loads((out / "manifest.json").read_text())
     assert str(lib_path) in manifest["config"]["library"]
+    assert "warning" not in capsys.readouterr().err
+    # a LUT6 faster than six MUX2 levels: the library loads with a
+    # warning on stderr, and stdout keeps only the command's output
+    config["luts"]["6"]["delay_ns"] = 0.1
+    lib_path.write_text(json_mod.dumps(config))
+    assert run_cli("obfuscate", "--input", designs_dir / "cmp4.blif",
+                   "--obf", "50", "--lib", lib_path, "--out", out) == 0
+    captured = capsys.readouterr()
+    assert captured.err.startswith("warning: lut_delay(6)=0.1 < 6 * MUX2")
+    assert "warning" not in captured.out
+    assert run_cli("sweep", "--input", designs_dir / "cmp4.blif",
+                   "--levels", "100,0", "--lib", lib_path,
+                   "--out", tmp_path / "s") == 0
+    captured = capsys.readouterr()
+    assert captured.err.startswith("warning: lut_delay(6)=0.1 < 6 * MUX2")
+    assert captured.out == (tmp_path / "s" / "sweep.csv").read_text()
 
 
 def _default_library_with(path, value):

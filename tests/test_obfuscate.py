@@ -268,9 +268,10 @@ def test_empty_netlist(lib):
 
 
 def test_candidate_cache_matches_stateless_search(designs, lib, monkeypatch):
-    # the engine shares one candidate cache across the path searches
-    # between two conversions; the conversion sequence must equal that of
-    # an engine whose every search starts from an empty cache
+    # the timing graph keeps each endpoint's candidate across searches
+    # until a splice reaches it, and the paths found without a
+    # reconfigurable LUT; the conversion sequence must equal that of an
+    # engine whose every search starts from neither
     import easic.obfuscate
     from easic.timing import find_critical
 
@@ -287,8 +288,13 @@ def test_candidate_cache_matches_stateless_search(designs, lib, monkeypatch):
                 for nl, level in cases]
 
     shared = runs()
-    monkeypatch.setattr(easic.obfuscate, "find_critical",
-                        lambda graph, excluded, cache: find_critical(graph, excluded))
+
+    def stateless(graph):
+        graph._candidates.clear()
+        graph._excluded.clear()
+        return find_critical(graph)
+
+    monkeypatch.setattr(easic.obfuscate, "find_critical", stateless)
     for fast, slow in zip(shared, runs()):
         assert fast.trace == slow.trace
         assert fast.fallback_count == slow.fallback_count

@@ -66,30 +66,23 @@ def test_every_level_is_a_prefix_of_the_full_run(nl, sweep_levels):
 @given(lut_dags(), st.data())
 def test_splices_match_a_rebuild(nl, data):
     """LUTs converted one by one in a random order and spliced into the
-    graph in place: arrivals equal a fresh build's, and searches that
-    keep the candidates of the endpoints a splice did not reach equal
-    searches on a fresh build from an empty cache."""
+    graph in place: arrivals equal a fresh build's, and the search on
+    the graph, which keeps the candidates of the endpoints a splice did
+    not reach, equals the search on a fresh build."""
     graph = build_and_time(nl, LIB)
     taken = nl.nets | set(nl.cells)
-    cache = {}
-    excluded = set()
     order = data.draw(st.permutations(sorted(nl.cells)))
     for name in order:
         lut = nl.cells[name]
         network = decompose_lut(lut.mask, LIB)
         new_cells = _splice_network(nl, lut, network, taken)
-        for stale in graph.splice(lut, new_cells):
-            cache.pop(stale, None)
+        graph.splice(lut, new_cells)
         fresh = build_and_time(nl, LIB)
         assert graph.arrival == fresh.arrival
         assert report(graph) == report(fresh)
-        # excluding found paths fills the cache with deviation lists too
-        for _ in range(data.draw(st.integers(0, 3))):
-            path = find_critical(graph, excluded, cache)
-            assert path == find_critical(fresh, excluded)
-            if path is None:
-                break
-            excluded.add(path.path_id)
+        # converted LUTs leave paths without a reconfigurable LUT, which
+        # the search passes over into the deviations
+        assert find_critical(graph) == find_critical(fresh)
 
 
 @settings(max_examples=30, deadline=None)

@@ -6,7 +6,7 @@ from easic import (ObfuscationConfig, build_and_time, find_critical,
                    lut_support, report, run_obfuscation, update_timing)
 from easic.timing import (STRIDE, TimingError, deviation_path,
                           endpoint_deviations, endpoint_worst_path)
-from easic.netlist import Cell, LutMask
+from easic.netlist import MODE_ST, Cell, LutMask
 from circuits import (BUF1, DelayTable, ff, lut, lut6_dag, netlist,
                       random_mask, random_timing_dag)
 
@@ -83,9 +83,15 @@ def test_find_critical_picks_worst_then_excluded(lib):
     p1 = find_critical(graph)
     assert p1.cells == ("x",)
     assert p1.delay == 3.0
-    p2 = find_critical(graph, {p1.path_id})
+    # a path without a reconfigurable LUT is passed over; the graph
+    # learns of a changed cell from update_timing
+    nl.cells["x"].mode = MODE_ST
+    update_timing(graph, "x")
+    p2 = find_critical(graph)
     assert p2.cells == ("y",)
-    assert find_critical(graph, {p1.path_id, p2.path_id}) is None
+    nl.cells["y"].mode = MODE_ST
+    update_timing(graph, "y")
+    assert find_critical(graph) is None
 
 
 def test_find_critical_endpoint_tie_rule(lib):
@@ -107,7 +113,10 @@ def test_find_critical_deviation_search(lib):
     graph = build_and_time(nl, DelayTable(lib, {"p": 5.0, "q": 4.0, "y": 1.0}))
     worst = find_critical(graph)
     assert worst.cells == ("p", "y")
-    nxt = find_critical(graph, {worst.path_id})
+    for name in worst.cells:
+        nl.cells[name].mode = MODE_ST
+    update_timing(graph, worst.cells)
+    nxt = find_critical(graph)
     assert nxt.cells == ("q", "y")
     assert nxt.delay == 5.0
 
@@ -141,6 +150,9 @@ def rewalked_deviations(graph, lib, triple, worst):
                 cur = None
                 break
             cur = min(options, key=lambda n: (-graph.arrival[n], n))
+        if driver == name and cur is None:
+            # every other pin carries the taken net: no other edge
+            continue
         cells.reverse()
         start = cur if cur is not None else cells[0]
         if arcs(nl.cells[cells[0]]):
@@ -175,6 +187,7 @@ def test_deviations_match_rewalked_oracle(lib):
         for triple in graph.endpoints():
             worst = endpoint_worst_path(graph, triple)
             records = endpoint_deviations(graph, triple, worst)
+            assert all(r[0] <= worst.delay for r in records)
             paths = [deviation_path(record) for record in records]
             assert [p.delay for p in paths] == [r[0] for r in records]
             assert all(p.endpoint == triple[0] for p in paths)
@@ -298,14 +311,21 @@ def test_support_free_lut_has_zero_arrival(lib):
 
 def test_structural_update_matches_rebuild(lib):
     # a LUT swapped in place for a gate: the splice retimes like a rebuild
+    # and drops the candidates of the endpoints the LUT reached only
     nl = buf_chain(3)
+    nl.add_cell(lut("h", ("g1",), BUF1))
+    nl.outputs.append("h")
     graph = build_and_time(nl, lib)
+    find_critical(graph)
+    assert set(graph._candidates) == {"g3", "h"}
     old = nl.cells["g2"]
     nl.remove_cell("g2")
     nl.add_cell(Cell("g2", "INV", ("g1",), "g2"))
-    assert graph.splice(old, ["g2"]) == ["g3"]
+    graph.splice(old, ["g2"])
+    assert set(graph._candidates) == {"h"}
     fresh = build_and_time(nl, lib)
     assert graph.arrival == fresh.arrival
+    assert find_critical(graph) == find_critical(fresh)
 
 
 def test_splice_refuses_what_the_order_keys_cannot_hold(lib):
