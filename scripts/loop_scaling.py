@@ -7,10 +7,14 @@
 For each of 430, 1000 and 2000 LUT6, a fresh interpreter builds
 ``bench/workloads.lut6_dag`` with that many LUTs (mask seed 1),
 obfuscates it at 50 percent with ``run_obfuscation``, and prints the
-wall seconds that call took and the sha256 of the trace.json and
-timing.json documents `easic obfuscate` would write for it.  Run it on two trees: equal digests show
-that both convert the same LUTs in the same order and time the result
-alike.
+wall seconds that call took, the seconds spent inside
+``timing.update_timing``, ``timing.find_critical`` and
+``staticgen.decompose_lut`` (each rebound under every easic module name,
+as ``bench/tracer.py`` does), the interpreter's peak resident set
+(``ru_maxrss``), and the sha256 of the trace.json and timing.json
+documents `easic obfuscate` would write for it.  Run it on two trees:
+equal digests show that both convert the same LUTs in the same order
+and time the result alike.
 """
 
 from __future__ import annotations
@@ -26,27 +30,47 @@ SIZES = (430, 1000, 2000)
 
 # argv[1]: the tree's src/, argv[2]: bench/, argv[3]: the size
 RUNNER = r"""
-import hashlib, json, sys, time
+import hashlib, json, resource, sys, time
 from pathlib import Path
 src = Path(sys.argv[1]).resolve()
 sys.path[:0] = [str(src), sys.argv[2]]
 import easic
 if Path(easic.__file__).resolve() != src / "easic" / "__init__.py":
     sys.exit(f"easic resolves to {easic.__file__}, not to {src}")
-import workloads
+import tracer, workloads
 from easic import ObfuscationConfig, parse_blif, report, run_obfuscation
+spent = {}
+
+def timed(name):
+    def wrap(fn):
+        def timed_call(*args, **kwargs):
+            start = time.perf_counter()
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                spent[name] += time.perf_counter() - start
+        return timed_call
+    return wrap
+
+for module, name in (("timing", "update_timing"), ("timing", "find_critical"),
+                     ("staticgen", "decompose_lut")):
+    spent[name] = 0.0
+    tracer.rebind(module, name, timed(name))
 size = int(sys.argv[3])
 netlist = parse_blif(workloads.lut6_dag(f"lut6_{size}", size, 1))
 start = time.perf_counter()
 result = run_obfuscation(netlist, ObfuscationConfig(obf_percent=50))
 seconds = time.perf_counter() - start
+peak_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
 
 def digest(payload):
     text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 print(f"lut6_{size}  {seconds:7.2f} s  "
-      f"trace.json {digest(result.to_json_dict())}  "
+      + "  ".join(f"{name} {s:.2f} s" for name, s in spent.items())
+      + f"  ru_maxrss {peak_mb:.1f} MB")
+print(f"    trace.json {digest(result.to_json_dict())}  "
       f"timing.json {digest(report(result.graph).to_json_dict())}")
 """
 

@@ -38,7 +38,7 @@ from .sim import (EquivalencePolicy, EquivalenceReport, SimError,
                   check_equivalence, prove_by_cuts)
 from .staticgen import StaticGenError
 from .techlib import LibraryError, default_library, load_library_file
-from .timing import TimingError, report as timing_report
+from .timing import report as timing_report
 from .verilog import VerilogEmitError, emit_verilog
 
 EXIT_OK = 0
@@ -489,7 +489,7 @@ def main(argv=None) -> int:
             bs.BitstreamError, atk.AttackError, VerilogEmitError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (StaticGenError, TimingError) as exc:
+    except StaticGenError as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
 

@@ -12,23 +12,14 @@ downstream tools.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 
-from .netlist import KIND_LUT, MAX_LUT_WIDTH, LutMask, Netlist
+from .netlist import KIND_LUT, LutMask, Netlist
 from .techlib import TechLibrary
 
-# Order keys: the i-th cell of the first topological sort has the key
-# i * STRIDE, and the k-th cell spliced in for it (k from 0) the key
-# i * STRIDE + k + 1, after the cell's fan-in and before its fan-out.
-# staticgen maps a width-w LUT to at most one gate per ROBDD node
-# (2^w - 1), one inverter per input (w) and one BUF or TIE, so the
-# network of any LUT fits in the STRIDE - 1 keys.
-STRIDE = (1 << MAX_LUT_WIDTH) + MAX_LUT_WIDTH + 1
-
-
-class TimingError(Exception):
-    pass
+# a greedy link not walked yet (see _greedy_chain)
+_UNLINKED = -2
 
 
 @lru_cache(maxsize=100000)
@@ -48,16 +39,16 @@ def lut_support(mask: LutMask):
     return set(_support_positions(mask.width, mask.bits))
 
 
+
+
 @dataclass(frozen=True)
 class TimedPath:
     cells: tuple       # combinational cell names, startpoint -> endpoint
     delay: float       # includes clk2q / setup boundary contributions
     endpoint: str      # output port name, or "<ff>/D"
     startpoint: str    # net the path begins on
-
-    @property
-    def path_id(self):
-        return (self.endpoint, self.cells)
+    # the cells' ids on the graph that found the path
+    ids: tuple = field(default=(), compare=False, repr=False)
 
 
 @dataclass
@@ -86,47 +77,92 @@ class TimingReport:
 class TimingGraph:
     """Arrival-annotated view of one netlist under one library.
 
-    The graph keeps a per-cell delay table read from the library;
-    :func:`update_timing` refreshes the entries of the cells it is
-    given.  :meth:`splice` swaps a LUT for the gates that replaced it
-    without re-sorting the netlist.  :func:`find_critical` keeps its
-    per-endpoint answers on the graph until a retiming reaches them.
+    Every net has a dense id, and the cell that drives a net shares the
+    net's id.  Per id the graph keeps lists: the net's name and its
+    driver's, the arrival, the driver's delay (refreshed by
+    :func:`update_timing` for the cells it is given), its active fan-in
+    (net ids; None for a primary input or FF output), the slots that
+    read the net from outside its own, the greedy link and the
+    reconfigurable flag.  Names are read only where a path leaves the
+    graph.
+
+    The topological order is kept as slots, one per combinational cell
+    of the first sort, each listing in order the cells that stand in for
+    it.  A cell reads only nets of earlier slots or of earlier cells of
+    its own slot, so slot numbers order the retiming, and :meth:`splice`
+    swaps a LUT for the gates that replaced it by rewriting one slot
+    entry.  :func:`find_critical` keeps its per-endpoint answers on the
+    graph until a retiming reaches them.
     """
 
     def __init__(self, netlist: Netlist, lib: TechLibrary):
         self.netlist = netlist
         self.lib = lib
         comb = netlist.validate()
-        self._drivers = {c.output: c.name for c in netlist.cells.values()}
-        self._endpoints = None
-        self._delay = {}
-        for cell in netlist.cells.values():
-            self._refresh_delay(cell)
-        self._index = {c.name: i * STRIDE for i, c in enumerate(comb)}
-        self._cell_at = {key: name for name, key in self._index.items()}
-        self._active = {}
-        self._consumers = {}    # net -> order keys of the cells it has arcs to
+        self._ids = {}          # net name -> id
+        self._names = []
+        self._cell_names = []   # the driver's name, None for a primary input
+        self._arrival = []
+        self._delay = []
+        self._active = []
+        self._consumers = []    # slot numbers, one per arc from another slot
         # the greedy links walked so far (see _greedy_chain); retiming a
-        # cell drops its output's link
-        self._links = {}
+        # cell unlinks it
+        self._links = []
+        self._reconfigurable = []
+        self._slot_of = []      # -1 past a primary input or FF output
+        for net in netlist.inputs:
+            self._add_net(net)
+        if netlist.clock is not None and netlist.clock not in self._ids:
+            self._add_net(netlist.clock)
+        for cell in netlist.cells.values():
+            c = self._add_net(cell.output)
+            self._cell_names[c] = cell.name
+            self._refresh(cell)
+            if cell.is_ff:
+                # a Q pin starts its paths at clk-to-q
+                self._arrival[c] = self._delay[c]
+        self._slots = [[self._ids[cell.output]] for cell in comb]
+        for s, cell in enumerate(comb):
+            self._slot_of[self._ids[cell.output]] = s
         for cell in comb:
             self._add_arcs(cell)
-        self.arrival = self._startpoint_arrivals()
-        for cell in comb:
-            self.arrival[cell.output] = self._cell_arrival(cell.name)
-        self._reach = self._endpoint_reach(comb)
+        arrival, active, delay = self._arrival, self._active, self._delay
+        for (c,) in self._slots:
+            ins = active[c]
+            # a constant source (TIE or support-free LUT) is ready at t=0
+            arrival[c] = max([arrival[net] for net in ins]) + delay[c] \
+                if ins else 0.0
+        self._endpoints = self._sorted_endpoints()
+        self._endpoint_nets = [self._ids[net] for _, net, _ in self._endpoints]
+        self._reach = self._slot_reach()
         # endpoint id -> its worst path with a reconfigurable LUT, or None
         self._candidates = {}
-        # ids of the paths found without a reconfigurable LUT: a LUT only
-        # ever goes from reconfigurable to static, so they stay without
-        self._excluded = set()
 
     # -- structure -----------------------------------------------------
 
+    def _add_net(self, name):
+        self._ids[name] = net = len(self._names)
+        self._names.append(name)
+        self._cell_names.append(None)
+        self._arrival.append(0.0)
+        self._delay.append(0.0)
+        self._active.append(None)
+        self._consumers.append([])
+        self._links.append(_UNLINKED)
+        self._reconfigurable.append(False)
+        self._slot_of.append(-1)
+        return net
+
     def _add_arcs(self, cell):
-        arcs = self._active[cell.name] = self._compute_active_inputs(cell)
+        ids, slot_of = self._ids, self._slot_of
+        c = ids[cell.output]
+        slot = slot_of[c]
+        arcs = self._active[c] = tuple(
+            ids[net] for net in self._compute_active_inputs(cell))
         for net in arcs:
-            self._consumers.setdefault(net, []).append(self._index[cell.name])
+            if slot_of[net] != slot:
+                self._consumers[net].append(slot)
 
     @staticmethod
     def _compute_active_inputs(cell):
@@ -136,19 +172,19 @@ class TimingGraph:
             return tuple(cell.inputs[i] for i in support)
         return cell.inputs
 
-    def _endpoint_reach(self, comb):
-        """Output net of each combinational cell -> bit mask of the
-        endpoints (bit i: ``endpoints()[i]``) it reaches through arcs."""
+    def _slot_reach(self):
+        """Per slot, the bit mask of the endpoints (bit i:
+        ``endpoints()[i]``) its cell reaches through arcs."""
         own = {}
-        for i, (_, net, _) in enumerate(self.endpoints()):
+        for i, net in enumerate(self._endpoint_nets):
             own[net] = own.get(net, 0) | 1 << i
-        cells = self.netlist.cells
-        reach = {}
-        for cell in reversed(comb):
-            bits = own.get(cell.output, 0)
-            for consumer in self._consumers.get(cell.output, ()):
-                bits |= reach[cells[self._cell_at[consumer]].output]
-            reach[cell.output] = bits
+        reach = [0] * len(self._slots)
+        for s in range(len(self._slots) - 1, -1, -1):
+            (c,) = self._slots[s]
+            bits = own.get(c, 0)
+            for consumer in self._consumers[c]:
+                bits |= reach[consumer]
+            reach[s] = bits
         return reach
 
     def splice(self, lut, new_cells):
@@ -156,67 +192,58 @@ class TimingGraph:
         its fan-out cone.
 
         ``lut`` is already out of the netlist and ``new_cells`` (names,
-        in topological order, the last one driving the LUT's output net)
-        are in it.  The k-th new cell takes the order key ``lut key + k +
-        1`` (see STRIDE); a cell that was itself spliced in, or more cells
-        than the keys hold, raise TimingError.  A splice keeps every net
-        and the endpoints it reaches, so the new cells reach the endpoints
-        ``lut`` reached.
+        in topological order, the last one driving the LUT's output net,
+        the others driving new nets only they read) are in it.  They
+        replace ``lut``'s entry in its slot, so a cell spliced in can be
+        spliced over again, and they reach the endpoints ``lut`` reached.
         """
-        key = self._index[lut.name]
-        if key % STRIDE:
-            raise TimingError(f"cannot splice cells in for {lut.name}: "
-                              "it was spliced in itself")
-        if len(new_cells) >= STRIDE:
-            raise TimingError(f"cannot splice {len(new_cells)} cells in for "
-                              f"{lut.name}: the order keys hold {STRIDE - 1}")
-        del self._index[lut.name], self._cell_at[key], self._delay[lut.name]
-        for net in self._active.pop(lut.name):
-            self._consumers[net].remove(key)
+        ids, slot_of, consumers = self._ids, self._slot_of, self._consumers
+        old = ids[lut.output]
+        slot = slot_of[old]
+        for net in self._active[old]:
+            if slot_of[net] != slot:
+                consumers[net].remove(slot)
         cells = self.netlist.cells
-        reached = self._reach[lut.output]
-        for key, name in enumerate(new_cells, key + 1):
+        new = []
+        for name in new_cells:
             cell = cells[name]
-            self._drivers[cell.output] = name
-            self._index[name] = key
-            self._cell_at[key] = name
-            self._reach[cell.output] = reached
+            c = ids.get(cell.output)
+            if c is None:
+                c = self._add_net(cell.output)
+            self._cell_names[c] = name
+            slot_of[c] = slot
             self._add_arcs(cell)
+            new.append(c)
+        entries = self._slots[slot]
+        k = entries.index(old)
+        entries[k:k + 1] = new
         update_timing(self, new_cells)
 
-    def _refresh_delay(self, cell):
-        self._delay[cell.name] = self.lib.cell_delay(cell)
+    def _refresh(self, cell):
+        c = self._ids[cell.output]
+        self._delay[c] = self.lib.cell_delay(cell)
+        self._reconfigurable[c] = cell.is_reconfigurable
+        return c
 
     def cell_delay(self, cell) -> float:
-        return self._delay[cell.name]
+        return self._delay[self._ids[cell.output]]
 
     # -- arrival propagation -------------------------------------------
 
-    def _startpoint_arrivals(self):
-        arrivals = {}
-        for net in self.netlist.inputs:
-            arrivals[net] = 0.0
-        if self.netlist.clock is not None:
-            arrivals.setdefault(self.netlist.clock, 0.0)
-        for cell in self.netlist.cells.values():
-            if cell.is_ff:
-                arrivals[cell.output] = self._delay[cell.name]
-        return arrivals
+    @property
+    def arrival(self):
+        """Net name -> arrival time, a copy."""
+        return dict(zip(self._names, self._arrival))
 
-    def _cell_arrival(self, name):
-        ins = self._active[name]
-        if not ins:
-            # constant source (TIE or support-free LUT): value is ready at t=0
-            return 0.0
-        arrival = self.arrival
-        return max([arrival[net] for net in ins]) + self._delay[name]
+    def _start_name(self, net):
+        """The startpoint name of a path that begins on ``net``: the net,
+        or the constant source that drives it."""
+        return self._names[net] if self._active[net] is None \
+            else self._cell_names[net]
 
     # -- endpoints -------------------------------------------------------
 
-    def endpoints(self):
-        """Sorted (endpoint id, net, extra delay) triples."""
-        if self._endpoints is not None:
-            return self._endpoints
+    def _sorted_endpoints(self):
         out = []
         for net in self.netlist.outputs:
             out.append((net, net, 0.0))
@@ -224,17 +251,16 @@ class TimingGraph:
             if cell.is_ff:
                 out.append((f"{cell.name}/D", cell.inputs[0], self.lib.ff_setup))
         out.sort(key=lambda t: t[0])
-        self._endpoints = out
         return out
 
-    def endpoint_arrival(self, net, extra):
-        return self.arrival.get(net, 0.0) + extra
+    def endpoints(self):
+        """Sorted (endpoint id, net, extra delay) triples."""
+        return self._endpoints
 
     def cp(self) -> float:
-        eps = self.endpoints()
-        if not eps:
-            return 0.0
-        return max(self.endpoint_arrival(net, extra) for _, net, extra in eps)
+        arrival = self._arrival
+        return max((arrival[net] + extra for net, (_, _, extra)
+                    in zip(self._endpoint_nets, self._endpoints)), default=0.0)
 
 
 def build_and_time(netlist: Netlist, lib: TechLibrary) -> TimingGraph:
@@ -245,39 +271,41 @@ def build_and_time(netlist: Netlist, lib: TechLibrary) -> TimingGraph:
 def update_timing(graph: TimingGraph, changed) -> TimingGraph:
     """Recompute arrivals over the fan-out cone of the changed cells.
 
-    ``changed`` is a cell name or iterable of cell names; their entries
-    in the delay table are refreshed from the library first.  The result
-    is exactly what a fresh full pass would produce; incremental-vs-full
-    equality is a tested invariant.  The :func:`find_critical` answers
-    of the endpoints the changed cells reach are dropped, all of them
-    when an FF changes.
+    ``changed`` is a cell name or iterable of cell names; their delays
+    and reconfigurable flags are refreshed from the library and the
+    netlist first.  The heap holds slot numbers: a popped slot's cells
+    are recomputed in order, and the slots that read one of its changed
+    nets are pushed.  The result is exactly what a fresh full pass would
+    produce; incremental-vs-full equality is a tested invariant.  The
+    :func:`find_critical` answers of the endpoints the changed cells
+    reach are dropped, all of them when an FF changes.
     """
     if isinstance(changed, str):
         changed = [changed]
     cells = graph.netlist.cells
-    arrival = graph.arrival
+    arrival = graph._arrival
     consumers = graph._consumers
-    index = graph._index
-    cell_at = graph._cell_at
+    slots = graph._slots
     active = graph._active
     delay = graph._delay
     links = graph._links
     candidates = graph._candidates
     reached = 0     # bit i: endpoints()[i]
-    seen = set()    # order keys
+    seen = set()    # slot numbers
     for name in changed:
         cell = cells.get(name)
-        if cell is None:
+        if cell is None or cell.output not in graph._ids:
             continue
-        graph._refresh_delay(cell)
+        c = graph._refresh(cell)
         if not cell.is_ff:
-            if name in index:
-                seen.add(index[name])
-                reached |= graph._reach[cell.output]
-        elif arrival.get(cell.output) != delay[name]:
+            slot = graph._slot_of[c]
+            if slot >= 0:
+                seen.add(slot)
+                reached |= graph._reach[slot]
+        elif arrival[c] != delay[c]:
             # a Q pin starts its paths at clk-to-q
-            arrival[cell.output] = delay[name]
-            seen.update(consumers.get(cell.output, ()))
+            arrival[c] = delay[c]
+            seen.update(consumers[c])
             candidates.clear()
     if reached:
         for i, (endpoint, _, _) in enumerate(graph.endpoints()):
@@ -287,19 +315,19 @@ def update_timing(graph: TimingGraph, changed) -> TimingGraph:
     pop, push = heapq.heappop, heapq.heappush
     arrival_of = arrival.__getitem__
     while frontier:
-        name = cell_at[pop(frontier)]
-        ins = active[name]
-        # a constant source (TIE or support-free LUT) is ready at t=0
-        new = max(map(arrival_of, ins)) + delay[name] if ins else 0.0
-        output = cells[name].output
-        links.pop(output, None)
-        # when the value is unchanged, the downstream cone keeps its arrivals
-        if arrival.get(output) != new:
-            arrival[output] = new
-            for key in consumers.get(output, ()):
-                if key not in seen:
-                    seen.add(key)
-                    push(frontier, key)
+        for c in slots[pop(frontier)]:
+            ins = active[c]
+            # a constant source (TIE or support-free LUT) is ready at t=0
+            new = max(map(arrival_of, ins)) + delay[c] if ins else 0.0
+            links[c] = _UNLINKED
+            # when the value is unchanged, the downstream cone keeps its
+            # arrivals; a slot's own cells are recomputed in any case
+            if arrival[c] != new:
+                arrival[c] = new
+                for slot in consumers[c]:
+                    if slot not in seen:
+                        seen.add(slot)
+                        push(frontier, slot)
     return graph
 
 
@@ -309,7 +337,7 @@ def report(graph: TimingGraph) -> TimingReport:
     if not eps:
         return TimingReport(0.0, 0.0, [], warning="netlist has no endpoints")
     paths = [_backtrack(graph, net, extra, endpoint)
-             for endpoint, net, extra in eps]
+             for net, (endpoint, _, extra) in zip(graph._endpoint_nets, eps)]
     total = 0.0
     worst = 0.0
     for path in paths:
@@ -318,111 +346,113 @@ def report(graph: TimingGraph) -> TimingReport:
     return TimingReport(worst, total, paths)
 
 
-def _greedy_fanin(arrival, ins, skip=None):
+def _greedy_fanin(arrival, names, ins, skip=-1):
     """The latest-arriving net of ``ins`` other than ``skip``, ties to
-    the smallest net name (which makes paths deterministic); None when
-    no net is left."""
-    best = None
+    the smallest net name (which makes paths deterministic); -1 when no
+    net is left."""
+    best = -1
     best_arr = 0.0
     for net in ins:
         if net == skip:
             continue
         arr = arrival[net]
-        if best is None or arr > best_arr or (arr == best_arr and net < best):
+        if best < 0 or arr > best_arr or (arr == best_arr
+                                          and names[net] < names[best]):
             best = net
             best_arr = arr
     return best
 
 
 def _greedy_chain(graph, net, rejoin=()):
-    """(cells, end, rejoined): the greedy worst path that ends on ``net``.
+    """(cells, end): the greedy worst path that ends on ``net``, as ids.
 
     The path runs back through the greedy fan-in of each cell to a
     primary input or FF output (the startpoint) or to a constant source
     (which is its own startpoint), or only to the first net in
     ``rejoin``.  ``cells`` lists its cells in path order; ``end`` is the
-    startpoint or that net, and ``rejoined`` tells which.
+    startpoint or that net.
 
-    The graph keeps the links walked: net -> (driver, predecessor net),
-    None for the predecessor of a constant source's output, and None for
-    a startpoint net.  A link depends only on the arrivals at the
-    driver's inputs, so it holds until :func:`update_timing` retimes the
-    driver and drops it.
+    The graph keeps the links walked: per cell its greedy fan-in, -1
+    for a constant source.  A link depends only on the arrivals at the
+    cell's inputs, so it holds until :func:`update_timing` retimes the
+    cell and unlinks it.
     """
-    drivers, active = graph._drivers, graph._active
-    arrival, links = graph.arrival, graph._links
+    active, arrival = graph._active, graph._arrival
+    links, names = graph._links, graph._names
     cells = []
     while net not in rejoin:
-        link = links.get(net, ())
-        if link == ():
-            driver = drivers.get(net)
-            ins = active.get(driver)    # None past a primary input or FF output
-            link = links[net] = (None if ins is None
-                                 else (driver, _greedy_fanin(arrival, ins)))
-        if link is None:
+        link = links[net]
+        if link == _UNLINKED:
+            ins = active[net]
+            if ins is None:     # a primary input or FF output
+                break
+            link = links[net] = _greedy_fanin(arrival, names, ins)
+        cells.append(net)
+        if link < 0:
             break
-        driver, net = link
-        cells.append(driver)
-        if net is None:
-            net = driver
-            break
-    else:
-        cells.reverse()
-        return cells, net, True
+        net = link
     cells.reverse()
-    return cells, net, False
+    return cells, net
 
 
 def _backtrack(graph, net, extra, endpoint):
-    """Greedy worst-path reconstruction from an endpoint net."""
-    cells, start, _ = _greedy_chain(graph, net)
-    return TimedPath(tuple(cells), graph.arrival.get(net, 0.0) + extra,
-                     endpoint, start)
+    """Greedy worst-path reconstruction from an endpoint net's id."""
+    ids, start = _greedy_chain(graph, net)
+    return TimedPath(tuple(map(graph._cell_names.__getitem__, ids)),
+                     graph._arrival[net] + extra, endpoint,
+                     graph._start_name(start), tuple(ids))
 
 
 def endpoint_worst_path(graph: TimingGraph, endpoint_triple) -> TimedPath:
     endpoint, net, extra = endpoint_triple
-    return _backtrack(graph, net, extra, endpoint)
+    return _backtrack(graph, graph._ids[net], extra, endpoint)
 
 
 class _Deviations:
     """What the deviations off one worst path share: the path, the
-    graph, and the cell sequences built.  The arrivals of the
-    endpoint's fan-in cone hold as long as its cached paths do, so a
-    sequence can be built when first read."""
+    graph, and the greedy walks taken off it.  The arrivals of the
+    endpoint's fan-in cone hold as long as its cached answer does, so a
+    walk can be taken when first read."""
 
-    __slots__ = ("worst", "graph", "rejoin", "built")
+    __slots__ = ("worst", "graph", "start", "rejoin", "walks", "built")
 
     def __init__(self, graph, worst):
         self.worst = worst
         self.graph = graph
-        cells = graph.netlist.cells
+        first = worst.ids[0]
         # net -> number of worst-path cells that end on it: its
         # prefixes are greedy chains too, so a walk stops there
-        self.rejoin = {cells[name].output: k
-                       for k, name in enumerate(worst.cells, 1)}
-        if graph._active[worst.cells[0]]:
-            self.rejoin[worst.startpoint] = 0
+        self.rejoin = {c: k for k, c in enumerate(worst.ids, 1)}
+        if graph._active[first]:
+            self.start = graph._ids[worst.startpoint]
+            self.rejoin[self.start] = 0
+        else:
+            self.start = first
+        self.walks = {}
         self.built = {}
 
-    def cells(self, pos, alt):
-        """(cells, startpoint, d) of the deviation that enters the worst
-        path's ``pos``-th cell through net ``alt``; its cells first
-        differ from the worst path's at index ``d``."""
-        path = self.built.get(pos)
-        if path is None:
-            path = self.built[pos] = self._build(pos, alt)
-        return path
+    def walk(self, pos, alt):
+        """(prefix, end, d) of the deviation that enters the worst
+        path's ``pos``-th cell through net ``alt``: the cells (ids) of
+        the greedy walk back from ``alt``, the net it ends on, and the
+        number of worst-path cells the deviation keeps before them,
+        which is the index at which its cells first differ."""
+        walk = self.walks.get(pos)
+        if walk is None:
+            prefix, end = _greedy_chain(self.graph, alt, self.rejoin)
+            walk = self.walks[pos] = prefix, end, self.rejoin.get(end, 0)
+        return walk
 
-    def _build(self, pos, alt):
-        worst = self.worst
-        suffix = worst.cells[pos:]
-        prefix, end, rejoined = _greedy_chain(self.graph, alt, self.rejoin)
-        if rejoined:
-            k = self.rejoin[end]
-            return (worst.cells[:k] + tuple(prefix) + suffix,
-                    worst.startpoint, k)
-        return tuple(prefix) + suffix, end, 0
+    def names(self, pos, alt):
+        """The deviation's cell names."""
+        names = self.built.get(pos)
+        if names is None:
+            prefix, _, d = self.walk(pos, alt)
+            cells = self.worst.cells
+            names = self.built[pos] = (
+                cells[:d] + tuple(map(self.graph._cell_names.__getitem__,
+                                      prefix)) + cells[pos:])
+        return names
 
     def order(self, pos, alt):
         """A key that sorts deviations as their cell sequences do.
@@ -431,19 +461,43 @@ class _Deviations:
         hold the worst path's first d cells; of two that differ at
         different indexes, the one with the lower cell there sorts first
         below the worst path's cell and last above it.  Only sequences
-        that share d and the cell there compare further."""
-        cells, _, d = self.cells(pos, alt)
-        cell = cells[d]
+        that share d and the cell there compare further, and only then
+        are their names built."""
+        prefix, _, d = self.walk(pos, alt)
+        cell = self.graph._cell_names[prefix[0] if prefix
+                                      else self.worst.ids[pos]]
+        rest = _Sequence(self, pos, alt)
         if cell < self.worst.cells[d]:
-            return 0, d, cell, cells
-        return 1, -d, cell, cells
+            return 0, d, cell, rest
+        return 1, -d, cell, rest
+
+
+class _Sequence:
+    """A deviation's cell names, built when first compared."""
+
+    __slots__ = ("search", "pos", "alt")
+
+    def __init__(self, search, pos, alt):
+        self.search, self.pos, self.alt = search, pos, alt
+
+    def _names(self):
+        return self.search.names(self.pos, self.alt)
+
+    def __eq__(self, other):
+        return self._names() == other._names()
+
+    def __lt__(self, other):
+        return self._names() < other._names()
 
 
 def deviation_path(record) -> TimedPath:
     """The path of one :func:`endpoint_deviations` record."""
     delay, pos, alt, search = record
-    cells, start, _ = search.cells(pos, alt)
-    return TimedPath(cells, delay, search.worst.endpoint, start)
+    prefix, end, d = search.walk(pos, alt)
+    worst = search.worst
+    start = worst.startpoint if d else search.graph._start_name(end)
+    return TimedPath(search.names(pos, alt), delay, worst.endpoint, start,
+                     worst.ids[:d] + tuple(prefix) + worst.ids[pos:])
 
 
 def endpoint_deviations(graph: TimingGraph, endpoint_triple,
@@ -454,35 +508,34 @@ def endpoint_deviations(graph: TimingGraph, endpoint_triple,
     builds the path of one.
 
     Each candidate forbids exactly one edge of the worst path: at its
-    ``pos``-th cell it enters through the greedy fan-in ``alt`` among the
-    other inputs, and before it runs the greedy chain.  Arrivals are the
-    left-to-right sums along greedy chains, so the realized delay is
-    that input's arrival plus the delays from the cell on, added left to
-    right.  A cell whose other inputs all carry the taken net has no
-    other edge, and the candidate identical to the worst path is
-    dropped, so no candidate is slower than the worst path.  A
-    candidate's cell sequence is built when it is read, or to order it
-    among candidates of equal delay.
+    ``pos``-th cell it enters through the greedy fan-in ``alt`` (a net
+    id) among the other inputs, and before it runs the greedy chain.
+    Arrivals are the left-to-right sums along greedy chains, so the
+    realized delay is that input's arrival plus the delays from the cell
+    on, added left to right.  A cell whose other inputs all carry the
+    taken net has no other edge, and the candidate identical to the
+    worst path is dropped, so no candidate is slower than the worst
+    path.  A candidate's greedy walk is taken when it is read or to
+    order it among candidates of equal delay, and its cell names are
+    built when it is read or when that order needs them.
     """
-    if not worst.cells:
+    if not worst.ids:
         return []
     _, _, extra = endpoint_triple
-    arrival = graph.arrival
-    cells = graph.netlist.cells
-    delays = [graph._delay[name] for name in worst.cells]
-    active, drivers = graph._active, graph._drivers
+    arrival, names = graph._arrival, graph._names
+    delays = [graph._delay[c] for c in worst.ids]
+    active = graph._active
     search = _Deviations(graph, worst)
     out = []
-    taken = worst.startpoint     # the edge the worst path takes into a cell
-    for pos, name in enumerate(worst.cells):
-        # None when every pin carries the taken net
-        alt = _greedy_fanin(arrival, active[name], skip=taken)
+    taken = search.start     # the edge the worst path takes into a cell
+    for pos, c in enumerate(worst.ids):
+        # -1 when every pin carries the taken net
+        alt = _greedy_fanin(arrival, names, active[c], taken)
         # a candidate that rejoins the worst path enters one of its
         # cells from another cell, or starts on a later one: only one
         # that enters the first cell from another startpoint has the
         # worst path's cells
-        if alt is not None and (pos or active.get(drivers.get(alt))
-                                is not None):
+        if alt >= 0 and (pos or active[alt] is not None):
             total = arrival[alt]
             if total == arrival[taken]:
                 # from the taken edge's arrival, the sums are the worst
@@ -493,8 +546,8 @@ def endpoint_deviations(graph: TimingGraph, endpoint_triple,
                     total += delay
                 total += extra
             out.append((total, pos, alt, search))
-        taken = cells[name].output
-    # cell sequences are compared, and so built, only on equal delays
+        taken = c
+    # cell sequences are compared, and so walked, only on equal delays
     tied = {}
     for record in out:
         tied[record[0]] = record[0] in tied
@@ -526,22 +579,14 @@ def find_critical(graph: TimingGraph):
 
 
 def _first_reconfigurable(graph, triple):
+    flags = graph._reconfigurable.__getitem__
     worst = endpoint_worst_path(graph, triple)
-    if _reconfigurable(graph, worst.path_id):
+    if any(map(flags, worst.ids)):
         return worst
+    # the worst path holds none, so a deviation holds one exactly when
+    # its greedy walk off the worst path does
     for record in endpoint_deviations(graph, triple, worst):
         _, pos, alt, search = record
-        if _reconfigurable(graph, (triple[0], search.cells(pos, alt)[0])):
+        if any(map(flags, search.walk(pos, alt)[0])):
             return deviation_path(record)
     return None
-
-
-def _reconfigurable(graph, path_id):
-    """Whether the path ``path_id`` names holds a reconfigurable LUT."""
-    if path_id in graph._excluded:
-        return False
-    cells = graph.netlist.cells
-    if any(cells[name].is_reconfigurable for name in path_id[1]):
-        return True
-    graph._excluded.add(path_id)
-    return False

@@ -269,9 +269,8 @@ def test_empty_netlist(lib):
 
 def test_candidate_cache_matches_stateless_search(designs, lib, monkeypatch):
     # the timing graph keeps each endpoint's candidate across searches
-    # until a splice reaches it, and the paths found without a
-    # reconfigurable LUT; the conversion sequence must equal that of an
-    # engine whose every search starts from neither
+    # until a splice reaches it; the conversion sequence must equal that
+    # of an engine whose every search starts from none
     import easic.obfuscate
     from easic.timing import find_critical
 
@@ -291,7 +290,6 @@ def test_candidate_cache_matches_stateless_search(designs, lib, monkeypatch):
 
     def stateless(graph):
         graph._candidates.clear()
-        graph._excluded.clear()
         return find_critical(graph)
 
     monkeypatch.setattr(easic.obfuscate, "find_critical", stateless)

@@ -5,7 +5,6 @@ import pytest
 from easic import build_bdd, decompose_lut
 from easic.netlist import MAX_LUT_WIDTH, LutMask, _input_pattern
 from easic.staticgen import GateNetwork
-from easic.timing import STRIDE
 
 from circuits import random_mask
 
@@ -221,11 +220,9 @@ def test_full_bdd_masks_are_full():
     assert full_bdd_mask(6)[1] == 29
 
 
-def test_every_network_fits_the_order_key_stride(lib):
-    """A splice gives the k-th gate of a LUT's network the order key
-    lut key + k + 1, which must stay below the next cell's, lut key +
-    STRIDE.  The bound: one gate per ROBDD node (at most 2^w - 1), one
-    inverter per input and one BUF or TIE."""
+def test_every_network_has_one_gate_per_node_and_input(lib):
+    """A width-w LUT becomes at most 2^w + w gates: one per ROBDD node
+    (at most 2^w - 1), one inverter per input and one BUF or TIE."""
     rng = random.Random(41)
     masks = [LutMask(w, bits) for w in (1, 2, 3) for bits in range(1 << (1 << w))]
     for width in range(1, MAX_LUT_WIDTH + 1):
@@ -233,4 +230,4 @@ def test_every_network_fits_the_order_key_stride(lib):
         masks += [parity_mask(width), full_bdd_mask(width)[0]]
     for mask in masks:
         gates = len(decompose_lut(mask, lib).cells)
-        assert gates <= (1 << mask.width) + mask.width < STRIDE
+        assert gates <= (1 << mask.width) + mask.width

@@ -4,9 +4,11 @@ import pytest
 
 from easic import (ObfuscationConfig, build_and_time, find_critical,
                    lut_support, report, run_obfuscation, update_timing)
-from easic.timing import (STRIDE, TimingError, deviation_path,
-                          endpoint_deviations, endpoint_worst_path)
+from easic.timing import (deviation_path, endpoint_deviations,
+                          endpoint_worst_path)
 from easic.netlist import MODE_ST, Cell, LutMask
+from easic.obfuscate import _splice_network
+from easic.staticgen import decompose_lut
 from circuits import (BUF1, DelayTable, ff, lut, lut6_dag, netlist,
                       random_mask, random_timing_dag)
 
@@ -121,6 +123,31 @@ def test_find_critical_deviation_search(lib):
     assert nxt.delay == 5.0
 
 
+def arcs(cell):
+    if cell.is_lut:
+        return [cell.inputs[i] for i in sorted(lut_support(cell.mask))]
+    return list(cell.inputs)
+
+
+def rewalked_worst(graph, triple):
+    """Test-side oracle: (cells, startpoint) of an endpoint's greedy
+    worst path, each cell entered from its latest input, ties to the
+    smallest net name."""
+    _, net, _ = triple
+    nl = graph.netlist
+    drivers = nl.driver_map()
+    arrival = graph.arrival
+    cells = []
+    while drivers.get(net) is not None and not nl.cells[drivers[net]].is_ff:
+        cell = nl.cells[drivers[net]]
+        cells.append(cell.name)
+        if not arcs(cell):
+            net = cell.name
+            break
+        net = min(arcs(cell), key=lambda n: (-arrival[n], n))
+    return tuple(reversed(cells)), net
+
+
 def rewalked_deviations(graph, lib, triple, worst):
     """Test-side oracle: each one-edge deviation off ``worst``, walked
     back from the endpoint with that edge forbidden and its delay summed
@@ -128,12 +155,7 @@ def rewalked_deviations(graph, lib, triple, worst):
     endpoint, net, extra = triple
     nl = graph.netlist
     drivers = nl.driver_map()
-
-    def arcs(cell):
-        if cell.is_lut:
-            return [cell.inputs[i] for i in sorted(lut_support(cell.mask))]
-        return list(cell.inputs)
-
+    arrival = graph.arrival
     found = {}
     for pos, name in enumerate(worst.cells):
         taken = (nl.cells[worst.cells[pos - 1]].output if pos
@@ -149,14 +171,14 @@ def rewalked_deviations(graph, lib, triple, worst):
             if not options:
                 cur = None
                 break
-            cur = min(options, key=lambda n: (-graph.arrival[n], n))
+            cur = min(options, key=lambda n: (-arrival[n], n))
         if driver == name and cur is None:
             # every other pin carries the taken net: no other edge
             continue
         cells.reverse()
         start = cur if cur is not None else cells[0]
         if arcs(nl.cells[cells[0]]):
-            delay = graph.arrival[start] + lib.cell_delay(nl.cells[cells[0]])
+            delay = arrival[start] + lib.cell_delay(nl.cells[cells[0]])
         else:
             delay = 0.0
         for cell in cells[1:]:
@@ -198,6 +220,54 @@ def test_deviations_match_rewalked_oracle(lib):
     assert compared > 1000
     # the order of equal delays, which compares cell sequences, is checked
     assert ties > 300
+
+
+def shuffled_lut6_dag(rng, n_luts, name):
+    """LUT6s of equal delay whose names sort apart from their ids: the
+    graph numbers the primary inputs as listed, here in reverse, then the
+    cells as inserted, here shuffled, and the last LUT is named a0."""
+    pis = [f"i{k}" for k in range(8)]
+    nets = list(pis)
+    cells = []
+    for k in range(n_luts):
+        cell = lut("a0" if k == n_luts - 1 else f"u{k}", rng.sample(nets, 6),
+                   random_mask(rng, 6))
+        cells.append(cell)
+        nets.append(cell.name)
+    rng.shuffle(cells)
+    return netlist(name, pis[::-1], nets[-4:], cells)
+
+
+def test_ids_never_decide_a_tie(lib):
+    """Greedy ties go to the smallest net name, whatever the ids: on
+    LUT6s whose names and ids disagree, and on the gates spliced in for
+    them (x_sg10 sorts before x_sg9), the graph's paths equal a fresh
+    build's and the test-side walks after every splice."""
+    rng = random.Random(5)
+    compared = 0
+    for trial in range(3):
+        nl = shuffled_lut6_dag(rng, rng.randint(30, 50), f"ids{trial}")
+        graph = build_and_time(nl, lib)
+        taken = nl.nets | set(nl.cells)
+        order = rng.sample(sorted(nl.cells), len(nl.cells) // 2)
+        for name in [None] + order:
+            if name is not None:
+                old = nl.cells[name]
+                network = decompose_lut(old.mask, lib)
+                graph.splice(old, _splice_network(nl, old, network, taken))
+                fresh = build_and_time(nl, lib)
+                assert report(graph) == report(fresh)
+                assert find_critical(graph) == find_critical(fresh)
+            for triple in graph.endpoints():
+                worst = endpoint_worst_path(graph, triple)
+                assert (worst.cells, worst.startpoint) == \
+                    rewalked_worst(graph, triple)
+                paths = [deviation_path(record) for record
+                         in endpoint_deviations(graph, triple, worst)]
+                assert [(-p.delay, p.cells, p.startpoint) for p in paths] \
+                    == rewalked_deviations(graph, lib, triple, worst)
+                compared += len(paths)
+    assert compared > 1000
 
 
 def test_update_timing_delay_change(lib):
@@ -275,8 +345,9 @@ def test_support_pruning_never_increases_cp(lib):
         nl = random_timing_dag(rng, max_cells=100, name=f"sp{trial}")
         graph = build_and_time(nl, lib)
         oracle = full_arc_arrivals(nl, lib)
+        arrival = graph.arrival
         for _, net, extra in graph.endpoints():
-            assert graph.arrival.get(net, 0.0) <= oracle.get(net, 0.0) + 1e-15
+            assert arrival.get(net, 0.0) <= oracle.get(net, 0.0) + 1e-15
 
 
 def test_lut_support_examples():
@@ -328,28 +399,38 @@ def test_structural_update_matches_rebuild(lib):
     assert find_critical(graph) == find_critical(fresh)
 
 
-def test_splice_refuses_what_the_order_keys_cannot_hold(lib):
+def replace_cells(nl, old, cells):
+    """Take ``old`` out of ``nl`` and add ``cells`` (name, kind, inputs),
+    each driving the net of its name, as a splice expects them."""
+    nl.remove_cell(old.name)
+    for name, kind, ins in cells:
+        nl.add_cell(Cell(name, kind, ins, name))
+    return [name for name, _, _ in cells]
+
+
+def test_splices_in_place_match_a_rebuild(lib):
+    # a 100-gate chain for one cell, then a cell in the middle of it and
+    # the cell that drives the replaced LUT's net, each spliced over
+    # again in place of a cell that was itself spliced in
     nl = buf_chain(3)
+    nl.add_cell(lut("h", ("g2",), BUF1))
+    nl.outputs.append("h")
     graph = build_and_time(nl, lib)
-    old = nl.cells["g2"]
-    nl.remove_cell("g2")
-    names = [f"g2_{k}" for k in range(STRIDE - 1)] + ["g2"]
-    for k, name in enumerate(names):
-        nl.add_cell(Cell(name, "BUF", (names[k - 1] if k else "g1",), name))
-    with pytest.raises(TimingError, match="cannot splice"):
-        graph.splice(old, names)
-    # a cell spliced in takes a key between two others: none is left
-    nl = buf_chain(3)
-    graph = build_and_time(nl, lib)
-    old = nl.cells["g2"]
-    nl.remove_cell("g2")
-    nl.add_cell(Cell("g2", "INV", ("g1",), "g2"))
-    graph.splice(old, ["g2"])
-    spliced = nl.cells["g2"]
-    nl.remove_cell("g2")
-    nl.add_cell(Cell("g2", "BUF", ("g1",), "g2"))
-    with pytest.raises(TimingError, match="cannot splice"):
-        graph.splice(spliced, ["g2"])
+    chain = [f"g2_{k}" for k in range(99)] + ["g2"]
+    steps = [("g2", [(name, "BUF", (chain[k - 1] if k else "g1",))
+                     for k, name in enumerate(chain)]),
+             ("g2_50", [("g2_50a", "INV", ("g2_49",)),
+                        ("g2_50", "INV", ("g2_50a",))]),
+             ("g2", [("g2a", "BUF", ("g2_98",)), ("g2b", "BUF", ("g2a",)),
+                     ("g2", "BUF", ("g2b",))])]
+    for name, cells in steps:
+        old = nl.cells[name]
+        graph.splice(old, replace_cells(nl, old, cells))
+        fresh = build_and_time(nl, lib)
+        assert report(graph) == report(fresh)
+        assert graph.arrival == fresh.arrival
+        assert find_critical(graph) == find_critical(fresh)
+    assert len(report(graph).endpoints[0].cells) == 105
 
 
 def test_report_json_schema(lib):
