@@ -21,7 +21,9 @@ each tree in its own interpreter under PYTHONHASHSEED=0 and in its own
 working directory, with the same relative paths.  Per input: obfuscate
 at 0/37/50/86/100 percent, each followed by verify; the composition
 attack (against a histogram corpus of the 12 designs) and the
-structural attack at 37 and 86 percent; three sweeps.  Then the
+structural attack at 37 and 86 percent, the latter also over the static
+portion with a trendline of degree 1 and of degree 3 wherever that
+portion holds more patterns than the degree; three sweeps.  Then the
 brute-force attack on each TOY_SEEDS toy at 0, 50 and 86 percent (an
 empty key, keys of 12-20 bits, keys over the 20-bit cap), and on the
 MISMATCH toy at 50 percent against another toy's golden design, the
@@ -61,6 +63,8 @@ REPO = Path(__file__).resolve().parent.parent
 BIG = (430, 1000)
 LEVELS = (0, 37, 50, 86, 100)
 ATTACK_LEVELS = (37, 86)
+# static-portion trendlines fitted at ATTACK_LEVELS
+FIT_DEGREES = (1, 3)
 SWEEPS = ("100,50,0", "0,37,50,86,100", "90,10")
 TOY_LEVELS = (0, 50, 86)
 # (toy seed, toy seed): the first toy's hybrid at 50 percent brute-forced
@@ -152,7 +156,19 @@ def write_flips(inputs: Path):
     return runs
 
 
-def command_lines(inputs, flips):
+def static_patterns(blif: Path, level):
+    """Distinct patterns in the static portion of ``blif`` obfuscated at
+    ``level`` percent by the parent tree."""
+    from easic import (ObfuscationConfig, parse_blif, pattern_histogram,
+                       run_obfuscation)
+    from easic.attacks import SCOPE_STATIC
+
+    result = run_obfuscation(parse_blif(blif.read_text(encoding="utf-8")),
+                             ObfuscationConfig(obf_percent=level))
+    return pattern_histogram(result, SCOPE_STATIC).unique_count
+
+
+def command_lines(work: Path, inputs, flips):
     from workloads import TOY_SEEDS
 
     corpus = {src.stem for src in (REPO / "designs").glob("*.blif")}
@@ -174,6 +190,14 @@ def command_lines(inputs, flips):
                          "--corpus", "corpus", "--out", f"{run}/composition"])
             cmds.append(["attack", "structural", "--input", run,
                          "--out", f"{run}/structural"])
+            # a fit of degree d needs d + 1 patterns
+            patterns = static_patterns(work / path, level)
+            for degree in FIT_DEGREES:
+                if patterns > degree:
+                    cmds.append(["attack", "structural", "--input", run,
+                                 "--scope", "static-portion", "--degree",
+                                 str(degree), "--out",
+                                 f"{run}/trendline{degree}"])
         for k, levels in enumerate(SWEEPS):
             cmds.append(["sweep", "--input", path, "--levels", levels,
                          "--out", f"runs/{name}/sweep{k}"])
@@ -305,8 +329,8 @@ def main(argv=None):
         inputs = write_inputs(work / "inputs")
         flips = write_flips(work / "inputs")
         commands = work / "commands.json"
-        commands.write_text(json.dumps(command_lines(inputs, flips), indent=1)
-                            + "\n")
+        commands.write_text(json.dumps(command_lines(work, inputs, flips),
+                                       indent=1) + "\n")
         seconds = {}
         for side, src in (("parent", args.parent), ("change", args.change)):
             shutil.copytree(work / "inputs", work / side / "inputs")

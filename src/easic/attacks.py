@@ -19,8 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-
-import numpy as np
+from operator import mul
 
 from . import bitstream as bs
 from .netlist import LutMask, Netlist, _input_pattern
@@ -172,28 +171,66 @@ def corpus_union(histograms) -> UniquePatternSet:
 @dataclass
 class TrendlineFit:
     degree: int
-    coefficients: tuple   # numpy polyfit order: highest power first
-    residuals: tuple
+    coefficients: tuple   # highest power first
     max_abs_residual: float
 
 
 def fit_trendline(histogram: PatternHistogram, degree: int) -> TrendlineFit:
-    """Least-squares polynomial over (identifier, frequency) pairs."""
+    """Least-squares polynomial over (identifier, frequency) pairs.
+
+    Identifiers and frequencies are ints, so the normal equations are
+    solved exactly: fraction-free (Bareiss) elimination keeps every
+    entry an int, and back-substitution over the common denominator
+    ``det`` gives each coefficient as ``num / det``, rounded once.  The
+    residuals ``(y * det - N(x)) / det``, with ``N = det * p`` the
+    fitted polynomial scaled to ints, are exact too.
+    """
     if degree < 0:
         raise AttackError(f"trendline degree must be >= 0, not {degree}")
-    if histogram.unique_count < degree + 1:
-        raise AttackError(
-            f"cannot fit degree {degree} to {histogram.unique_count} entries"
-        )
-    x = np.array([e.ident for e in histogram.entries], dtype=float)
-    y = np.array([e.frequency for e in histogram.entries], dtype=float)
-    coeffs = np.polyfit(x, y, degree)
-    residuals = y - np.polyval(coeffs, x)
+    xs = [e.ident for e in histogram.entries]
+    ys = [e.frequency for e in histogram.entries]
+    # fewer distinct identifiers than unknowns leave the fit undetermined
+    distinct = len(set(xs))
+    if distinct < degree + 1:
+        raise AttackError(f"cannot fit degree {degree} to {distinct} entries")
+    n = degree + 1
+    moments, rhs = [], []         # sum x^k for k < 2n - 1, sum x^k y for k < n
+    power = [1] * len(xs)
+    for k in range(2 * n - 1):
+        moments.append(sum(power))
+        if k < n:
+            rhs.append(sum(map(mul, power, ys)))
+        power = list(map(mul, power, xs))
+    # row i: sum_j moments[i + j] * a_j = rhs[i], a_j the x^j coefficient
+    rows = [moments[i:i + n] + [rhs[i]] for i in range(n)]
+    # the moment matrix is positive definite on >= n distinct identifiers,
+    # so every leading minor, and so every Bareiss pivot, is > 0
+    prev = 1
+    for k in range(n - 1):
+        top = rows[k]
+        pivot = top[k]
+        for i in range(k + 1, n):
+            row = rows[i]
+            lead = row[k]
+            rows[i] = [0] * (k + 1) + [
+                (pivot * row[j] - lead * top[j]) // prev
+                for j in range(k + 1, n + 1)
+            ]
+        prev = pivot
+    det = rows[-1][-2]
+    nums = [0] * n                # nums[j] = det * a_j, an int by Cramer
+    for i in reversed(range(n)):
+        acc = det * rows[i][n] - sum(rows[i][j] * nums[j]
+                                     for j in range(i + 1, n))
+        nums[i] = acc // rows[i][i]
+    values = [nums[-1]] * len(xs)  # N(x), by Horner
+    for num in reversed(nums[:-1]):
+        values = [v * x + num for v, x in zip(values, xs)]
+    worst = max(abs(y * det - v) for y, v in zip(ys, values))
     return TrendlineFit(
         degree=degree,
-        coefficients=tuple(float(c) for c in coeffs),
-        residuals=tuple(float(r) for r in residuals),
-        max_abs_residual=float(np.max(np.abs(residuals))) if len(residuals) else 0.0,
+        coefficients=tuple(num / det for num in reversed(nums)),
+        max_abs_residual=worst / det,
     )
 
 

@@ -71,13 +71,6 @@ class LutMask:
     def table_size(self):
         return 1 << self.width
 
-    def eval(self, values) -> int:
-        """Evaluate on a sequence of 0/1 input values (in_0 first)."""
-        index = 0
-        for i, v in enumerate(values):
-            index |= (v & 1) << i
-        return (self.bits >> index) & 1
-
     def lifted(self, width: int) -> "LutMask":
         """View this function as a wider LUT whose extra inputs are ignored.
 

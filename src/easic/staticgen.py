@@ -33,13 +33,6 @@ class Bdd:
     def node(self, ref):
         return self.nodes[ref - 2]
 
-    def eval(self, values) -> int:
-        ref = self.root
-        while ref > 1:
-            var, lo, hi = self.node(ref)
-            ref = hi if values[var] else lo
-        return ref
-
 
 def build_bdd(mask: LutMask) -> Bdd:
     """Shannon-expand the truth table into a reduced ordered BDD."""

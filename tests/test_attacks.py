@@ -1,6 +1,8 @@
 import random
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy import stats as scipy_stats
 
 from easic import (
@@ -146,6 +148,11 @@ def test_trendline_underdetermined():
     small = hist_from_pairs("s", [(3, 2), (5, 1)])
     with pytest.raises(AttackError, match="degree"):
         fit_trendline(small, 3)
+    # three entries, but one identifier: no line through them is the best
+    same = PatternHistogram("d", SCOPE_WHOLE, None, tuple(
+        HistogramEntry(1, LutMask(6, bits), 2) for bits in (3, 5, 9)))
+    with pytest.raises(AttackError, match="degree 1 to 1 entries"):
+        fit_trendline(same, 1)
 
 
 def test_trendline_outlier_residuals():
@@ -156,6 +163,42 @@ def test_trendline_outlier_residuals():
     hist = hist_from_pairs("r", pairs)
     fit = fit_trendline(hist, 3)
     assert fit.max_abs_residual > 100
+
+
+@settings(max_examples=200, deadline=None)
+@given(coefficients=st.lists(st.integers(-1000, 1000), min_size=1, max_size=4),
+       extra=st.integers(0, 40))
+def test_trendline_recovers_integer_polynomials(coefficients, extra):
+    # frequencies of an integer polynomial at ranks 1..n: the exact fit
+    # gives back its coefficients, with no residual at all
+    degree = len(coefficients) - 1
+    freqs = []
+    for x in range(1, degree + extra + 2):
+        y = 0
+        for c in coefficients:
+            y = y * x + c
+        freqs.append(y)
+    fit = fit_trendline(hist_from_pairs("p", list(enumerate(freqs))), degree)
+    assert fit.coefficients == tuple(float(c) for c in coefficients)
+    assert fit.max_abs_residual == 0.0
+
+
+def test_trendline_matches_numpy_polyfit():
+    rng = random.Random(16)
+    for _ in range(300):
+        n, degree = rng.randint(4, 60), rng.randint(0, 3)
+        freqs = sorted((rng.randint(1, 500) for _ in range(n)), reverse=True)
+        fit = fit_trendline(hist_from_pairs("r", list(enumerate(freqs))),
+                            degree)
+        x = np.arange(1, n + 1, dtype=float)
+        y = np.array(freqs, dtype=float)
+        coeffs = np.polyfit(x, y, degree)
+        residual = float(np.max(np.abs(y - np.polyval(coeffs, x))))
+        assert fit.degree == degree
+        assert fit.coefficients == pytest.approx(tuple(coeffs), rel=1e-9)
+        # n = 4 at degree 3 interpolates: exactly 0 here, ~1e-12 in numpy
+        assert fit.max_abs_residual == pytest.approx(residual, rel=1e-9,
+                                                     abs=1e-9)
 
 
 def test_correlate_self_is_one(designs):

@@ -1,18 +1,23 @@
 import builtins
 import hashlib
 import json
+import os
+import random
 import shutil
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import easic
 from easic import (ObfuscationConfig, emit_blif, parse_blif, read_bitstream,
                    run_obfuscation, serialize, write_bitstream)
 from easic.bitstream import Bitstream
 from easic.cli import main
-from easic.netlist import Netlist
+from easic.netlist import LutMask, Netlist
 
-from circuits import CUT_REFUSALS, cut_golden
+from circuits import CUT_REFUSALS, cut_golden, lut, netlist
 
 
 def run_cli(*args):
@@ -365,6 +370,54 @@ def test_attack_structural_static_scope(tmp_path, designs_dir, sbm_out):
     hist = json.loads((out / "histogram.json").read_text())
     assert hist["scope"] == "static-portion"
     assert len(hist["entries"]) == 1
+
+
+def test_attack_structural_interpolates_without_noise(tmp_path, recwarn,
+                                                     capsys):
+    # 30 distinct LUT6 patterns with frequencies 1-6: a fit of degree
+    # unique_count - 1 interpolates, so every residual is exactly 0
+    rng = random.Random(3)
+    pis = [f"x{i}" for i in range(6)]
+    cells = []
+    for k in range(30):
+        mask = LutMask(6, rng.getrandbits(64))
+        cells += [lut(f"p{k}_{j}", pis, mask) for j in range(rng.randint(1, 6))]
+    design = tmp_path / "many.blif"
+    design.write_text(emit_blif(netlist(
+        "many", pis, [c.name for c in cells], cells)), encoding="utf-8")
+    out = tmp_path / "hist"
+    assert run_cli("attack", "structural", "--input", design,
+                   "--out", out) == 0
+    unique = len(json.loads((out / "histogram.json").read_text())["entries"])
+    assert unique == 30
+    capsys.readouterr()
+    assert run_cli("attack", "structural", "--input", design,
+                   "--degree", unique - 1, "--out", out) == 0
+    assert capsys.readouterr().err == ""
+    assert not recwarn.list
+    fit = json.loads((out / "trendline.json").read_text())
+    assert fit["degree"] == unique - 1
+    assert fit["max_abs_residual"] == 0.0
+
+
+def test_attack_structural_runs_without_numpy(tmp_path, designs_dir):
+    # any numpy import fails in this interpreter
+    script = ("import sys\n"
+              "sys.modules['numpy'] = None\n"
+              "import easic\n"
+              "from easic.cli import main\n"
+              "sys.exit(main(sys.argv[1:]))\n")
+    src = str(Path(easic.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
+    out = tmp_path / "hist"
+    proc = subprocess.run(
+        [sys.executable, "-c", script, "attack", "structural", "--input",
+         str(designs_dir / "sbm29.blif"), "--degree", "3", "--out", str(out)],
+        env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == ""
+    assert json.loads((out / "trendline.json").read_text())["degree"] == 3
 
 
 def test_attack_structural_empty_scope_warns(tmp_path, designs_dir, capsys):

@@ -77,8 +77,9 @@ def test_packed_evaluation_matches_lutmask_eval():
         {net: _input_pattern(i, 64) for i, net in enumerate(pis)}, 64)
     for name, (cell, mask) in cells.items():
         for v in range(64):
-            bits = [(v >> i) & 1 for i in range(mask.width)]
-            assert (values[name] >> v) & 1 == mask.eval(bits), (name, v)
+            # in_i reads bit i of v
+            index = v & (mask.table_size - 1)
+            assert (values[name] >> v) & 1 == (mask.bits >> index) & 1, (name, v)
 
 
 def test_toggle_register():

@@ -11,8 +11,11 @@ from circuits import random_mask
 
 def brute_force_eval(mask, bdd):
     for idx in range(mask.table_size):
-        values = [(idx >> j) & 1 for j in range(mask.width)]
-        if bdd.eval(values) != (mask.bits >> idx) & 1:
+        ref = bdd.root
+        while ref > 1:
+            var, lo, hi = bdd.node(ref)
+            ref = hi if (idx >> var) & 1 else lo
+        if ref != (mask.bits >> idx) & 1:
             return False
     return True
 
