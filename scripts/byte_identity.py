@@ -7,6 +7,9 @@ Each <src> is a directory holding the ``easic`` package (a tree's
 ``src/``).  One fixed set of inputs is written once:
 
 * the 12 designs under designs/;
+* ``scripts/reader_paths.blif``, written by hand to hold the reader's
+  rarer paths (continuations, comments, ``-`` cubes, covers listed with
+  output 0, constant blocks, repeated covers);
 * ``bench/workloads.lut6_dag`` at 120 LUT6 for mask seeds 1-3, and at
   430 and 1000 LUT6 for mask seed 1;
 * ``bench/workloads.seqmix`` for seeds 1-8, and ``bench/workloads.toy``
@@ -119,6 +122,8 @@ def write_inputs(inputs: Path):
     texts = {}
     for src in sorted((REPO / "designs").glob("*.blif")):
         texts[src.stem] = src.read_text(encoding="utf-8")
+    texts["reader_paths"] = (REPO / "scripts" / "reader_paths.blif").read_text(
+        encoding="utf-8")
     for seed in (1, 2, 3):
         texts[f"lut6_120_{seed}"] = workloads.lut6_dag(f"lut6_{seed}", 120, seed)
     for seed in range(1, 9):

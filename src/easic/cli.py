@@ -66,6 +66,8 @@ def _read_text(path, error=CliConfigError) -> str:
         return path.read_text(encoding="utf-8")
     except UnicodeDecodeError as exc:
         raise error(f"{path}: not UTF-8 text (byte {exc.start})") from None
+    except OSError as exc:
+        raise CliConfigError(f"cannot read {path}: {exc.strerror}") from None
 
 
 def _read_json(path):
@@ -488,6 +490,12 @@ def main(argv=None) -> int:
     except (CliConfigError, LibraryError, ObfuscationError, SimError,
             bs.BitstreamError, atk.AttackError, VerilogEmitError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
+    except OSError as exc:
+        # inputs are read through _read_text or checked to be files first,
+        # so an OSError that gets here is taken to come from an output
+        print(f"error: cannot write {exc.filename}: {exc.strerror}",
+              file=sys.stderr)
         return EXIT_CONFIG
     except StaticGenError as exc:
         print(f"internal error: {exc}", file=sys.stderr)

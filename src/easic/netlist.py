@@ -331,7 +331,8 @@ def stats(netlist: Netlist) -> NetlistStats:
 # BLIF subset reader
 # ---------------------------------------------------------------------------
 
-_STATIC_MARK = re.compile(r"#\s*@static\s+(\S+)\s*$")
+# a "# @static KIND" comment counts as a mark only as a line of its own
+_STATIC_MARK = re.compile(r"\s*#\s*@static\s+(\S+)\s*$")
 
 
 def _input_pattern(i, count):
@@ -359,13 +360,21 @@ _CUBE_LITERALS = tuple(_cube_literals(w) for w in range(MAX_LUT_WIDTH + 1))
 
 
 def _cover_to_mask(n_inputs, rows):
-    """Fold (pattern, value, lineno) cover rows into a truth-table int."""
-    out_values = {value for _, value, _ in rows}
-    if len(out_values) > 1:
-        raise BlifError("cover mixes output values 0 and 1", rows[0][2])
+    """Fold (lineno, text) cover rows into a truth-table int.  Every
+    row's shape is checked before the cover's output values and cubes."""
+    cubes = []
+    for lineno, text in rows:
+        tokens = text.split()
+        if len(tokens) != (2 if n_inputs else 1):
+            raise BlifError(f"bad cover row {text!r}", lineno)
+        if tokens[-1] not in ("0", "1"):
+            raise BlifError(f"bad cover output {tokens[-1]!r}", lineno)
+        cubes.append((tokens[0] if n_inputs else "", tokens[-1], lineno))
+    if len({value for _, value, _ in cubes}) > 1:
+        raise BlifError("cover mixes output values 0 and 1", cubes[0][2])
     full, literals = _CUBE_LITERALS[n_inputs]
     bits = 0
-    for pattern, _, lineno in rows:
+    for pattern, _, lineno in cubes:
         if len(pattern) != n_inputs:
             raise BlifError(
                 f"cube width {len(pattern)} does not match {n_inputs} inputs",
@@ -378,207 +387,103 @@ def _cover_to_mask(n_inputs, rows):
             except KeyError:
                 raise BlifError(f"bad cube character {ch!r}", lineno) from None
         bits |= cube
-    if rows and rows[0][1] == "0":
+    if cubes and cubes[0][1] == "0":
         bits ^= full
     return bits
 
 
-class _BlifReader:
-    def __init__(self, text):
-        self.netlist = Netlist(name="top")
-        self.pending_static = None
-        self.pending_line = None
-        self.seen_model = False
-        self.lines = self._logical_lines(text)
-
-    @staticmethod
-    def _logical_lines(text):
-        """Strip comments, join backslash continuations, keep line numbers."""
-        out = []
-        buf = ""
-        buf_line = None
-        for lineno, raw in enumerate(text.splitlines(), start=1):
-            mark = _STATIC_MARK.search(raw)
+def _logical_lines(text):
+    """Yield (lineno, line, mark) per logical line of BLIF text: comments
+    stripped and backslash continuations joined under the number of their
+    first line; a mark line yields (lineno, None, KIND).  The last item,
+    (None, None, None), ends the text."""
+    buf = ""
+    start = None
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        if "#" in raw:
+            mark = _STATIC_MARK.match(raw)
             if mark:
-                out.append((lineno, "#@static", mark.group(1)))
+                yield lineno, None, mark.group(1)
                 continue
-            if "#" in raw:
-                raw = raw[: raw.index("#")]
-            raw = raw.rstrip()
-            if raw.endswith("\\"):
-                buf += raw[:-1] + " "
-                if buf_line is None:
-                    buf_line = lineno
-                continue
-            line = (buf + raw).strip()
-            start = buf_line if buf_line is not None else lineno
-            buf = ""
-            buf_line = None
-            if line:
-                out.append((start, "line", line))
-        if buf.strip():
-            out.append((buf_line, "line", buf.strip()))
-        return out
+            raw = raw[: raw.index("#")]
+        raw = raw.rstrip()
+        if raw.endswith("\\"):
+            buf += raw[:-1] + " "
+            if start is None:
+                start = lineno
+            continue
+        line = (buf + raw).strip()
+        if line:
+            yield (lineno if start is None else start), line, None
+        buf = ""
+        start = None
+    if buf.strip():
+        yield start, buf.strip(), None
+    yield None, None, None
 
-    def run(self):
-        i = 0
-        n = len(self.lines)
-        ended = False
-        while i < n:
-            lineno, kind, payload = self.lines[i]
-            if kind == "#@static":
-                self.pending_static = payload
-                self.pending_line = lineno
-                i += 1
-                continue
-            tokens = payload.split()
-            head = tokens[0]
-            if head == ".model":
-                if self.seen_model:
-                    raise BlifError("multiple .model directives", lineno)
-                self.seen_model = True
-                self.netlist.name = tokens[1] if len(tokens) > 1 else "top"
-                i += 1
-            elif head == ".inputs":
-                self.netlist.inputs.extend(tokens[1:])
-                i += 1
-            elif head == ".outputs":
-                self.netlist.outputs.extend(tokens[1:])
-                i += 1
-            elif head == ".names":
-                i = self._read_names(i, lineno, tokens[1:])
-            elif head == ".latch":
-                self._read_latch(lineno, tokens[1:])
-                i += 1
-            elif head == ".end":
-                ended = True
-                i += 1
-                break
-            elif head.startswith("."):
-                raise BlifError(f"unsupported directive {head}", lineno)
-            else:
-                raise BlifError(f"unexpected text {payload!r}", lineno)
-        if not ended and not self.seen_model:
-            raise BlifError("missing .model directive", 1)
-        try:
-            self.netlist.validate()
-        except NetlistError as exc:
-            raise BlifError(str(exc)) from exc
-        return self.netlist
 
-    def _take_static(self):
-        mark = self.pending_static
-        self.pending_static = None
-        return mark
-
-    def _read_names(self, i, lineno, signals):
-        if not signals:
-            raise BlifError(".names without an output", lineno)
-        inputs, output = signals[:-1], signals[-1]
-        if len(inputs) > MAX_LUT_WIDTH:
+def _names_cell(lineno, inputs, output, rows, mark, covers):
+    """The cell of a closed ``.names`` block; ``covers`` maps (width, row
+    texts) to the folded truth table of every cover seen so far."""
+    key = (len(inputs), tuple(text for _, text in rows))
+    bits = covers.get(key)
+    if bits is None:
+        bits = covers[key] = _cover_to_mask(len(inputs), rows)
+    if not inputs:
+        kind = "TIE1" if bits & 1 else "TIE0"
+        if mark not in (None, kind):
             raise BlifError(
-                f".names block has {len(inputs)} inputs "
-                f"(at most {MAX_LUT_WIDTH} supported)",
-                lineno,
+                f"@static {mark} does not match constant block {kind}", lineno
             )
-        rows = []
-        i += 1
-        while i < len(self.lines):
-            row_line, kind, payload = self.lines[i]
-            if kind != "line" or payload.startswith("."):
-                break
-            tokens = payload.split()
-            if inputs:
-                if len(tokens) != 2:
-                    raise BlifError(f"bad cover row {payload!r}", row_line)
-                pattern, value = tokens
-            else:
-                if len(tokens) != 1:
-                    raise BlifError(f"bad cover row {payload!r}", row_line)
-                pattern, value = "", tokens[0]
-            if value not in ("0", "1"):
-                raise BlifError(f"bad cover output {value!r}", row_line)
-            rows.append((pattern, value, row_line))
-            i += 1
-        bits = _cover_to_mask(len(inputs), rows)
-        mark = self._take_static()
-        self._make_names_cell(lineno, inputs, output, bits, mark)
-        return i
+        return Cell(output, kind, (), output)
+    if mark is None or mark == KIND_LUT:
+        return Cell(output, KIND_LUT, inputs, output,
+                    mask=LutMask(len(inputs), bits),
+                    mode=MODE_RE if mark is None else MODE_ST)
+    if mark not in GATE_TRUTH:
+        raise BlifError(f"unknown @static kind {mark}", lineno)
+    arity, truth = GATE_TRUTH[mark]
+    if arity != len(inputs):
+        raise BlifError(
+            f"@static {mark} expects {arity} inputs, got {len(inputs)}", lineno
+        )
+    if truth != bits:
+        raise BlifError(
+            f"cover 0x{bits:x} does not match {mark} truth table 0x{truth:x}",
+            lineno,
+        )
+    return Cell(output, mark, inputs, output)
 
-    def _make_names_cell(self, lineno, inputs, output, bits, mark):
-        if not inputs:
-            kind = "TIE1" if bits & 1 else "TIE0"
-            if mark not in (None, kind):
-                raise BlifError(
-                    f"@static {mark} does not match constant block {kind}", lineno
-                )
-            cell = Cell(output, kind, (), output)
-        elif mark is None:
-            cell = Cell(output, KIND_LUT, tuple(inputs), output,
-                        mask=LutMask(len(inputs), bits), mode=MODE_RE)
-        elif mark == KIND_LUT:
-            cell = Cell(output, KIND_LUT, tuple(inputs), output,
-                        mask=LutMask(len(inputs), bits), mode=MODE_ST)
-        else:
-            if mark not in GATE_TRUTH:
-                raise BlifError(f"unknown @static kind {mark}", lineno)
-            arity, truth = GATE_TRUTH[mark]
-            if arity != len(inputs):
-                raise BlifError(
-                    f"@static {mark} expects {arity} inputs, got {len(inputs)}",
-                    lineno,
-                )
-            if truth != bits:
-                raise BlifError(
-                    f"cover 0x{bits:x} does not match {mark} truth table "
-                    f"0x{truth:x}",
-                    lineno,
-                )
-            cell = Cell(output, mark, tuple(inputs), output)
-        try:
-            self.netlist.add_cell(cell)
-        except NetlistError as exc:
-            raise BlifError(str(exc), lineno) from exc
 
-    def _read_latch(self, lineno, tokens):
-        if self._take_static() is not None:
-            raise BlifError("@static mark before .latch", lineno)
-        if len(tokens) < 2:
-            raise BlifError(".latch needs input and output", lineno)
-        d, q = tokens[0], tokens[1]
-        rest = tokens[2:]
-        init = 0
-        control = None
-        if len(rest) == 1:
-            init = self._parse_init(rest[0], lineno)
-        elif len(rest) >= 2:
-            ltype, control = rest[0], rest[1]
-            if ltype not in ("re", "fe", "ah", "al", "as"):
-                raise BlifError(f"unknown latch type {ltype}", lineno)
-            if control == "NIL":
-                control = None
-            if len(rest) == 3:
-                init = self._parse_init(rest[2], lineno)
-            elif len(rest) > 3:
-                raise BlifError("too many .latch fields", lineno)
-        clk = control if control is not None else "clock"
-        if self.netlist.clock is None:
-            self.netlist.clock = clk
-        elif self.netlist.clock != clk:
-            raise BlifError(
-                f"multiple clocks: {self.netlist.clock} and {clk}", lineno
-            )
-        try:
-            self.netlist.add_cell(Cell(q, KIND_FF, (d, clk), q, init=init))
-        except NetlistError as exc:
-            raise BlifError(str(exc), lineno) from exc
+def _latch_cell(lineno, tokens):
+    """The FF of a ``.latch`` line's fields; its clock net is inputs[1]."""
+    if len(tokens) < 2:
+        raise BlifError(".latch needs input and output", lineno)
+    d, q, *rest = tokens
+    init = None
+    control = None
+    if len(rest) == 1:
+        init = rest[0]
+    elif len(rest) >= 2:
+        ltype, control = rest[0], rest[1]
+        if ltype not in ("re", "fe", "ah", "al", "as"):
+            raise BlifError(f"unknown latch type {ltype}", lineno)
+        if len(rest) == 3:
+            init = rest[2]
+        elif len(rest) > 3:
+            raise BlifError("too many .latch fields", lineno)
+    if init not in (None, "0", "1", "2", "3"):
+        raise BlifError(f"bad latch init value {init}", lineno)
+    clk = "clock" if control in (None, "NIL") else control
+    # don't-care / unknown power-up states default to 0
+    return Cell(q, KIND_FF, (d, clk), q, init=int(init == "1"))
 
-    @staticmethod
-    def _parse_init(token, lineno):
-        if token not in ("0", "1", "2", "3"):
-            raise BlifError(f"bad latch init value {token}", lineno)
-        # don't-care / unknown power-up states default to 0
-        return 1 if token == "1" else 0
+
+def _add_cell(netlist, cell, lineno):
+    try:
+        netlist.add_cell(cell)
+    except NetlistError as exc:
+        raise BlifError(str(exc), lineno) from exc
 
 
 def parse_blif(text: str) -> Netlist:
@@ -586,11 +491,72 @@ def parse_blif(text: str) -> Netlist:
 
     Every plain ``.names`` block becomes a reconfigurable LUT whose mask
     is the union of its cubes; zero-input blocks become TIE cells;
-    ``.latch`` becomes an FF.  A ``# @static KIND`` comment immediately
+    ``.latch`` becomes an FF.  A ``# @static KIND`` line immediately
     before a ``.names`` block rebuilds a static cell of that kind, which
     is what makes emit_blif round-trippable.
     """
-    return _BlifReader(text).run()
+    netlist = Netlist(name="top")
+    covers = {}
+    block = None  # (lineno, inputs, output, rows) of the open .names block
+    mark = None  # the pending @static kind
+    seen_model = ended = False
+    for lineno, line, kind in _logical_lines(text):
+        if block is not None:
+            # a directive, a mark or the end of the text closes the block
+            if line is not None and line[0] != ".":
+                block[3].append((lineno, line))
+                continue
+            _add_cell(netlist, _names_cell(*block, mark, covers), block[0])
+            block = mark = None
+        if line is None:
+            mark = kind
+            continue
+        head, *tokens = line.split()
+        if head == ".names":
+            if not tokens:
+                raise BlifError(".names without an output", lineno)
+            if len(tokens) > MAX_LUT_WIDTH + 1:
+                raise BlifError(
+                    f".names block has {len(tokens) - 1} inputs "
+                    f"(at most {MAX_LUT_WIDTH} supported)",
+                    lineno,
+                )
+            block = (lineno, tuple(tokens[:-1]), tokens[-1], [])
+        elif head == ".latch":
+            if mark is not None:
+                raise BlifError("@static mark before .latch", lineno)
+            cell = _latch_cell(lineno, tokens)
+            clk = cell.inputs[1]
+            if netlist.clock is None:
+                netlist.clock = clk
+            elif netlist.clock != clk:
+                raise BlifError(
+                    f"multiple clocks: {netlist.clock} and {clk}", lineno
+                )
+            _add_cell(netlist, cell, lineno)
+        elif head == ".inputs":
+            netlist.inputs.extend(tokens)
+        elif head == ".outputs":
+            netlist.outputs.extend(tokens)
+        elif head == ".model":
+            if seen_model:
+                raise BlifError("multiple .model directives", lineno)
+            seen_model = True
+            netlist.name = tokens[0] if tokens else "top"
+        elif head == ".end":
+            ended = True
+            break
+        elif head.startswith("."):
+            raise BlifError(f"unsupported directive {head}", lineno)
+        else:
+            raise BlifError(f"unexpected text {line!r}", lineno)
+    if not ended and not seen_model:
+        raise BlifError("missing .model directive", 1)
+    try:
+        netlist.validate()
+    except NetlistError as exc:
+        raise BlifError(str(exc)) from exc
+    return netlist
 
 
 # ---------------------------------------------------------------------------

@@ -22,6 +22,19 @@ endfunction task endtask posedge negedge or and not nand nor xor xnor buf
 supply0 supply1 tri signed unsigned genvar generate endgenerate
 """.split())
 
+# static gate kind -> input pins in netlist order; every gate drives Y
+_GATE_PINS = {
+    "INV": ("A",),
+    "BUF": ("A",),
+    "AND2": ("A", "B"),
+    "OR2": ("A", "B"),
+    "NAND2": ("A", "B"),
+    "NOR2": ("A", "B"),
+    "MUX2": ("S", "A", "B"),
+    "TIE0": (),
+    "TIE1": (),
+}
+
 _IDENT = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
 
 
@@ -60,16 +73,6 @@ class _Namer:
         self.by_original[original] = legal
         return legal
 
-    def reserve(self, literal: str):
-        if literal in self.owner and self.owner[literal] != literal:
-            raise VerilogEmitError(
-                f"identifier collision after legalization: {literal!r} and "
-                f"{self.owner[literal]!r} both map to {literal!r}"
-            )
-        self.owner[literal] = literal
-        self.by_original[literal] = literal
-        return literal
-
 
 def emit_verilog(netlist: Netlist) -> str:
     netlist.validate()
@@ -92,7 +95,7 @@ def emit_verilog(netlist: Netlist) -> str:
         ports.append(("output", namer.get(net)))
     if chain:
         for pin in CONFIG_PINS:
-            namer.reserve(pin)
+            namer.get(pin)
         ports.append(("input", "serial_in"))
         ports.append(("input", "enable"))
         ports.append(("output", "serial_out"))
@@ -111,7 +114,7 @@ def emit_verilog(netlist: Netlist) -> str:
 
     chain_wires = []
     for i in range(max(0, len(chain) - 1)):
-        chain_wires.append(namer.reserve(f"cfg_chain_{i}"))
+        chain_wires.append(namer.get(f"cfg_chain_{i}"))
 
     lines = []
     lines.append(f"// structural hybrid netlist: {netlist.name}")
@@ -157,25 +160,11 @@ def emit_verilog(netlist: Netlist) -> str:
                 f"  DFF {inst} (.D({d}), .CLK({clk}), .Q({q}));"
                 + (f"  // init={cell.init}" if cell.init else "")
             )
-        elif cell.kind in ("TIE0", "TIE1"):
-            lines.append(f"  {cell.kind} {inst} (.Y({namer.get(cell.output)}));")
-        elif cell.kind in ("INV", "BUF"):
-            a = namer.get(cell.inputs[0])
-            lines.append(
-                f"  {cell.kind} {inst} (.A({a}), .Y({namer.get(cell.output)}));"
-            )
-        elif cell.kind == "MUX2":
-            s, a, b = (namer.get(n) for n in cell.inputs)
-            lines.append(
-                f"  MUX2 {inst} (.S({s}), .A({a}), .B({b}), "
-                f".Y({namer.get(cell.output)}));"
-            )
         else:
-            a, b = (namer.get(n) for n in cell.inputs)
-            lines.append(
-                f"  {cell.kind} {inst} (.A({a}), .B({b}), "
-                f".Y({namer.get(cell.output)}));"
-            )
+            pins = [f".{pin}({namer.get(net)})"
+                    for pin, net in zip(_GATE_PINS[cell.kind], cell.inputs)]
+            pins.append(f".Y({namer.get(cell.output)})")
+            lines.append(f"  {cell.kind} {inst} ({', '.join(pins)});")
 
     lines.append("")
     lines.append("endmodule")

@@ -586,6 +586,14 @@ def _trace_lists_a_lut_twice(tmp_path, designs_dir, monkeypatch):
             "static-portion", "--out", tmp_path / "o")
 
 
+def _verify_json_is_a_directory(tmp_path, designs_dir, monkeypatch):
+    run = tmp_path / "run"
+    assert run_cli(*_obfuscate_cmp4(tmp_path, designs_dir, "--out", run)) == 0
+    (tmp_path / "v" / "verify.json").mkdir(parents=True)
+    return ("verify", "--golden", designs_dir / "cmp4.blif", "--easic", run,
+            "--out", tmp_path / "v")
+
+
 @pytest.mark.parametrize("make_args", [
     pytest.param(_lib(lambda tmp: tmp / "absent.json"), id="lib-missing"),
     pytest.param(_lib(lambda tmp: tmp), id="lib-directory"),
@@ -604,6 +612,7 @@ def _trace_lists_a_lut_twice(tmp_path, designs_dir, monkeypatch):
     pytest.param(_sweep_out_is_a_file, id="sweep-out-is-a-file"),
     pytest.param(_negative_degree, id="negative-degree"),
     pytest.param(_trace_lists_a_lut_twice, id="trace-lists-a-lut-twice"),
+    pytest.param(_verify_json_is_a_directory, id="verify-json-is-a-directory"),
 ])
 def test_bad_inputs_exit_3_with_a_message(tmp_path, designs_dir, capsys,
                                           monkeypatch, make_args):
@@ -622,6 +631,16 @@ def test_bad_inputs_exit_3_with_a_message(tmp_path, designs_dir, capsys,
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "Traceback" not in err
     assert sorted(tmp_path.rglob("*")) == files
+
+
+@pytest.mark.parametrize("name", ["easic.blif", "easic.ebs"])
+def test_an_output_that_cannot_be_written_exits_3(tmp_path, designs_dir,
+                                                  capsys, name):
+    (tmp_path / "o" / name).mkdir(parents=True)
+    assert run_cli(*_obfuscate_cmp4(tmp_path, designs_dir,
+                                    "--out", tmp_path / "o")) == 3
+    assert capsys.readouterr().err == (
+        f"error: cannot write {tmp_path / 'o' / name}: Is a directory\n")
 
 
 def test_each_command_sorts_each_netlist_once(tmp_path, designs_dir,

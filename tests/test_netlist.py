@@ -105,6 +105,90 @@ def test_cover_errors_keep_their_precedence(rows, error):
     assert str(info.value).startswith(error)
 
 
+_HEAD = ".model m\n.inputs a b d\n.outputs y\n"  # lines 1-3
+
+
+@pytest.mark.parametrize("body, line, message", [
+    pytest.param(".model n\n", 4, "multiple .model directives",
+                 id="multiple-model"),
+    pytest.param(".bogus x\n", 4, "unsupported directive .bogus",
+                 id="unsupported-directive"),
+    pytest.param("hello world\n", 4, "unexpected text 'hello world'",
+                 id="unexpected-text"),
+    pytest.param(".names\n", 4, ".names without an output",
+                 id="names-without-output"),
+    pytest.param(".names a b y\n11\n", 5, "bad cover row '11'",
+                 id="bad-cover-row"),
+    pytest.param(".names y\n1 1\n", 5, "bad cover row '1 1'",
+                 id="bad-constant-row"),
+    pytest.param(".names a b y\n11 2\n", 5, "bad cover output '2'",
+                 id="bad-cover-output"),
+    pytest.param(".names a b y\n1x 1\n11 0\n11\n", 7, "bad cover row '11'",
+                 id="row-shape-before-cover-errors"),
+    pytest.param(".names a b y\n11\n.bogus\n", 5, "bad cover row '11'",
+                 id="block-before-next-directive"),
+    pytest.param("# @static XOR2\n.names a b y\n11 1\n", 5,
+                 "unknown @static kind XOR2", id="unknown-static-kind"),
+    pytest.param("# @static XOR2\n.names a b y\n1x 1\n", 6,
+                 "bad cube character 'x'", id="cover-before-static-kind"),
+    pytest.param("# @static INV\n.names a b y\n11 1\n", 5,
+                 "@static INV expects 1 inputs, got 2", id="static-arity"),
+    pytest.param("# @static AND2\n.names y\n1\n", 5,
+                 "@static AND2 does not match constant block TIE1",
+                 id="constant-under-wrong-mark"),
+    pytest.param("# @static LUT\n.latch d y 0\n", 5,
+                 "@static mark before .latch", id="mark-before-latch"),
+    pytest.param(".latch d\n", 4, ".latch needs input and output",
+                 id="latch-without-output"),
+    pytest.param(".latch d y 5\n", 4, "bad latch init value 5",
+                 id="latch-bad-init"),
+    pytest.param(".latch d y xx clk\n", 4, "unknown latch type xx",
+                 id="latch-bad-type"),
+    pytest.param(".latch d y re clk 7\n", 4, "bad latch init value 7",
+                 id="latch-bad-typed-init"),
+    pytest.param(".latch d y re clk 0 1\n", 4, "too many .latch fields",
+                 id="latch-too-many-fields"),
+    pytest.param(".latch a y re clkA 0\n.latch b z re clkB 0\n", 5,
+                 "multiple clocks: clkA and clkB", id="multiple-clocks"),
+    pytest.param(".names a y\n1 1\n.names b y\n1 1\n", 6,
+                 "duplicate cell name y", id="duplicate-cell"),
+    pytest.param(".names a b y\n11 1\n# @static OR2\n.names a b z\n11 1\n", 7,
+                 "cover 0x8 does not match OR2 truth table 0xe",
+                 id="repeated-cover-under-wrong-mark"),
+    pytest.param(".names a b y\n1- 1\n# @static LUT\n-1 1\n", 7,
+                 "unexpected text '-1 1'", id="mark-ends-the-block"),
+    pytest.param(".inputs c \\\n e\n.bogus \\\n x\n", 6,
+                 "unsupported directive .bogus", id="continued-line"),
+])
+def test_reader_errors(body, line, message):
+    with pytest.raises(BlifError) as info:
+        parse_blif(_HEAD + body + ".end\n")
+    assert (str(info.value), info.value.line) == (f"line {line}: {message}", line)
+
+
+@pytest.mark.parametrize("text", ["", ".inputs a\n"])
+def test_missing_model_is_reported_at_line_1(text):
+    with pytest.raises(BlifError) as info:
+        parse_blif(text)
+    assert (str(info.value), info.value.line) == (
+        "line 1: missing .model directive", 1)
+
+
+def test_text_after_end_is_ignored():
+    nl = parse_blif(".model m\n.inputs a\n.outputs y\n.names a y\n1 1\n"
+                    ".end\ngarbage\n# @static XOR2\n.bogus\n")
+    assert nl.cells["y"].mask == LutMask(1, 0x2)
+
+
+def test_static_mark_is_a_line_of_its_own():
+    # after other text, "# @static KIND" is an ordinary comment
+    nl = parse_blif(_HEAD + ".names a b y # @static AND2\n11 1\n.end\n")
+    cell = nl.cells["y"]
+    assert (cell.kind, cell.mode, cell.mask) == ("LUT", MODE_RE, LutMask(2, 0x8))
+    nl = parse_blif(_HEAD + "  #  @static AND2  \n.names a b y\n11 1\n.end\n")
+    assert nl.cells["y"].kind == "AND2"
+
+
 def test_parse_line_continuation_and_comments():
     text = (
         ".model m\n.inputs a \\\nb\n.outputs y\n"
