@@ -4,7 +4,10 @@
     python3 scripts/byte_identity.py --parent <src> --change <src> [--work <dir>]
 
 Each <src> is a directory holding the ``easic`` package (a tree's
-``src/``).  One fixed set of inputs is written once:
+``src/``).  One fixed set of inputs is written once, entirely with the
+parent tree: its ``easic`` and the ``tests/circuits.py`` of its
+checkout (``<parent>/../tests``), so the inputs never depend on the
+change's test helpers:
 
 * the 12 designs under designs/;
 * ``scripts/reader_paths.blif``, written by hand to hold the reader's
@@ -330,7 +333,7 @@ def main(argv=None):
         work = (args.work or Path(tmp)).resolve()
         work.mkdir(parents=True, exist_ok=True)
         sys.path[:0] = [str(args.parent), str(REPO / "bench"),
-                        str(REPO / "tests")]
+                        str(args.parent.parent / "tests")]
         inputs = write_inputs(work / "inputs")
         flips = write_flips(work / "inputs")
         commands = work / "commands.json"

@@ -53,7 +53,6 @@ class PatternHistogram:
     scope: str
     obf_percent: float | None
     entries: tuple  # HistogramEntry, descending frequency
-    lifted_to_width: int = PATTERN_WIDTH
 
     @property
     def total(self):
@@ -71,7 +70,7 @@ class PatternHistogram:
             "design": self.design,
             "scope": self.scope,
             "obf_percent": self.obf_percent,
-            "lifted_to_width": self.lifted_to_width,
+            "lifted_to_width": PATTERN_WIDTH,
             "entries": [
                 [e.ident, f"0x{e.pattern.bits:016x}", e.frequency]
                 for e in self.entries
@@ -80,18 +79,22 @@ class PatternHistogram:
 
 
 def histogram_from_json(payload) -> PatternHistogram:
+    """The histogram of a :meth:`PatternHistogram.to_json_dict` payload,
+    whose patterns are lifted to ``PATTERN_WIDTH`` inputs: patterns of
+    another width would be compared with the wrong ones."""
+    rows = payload["entries"]
+    width = payload.get("lifted_to_width", PATTERN_WIDTH)
+    if width != PATTERN_WIDTH:
+        raise ValueError(f"lifted_to_width is {width!r}, not {PATTERN_WIDTH}")
     entries = tuple(
-        HistogramEntry(ident, LutMask(payload.get("lifted_to_width",
-                                                  PATTERN_WIDTH),
-                                      int(pattern_hex, 16)), freq)
-        for ident, pattern_hex, freq in payload["entries"]
+        HistogramEntry(ident, LutMask(PATTERN_WIDTH, int(pattern, 16)), freq)
+        for ident, pattern, freq in rows
     )
     return PatternHistogram(
         design=payload["design"],
         scope=payload["scope"],
         obf_percent=payload.get("obf_percent"),
         entries=entries,
-        lifted_to_width=payload.get("lifted_to_width", PATTERN_WIDTH),
     )
 
 
@@ -462,8 +465,8 @@ def brute_force_key(obfuscated: Netlist, oracle: Netlist,
         for cell in order:
             if cell.name in chain:
                 offset, size = chain[cell.name]
-                values[cell.output] = mux_tree(keys[offset:offset + size],
-                                               [values[net] for net in cell.inputs])
+                values[cell.name] = mux_tree(keys[offset:offset + size],
+                                             [values[net] for net in cell.inputs])
             else:
                 eval_cells((cell,), values, full, static_bits)
         miss = 0

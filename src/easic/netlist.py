@@ -91,7 +91,8 @@ class LutMask:
 
 @dataclass
 class Cell:
-    """One netlist cell.  ``inputs`` are net names in pin order.
+    """One netlist cell, named by the net it drives.  ``inputs`` are net
+    names in pin order.
 
     Pin orders: LUT (in_0..in_{n-1}); FF (D, clk); MUX2 (S, A, B);
     two-input gates (A, B); INV/BUF (A); TIE cells have no inputs.
@@ -100,7 +101,6 @@ class Cell:
     name: str
     kind: str
     inputs: tuple
-    output: str
     mask: LutMask | None = None
     mode: str = MODE_ST
     init: int = 0  # FF power-up value
@@ -170,25 +170,9 @@ class Netlist:
         if self.clock is not None:
             nets.add(self.clock)
         for cell in self.cells.values():
-            nets.add(cell.output)
+            nets.add(cell.name)
             nets.update(cell.inputs)
         return nets
-
-    def driver_map(self):
-        """net -> driving cell name; primary inputs and the clock map to None."""
-        drivers = {}
-        for net in self.inputs:
-            drivers[net] = None
-        if self.clock is not None:
-            drivers.setdefault(self.clock, None)
-        for cell in sorted(self.cells.values(), key=lambda c: c.name):
-            if cell.output in drivers:
-                raise NetlistError(
-                    f"net {cell.output} is multiply driven (by {cell.name}"
-                    f"{' and a primary input' if drivers[cell.output] is None else ' and ' + drivers[cell.output]})"
-                )
-            drivers[cell.output] = cell.name
-        return drivers
 
     def luts(self):
         return [c for c in self.cells.values() if c.is_lut]
@@ -217,14 +201,25 @@ class Netlist:
 
     def validate(self):
         """Check driver uniqueness, connectivity, clocking, and acyclicity;
-        returns the combinational cells in topological order."""
+        returns the combinational cells in topological order.
+
+        A cell drives the net it is named by, so the only driver clash
+        left is a cell named like a primary input or the declared clock.
+        """
         if len(set(self.inputs)) != len(self.inputs):
             raise NetlistError("duplicate primary input")
         if len(set(self.outputs)) != len(self.outputs):
             raise NetlistError("duplicate primary output")
-        drivers = self.driver_map()
+        cells = self.cells
+        sources = set(self.inputs)
+        if self.clock is not None:
+            sources.add(self.clock)
+        clash = min(sources.intersection(cells), default=None)
+        if clash is not None:
+            raise NetlistError(f"net {clash} is multiply driven "
+                               f"(by {clash} and a primary input)")
 
-        clocks = {c.inputs[1] for c in self.cells.values() if c.is_ff}
+        clocks = {c.inputs[1] for c in cells.values() if c.is_ff}
         if len(clocks) > 1:
             raise NetlistError(f"multiple clocks: {sorted(clocks)}")
         if clocks:
@@ -233,43 +228,43 @@ class Netlist:
                 self.clock = clk
             elif self.clock != clk:
                 raise NetlistError(f"clock mismatch: {self.clock} vs {clk}")
-            if drivers.get(clk) is not None:
-                raise NetlistError(f"clock net {clk} driven by cell {drivers[clk]}")
+            if clk in cells:
+                raise NetlistError(f"clock net {clk} driven by cell {clk}")
 
-        for cell in self.cells.values():
-            used = cell.inputs if not cell.is_ff else cell.inputs[:1]
-            for net in used:
-                if net not in drivers:
+        for cell in cells.values():
+            for net in (cell.inputs[:1] if cell.is_ff else cell.inputs):
+                if net not in cells and net not in sources:
                     raise NetlistError(
                         f"net {net} used by cell {cell.name} has no driver"
                     )
         for net in self.outputs:
-            if net not in drivers:
+            if net not in cells and net not in sources:
                 raise NetlistError(f"primary output {net} has no driver")
 
-        return self._comb_order(drivers)
+        return self._comb_order()
 
-    def _comb_order(self, drivers):
+    def _comb_order(self):
         """Kahn's algorithm over the combinational subgraph (FFs cut);
         among ready cells the smallest name goes first."""
+        cells = self.cells
         indeg = {}
         consumers = {}
-        for cell in self.cells.values():
+        for cell in cells.values():
             if cell.is_ff:
                 continue
             n = 0
             for net in cell.inputs:
-                drv = drivers.get(net)
-                if drv is not None and not self.cells[drv].is_ff:
+                drv = cells.get(net)
+                if drv is not None and not drv.is_ff:
                     n += 1
-                    consumers.setdefault(drv, []).append(cell.name)
+                    consumers.setdefault(net, []).append(cell.name)
             indeg[cell.name] = n
         ready = [name for name, n in indeg.items() if n == 0]
         heapq.heapify(ready)
         order = []
         while ready:
             name = heapq.heappop(ready)
-            order.append(self.cells[name])
+            order.append(cells[name])
             for nxt in consumers.get(name, ()):
                 indeg[nxt] -= 1
                 if indeg[nxt] == 0:
@@ -435,9 +430,9 @@ def _names_cell(lineno, inputs, output, rows, mark, covers):
             raise BlifError(
                 f"@static {mark} does not match constant block {kind}", lineno
             )
-        return Cell(output, kind, (), output)
+        return Cell(output, kind, ())
     if mark is None or mark == KIND_LUT:
-        return Cell(output, KIND_LUT, inputs, output,
+        return Cell(output, KIND_LUT, inputs,
                     mask=LutMask(len(inputs), bits),
                     mode=MODE_RE if mark is None else MODE_ST)
     if mark not in GATE_TRUTH:
@@ -452,7 +447,7 @@ def _names_cell(lineno, inputs, output, rows, mark, covers):
             f"cover 0x{bits:x} does not match {mark} truth table 0x{truth:x}",
             lineno,
         )
-    return Cell(output, mark, inputs, output)
+    return Cell(output, mark, inputs)
 
 
 def _latch_cell(lineno, tokens):
@@ -476,7 +471,7 @@ def _latch_cell(lineno, tokens):
         raise BlifError(f"bad latch init value {init}", lineno)
     clk = "clock" if control in (None, "NIL") else control
     # don't-care / unknown power-up states default to 0
-    return Cell(q, KIND_FF, (d, clk), q, init=int(init == "1"))
+    return Cell(q, KIND_FF, (d, clk), init=int(init == "1"))
 
 
 def _add_cell(netlist, cell, lineno):
@@ -599,7 +594,7 @@ def emit_blif(netlist: Netlist) -> str:
     for cell in cells:
         if cell.is_ff:
             lines.append(
-                f".latch {cell.inputs[0]} {cell.output} re {cell.inputs[1]} "
+                f".latch {cell.inputs[0]} {cell.name} re {cell.inputs[1]} "
                 f"{cell.init}"
             )
     for cell in cells:
@@ -608,11 +603,11 @@ def emit_blif(netlist: Netlist) -> str:
         if cell.is_lut:
             if cell.mode == MODE_ST:
                 lines.append("# @static LUT")
-            lines.append(".names " + " ".join((*cell.inputs, cell.output)))
+            lines.append(".names " + " ".join((*cell.inputs, cell.name)))
             lines.extend(_mask_cubes(cell.mask))
         else:
             lines.append(f"# @static {cell.kind}")
-            lines.append(".names " + " ".join((*cell.inputs, cell.output)))
+            lines.append(".names " + " ".join((*cell.inputs, cell.name)))
             lines.extend(_GATE_COVERS[cell.kind])
     lines.append(".end")
     return "\n".join(lines) + "\n"

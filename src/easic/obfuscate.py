@@ -198,10 +198,10 @@ def _splice_network(netlist: Netlist, lut: Cell, network: staticgen.GateNetwork,
     """
     netlist.remove_cell(lut.name)
     signal_to_net = {f"i{k}": lut.inputs[k] for k in range(len(lut.inputs))}
-    signal_to_net[network.output] = lut.output
+    signal_to_net[network.output] = lut.name
     new_names = []
     for idx, gate in enumerate(network.cells):
-        out_net = signal_to_net.get(gate.output)
+        out_net = signal_to_net.get(gate.name)
         if out_net is None:
             out_net = f"{lut.name}_sg{idx}"
             bump = 0
@@ -209,9 +209,9 @@ def _splice_network(netlist: Netlist, lut: Cell, network: staticgen.GateNetwork,
                 out_net = f"{lut.name}_sg{idx}_{bump}"
                 bump += 1
             taken.add(out_net)
-            signal_to_net[gate.output] = out_net
+            signal_to_net[gate.name] = out_net
         ins = tuple(signal_to_net[s] for s in gate.inputs)
-        netlist.add_cell(Cell(out_net, gate.kind, ins, out_net))
+        netlist.add_cell(Cell(out_net, gate.kind, ins))
         new_names.append(out_net)
     return tuple(new_names)
 
@@ -226,7 +226,7 @@ class _Engine:
         self.graph = build_and_time(self.netlist, self.lib)
         self.l_re = {c.name for c in self.netlist.reconfigurable_luts()}
         self.trace = []
-        self._taken_names = self.netlist.nets | set(self.netlist.cells)
+        self._taken_names = self.netlist.nets
 
     def conversions(self):
         """One conversion per step: critical-path picks first, then the
@@ -278,7 +278,7 @@ class _Engine:
             self.l_re,
             key=lambda name: (
                 -self.graph.cell_delay(self.netlist.cells[name]),
-                -fanout.get(self.netlist.cells[name].output, 0),
+                -fanout.get(name, 0),
                 name,
             ),
         )

@@ -86,8 +86,8 @@ def eval_cells(cells, values, full, lut_bits=None):
     """Evaluate ``cells`` in order over packed net values (bit v = the
     value under vector v), adding each output to ``values``.
 
-    A cell needs ``kind``, ``inputs`` and ``output``; a LUT cell takes
-    its mask bits from ``lut_bits(cell)``.
+    A cell needs ``kind``, ``inputs`` and ``name``, the net it drives; a
+    LUT cell takes its mask bits from ``lut_bits(cell)``.
     """
     for cell in cells:
         kind = cell.kind
@@ -115,7 +115,7 @@ def eval_cells(cells, values, full, lut_bits=None):
             out = full
         else:
             raise SimError(f"cannot evaluate cell kind {kind}")
-        values[cell.output] = out
+        values[cell.name] = out
     return values
 
 
@@ -161,7 +161,7 @@ class Evaluator:
         if self.netlist.clock is not None:
             values.setdefault(self.netlist.clock, 0)
         for ff in self._ffs:
-            values[ff.output] = (ff_values or {}).get(ff.name, 0) & full
+            values[ff.name] = (ff_values or {}).get(ff.name, 0) & full
         return eval_cells(self._order, values, full, self._mask_bits)
 
     def run(self, cycles, count=1):
@@ -196,10 +196,10 @@ class CutCheck:
         return not self.mismatches
 
 
-def _cone(root, drivers, stop, leaves):
-    """Cells of the combinational cone of cell ``root`` cut at the nets
-    in ``stop``, in evaluation order; None when the cone runs into an FF
-    or reads a ``stop`` net outside ``leaves``."""
+def _cone(root, cells, stop, leaves):
+    """Cells of the combinational cone of cell ``root`` of ``cells`` cut
+    at the nets in ``stop``, in evaluation order; None when the cone runs
+    into an FF or reads a ``stop`` net outside ``leaves``."""
     order = []
     seen = set()
     stack = [(root, False)]
@@ -218,8 +218,8 @@ def _cone(root, drivers, stop, leaves):
             if net in stop:
                 if net not in leaves:
                     return None
-            elif drivers[net].name not in seen:
-                stack.append((drivers[net], False))
+            elif net not in seen:
+                stack.append((cells[net], False))
     return order
 
 
@@ -228,7 +228,7 @@ def prove_by_cuts(golden, device) -> CutCheck:
     the golden cells where the proof does not close.
 
     Both designs are validated.  The ports and the clock must match and
-    the FFs must correspond one to one (names, Q and D nets, init
+    the FFs must correspond one to one (names, D nets and init
     values).  Each golden combinational cell is then compared, over all
     2^k patterns of its k distinct input nets, with the device's cone of
     the same output net cut at golden nets; the cone may read only the
@@ -254,16 +254,13 @@ def prove_by_cuts(golden, device) -> CutCheck:
     if g.clock != d.clock:
         check.mismatches.append("<clock>")
         return check
-    g_ffs = {c.name: (c.output, c.inputs[0], c.init)
-             for c in g.cells.values() if c.is_ff}
-    d_ffs = {c.name: (c.output, c.inputs[0], c.init)
-             for c in d.cells.values() if c.is_ff}
+    g_ffs = {c.name: (c.inputs[0], c.init) for c in g.cells.values() if c.is_ff}
+    d_ffs = {c.name: (c.inputs[0], c.init) for c in d.cells.values() if c.is_ff}
     check.ffs = len(g_ffs)
     check.mismatches += sorted(name for name in g_ffs.keys() | d_ffs.keys()
                                if g_ffs.get(name) != d_ffs.get(name))
     # the golden nets, all driven once validate() passed
-    stop = {g.clock, *g.inputs, *(c.output for c in g.cells.values())}
-    drivers = {c.output: c for c in d.cells.values()}
+    stop = {g.clock, *g.inputs, *g.cells}
     g_bits = _lut_bits(g_configs)
     d_bits = _lut_bits(d_configs)
     for cell in g.cells.values():
@@ -273,15 +270,15 @@ def prove_by_cuts(golden, device) -> CutCheck:
         count = 1 << len(nets)
         check.cells += 1
         check.patterns += count
-        root = drivers.get(cell.output)
-        cone = None if root is None else _cone(root, drivers, stop, set(nets))
+        root = d.cells.get(cell.name)
+        cone = None if root is None else _cone(root, d.cells, stop, set(nets))
         if cone is None:
             check.mismatches.append(cell.name)
             continue
         full = (1 << count) - 1
         values = {net: _input_pattern(i, count) for i, net in enumerate(nets)}
-        want = eval_cells([cell], dict(values), full, g_bits)[cell.output]
-        if eval_cells(cone, values, full, d_bits)[cell.output] != want:
+        want = eval_cells([cell], dict(values), full, g_bits)[cell.name]
+        if eval_cells(cone, values, full, d_bits)[cell.name] != want:
             check.mismatches.append(cell.name)
     return check
 

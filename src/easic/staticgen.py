@@ -81,7 +81,7 @@ def build_bdd(mask: LutMask) -> Bdd:
 class NetGate:
     kind: str
     inputs: tuple   # signal names: "i<k>" for LUT pins, "t<k>" for internal
-    output: str
+    name: str       # the signal it drives
 
 
 @dataclass(frozen=True)
@@ -183,7 +183,7 @@ def bdd_to_gates(bdd: Bdd, lib: TechLibrary) -> GateNetwork:
 def _network_delay(cells, lib):
     arrival = {}
     for gate in cells:
-        arrival[gate.output] = lib.gate_delay[gate.kind] + max(
+        arrival[gate.name] = lib.gate_delay[gate.kind] + max(
             (arrival.get(s, 0.0) for s in gate.inputs), default=0.0)
     return max(arrival.values(), default=0.0)
 

@@ -77,9 +77,9 @@ class TimingReport:
 class TimingGraph:
     """Arrival-annotated view of one netlist under one library.
 
-    Every net has a dense id, and the cell that drives a net shares the
-    net's id.  Per id the graph keeps lists: the net's name and its
-    driver's, the arrival, the driver's delay (refreshed by
+    Every net has a dense id, and the cell that drives a net, being
+    named by it, shares the net's id and name.  Per id the graph keeps
+    lists: the name, the arrival, the driver's delay (refreshed by
     :func:`update_timing` for the cells it is given), its active fan-in
     (net ids; None for a primary input or FF output), the slots that
     read the net from outside its own, the greedy link and the
@@ -101,7 +101,6 @@ class TimingGraph:
         comb = netlist.validate()
         self._ids = {}          # net name -> id
         self._names = []
-        self._cell_names = []   # the driver's name, None for a primary input
         self._arrival = []
         self._delay = []
         self._active = []
@@ -116,15 +115,14 @@ class TimingGraph:
         if netlist.clock is not None and netlist.clock not in self._ids:
             self._add_net(netlist.clock)
         for cell in netlist.cells.values():
-            c = self._add_net(cell.output)
-            self._cell_names[c] = cell.name
+            c = self._add_net(cell.name)
             self._refresh(cell)
             if cell.is_ff:
                 # a Q pin starts its paths at clk-to-q
                 self._arrival[c] = self._delay[c]
-        self._slots = [[self._ids[cell.output]] for cell in comb]
+        self._slots = [[self._ids[cell.name]] for cell in comb]
         for s, cell in enumerate(comb):
-            self._slot_of[self._ids[cell.output]] = s
+            self._slot_of[self._ids[cell.name]] = s
         for cell in comb:
             self._add_arcs(cell)
         arrival, active, delay = self._arrival, self._active, self._delay
@@ -144,7 +142,6 @@ class TimingGraph:
     def _add_net(self, name):
         self._ids[name] = net = len(self._names)
         self._names.append(name)
-        self._cell_names.append(None)
         self._arrival.append(0.0)
         self._delay.append(0.0)
         self._active.append(None)
@@ -156,7 +153,7 @@ class TimingGraph:
 
     def _add_arcs(self, cell):
         ids, slot_of = self._ids, self._slot_of
-        c = ids[cell.output]
+        c = ids[cell.name]
         slot = slot_of[c]
         arcs = self._active[c] = tuple(
             ids[net] for net in self._compute_active_inputs(cell))
@@ -198,7 +195,7 @@ class TimingGraph:
         spliced over again, and they reach the endpoints ``lut`` reached.
         """
         ids, slot_of, consumers = self._ids, self._slot_of, self._consumers
-        old = ids[lut.output]
+        old = ids[lut.name]
         slot = slot_of[old]
         for net in self._active[old]:
             if slot_of[net] != slot:
@@ -206,13 +203,11 @@ class TimingGraph:
         cells = self.netlist.cells
         new = []
         for name in new_cells:
-            cell = cells[name]
-            c = ids.get(cell.output)
+            c = ids.get(name)
             if c is None:
-                c = self._add_net(cell.output)
-            self._cell_names[c] = name
+                c = self._add_net(name)
             slot_of[c] = slot
-            self._add_arcs(cell)
+            self._add_arcs(cells[name])
             new.append(c)
         entries = self._slots[slot]
         k = entries.index(old)
@@ -220,13 +215,13 @@ class TimingGraph:
         update_timing(self, new_cells)
 
     def _refresh(self, cell):
-        c = self._ids[cell.output]
+        c = self._ids[cell.name]
         self._delay[c] = self.lib.cell_delay(cell)
         self._reconfigurable[c] = cell.is_reconfigurable
         return c
 
     def cell_delay(self, cell) -> float:
-        return self._delay[self._ids[cell.output]]
+        return self._delay[self._ids[cell.name]]
 
     # -- arrival propagation -------------------------------------------
 
@@ -234,12 +229,6 @@ class TimingGraph:
     def arrival(self):
         """Net name -> arrival time, a copy."""
         return dict(zip(self._names, self._arrival))
-
-    def _start_name(self, net):
-        """The startpoint name of a path that begins on ``net``: the net,
-        or the constant source that drives it."""
-        return self._names[net] if self._active[net] is None \
-            else self._cell_names[net]
 
     # -- endpoints -------------------------------------------------------
 
@@ -294,7 +283,7 @@ def update_timing(graph: TimingGraph, changed) -> TimingGraph:
     seen = set()    # slot numbers
     for name in changed:
         cell = cells.get(name)
-        if cell is None or cell.output not in graph._ids:
+        if cell is None or name not in graph._ids:
             continue
         c = graph._refresh(cell)
         if not cell.is_ff:
@@ -398,9 +387,10 @@ def _greedy_chain(graph, net, rejoin=()):
 def _backtrack(graph, net, extra, endpoint):
     """Greedy worst-path reconstruction from an endpoint net's id."""
     ids, start = _greedy_chain(graph, net)
-    return TimedPath(tuple(map(graph._cell_names.__getitem__, ids)),
-                     graph._arrival[net] + extra, endpoint,
-                     graph._start_name(start), tuple(ids))
+    names = graph._names
+    return TimedPath(tuple(map(names.__getitem__, ids)),
+                     graph._arrival[net] + extra, endpoint, names[start],
+                     tuple(ids))
 
 
 def endpoint_worst_path(graph: TimingGraph, endpoint_triple) -> TimedPath:
@@ -450,8 +440,8 @@ class _Deviations:
             prefix, _, d = self.walk(pos, alt)
             cells = self.worst.cells
             names = self.built[pos] = (
-                cells[:d] + tuple(map(self.graph._cell_names.__getitem__,
-                                      prefix)) + cells[pos:])
+                cells[:d] + tuple(map(self.graph._names.__getitem__, prefix))
+                + cells[pos:])
         return names
 
     def order(self, pos, alt):
@@ -464,8 +454,8 @@ class _Deviations:
         that share d and the cell there compare further, and only then
         are their names built."""
         prefix, _, d = self.walk(pos, alt)
-        cell = self.graph._cell_names[prefix[0] if prefix
-                                      else self.worst.ids[pos]]
+        cell = self.graph._names[prefix[0] if prefix
+                                 else self.worst.ids[pos]]
         rest = _Sequence(self, pos, alt)
         if cell < self.worst.cells[d]:
             return 0, d, cell, rest
@@ -495,7 +485,7 @@ def deviation_path(record) -> TimedPath:
     delay, pos, alt, search = record
     prefix, end, d = search.walk(pos, alt)
     worst = search.worst
-    start = worst.startpoint if d else search.graph._start_name(end)
+    start = worst.startpoint if d else search.graph._names[end]
     return TimedPath(search.names(pos, alt), delay, worst.endpoint, start,
                      worst.ids[:d] + tuple(prefix) + worst.ids[pos:])
 

@@ -78,6 +78,13 @@ def emit_verilog(netlist: Netlist) -> str:
     netlist.validate()
     chain = netlist.chain_order()
     namer = _Namer()
+    chain_wires = [f"cfg_chain_{i}" for i in range(len(chain) - 1)]
+    if chain:
+        # the configuration ports and wires are not nets: each is owned
+        # by a name with a space, which no net has, so a net that maps
+        # onto one collides with it rather than joining it
+        for legal in (*CONFIG_PINS, *chain_wires):
+            namer.owner[legal] = f"{legal} (configuration chain)"
 
     passthrough = set(netlist.inputs) & set(netlist.outputs)
     if passthrough:
@@ -94,8 +101,6 @@ def emit_verilog(netlist: Netlist) -> str:
     for net in netlist.outputs:
         ports.append(("output", namer.get(net)))
     if chain:
-        for pin in CONFIG_PINS:
-            namer.get(pin)
         ports.append(("input", "serial_in"))
         ports.append(("input", "enable"))
         ports.append(("output", "serial_out"))
@@ -111,10 +116,6 @@ def emit_verilog(netlist: Netlist) -> str:
         legal = namer.get(net)
         if legal not in port_nets:
             wires.append(legal)
-
-    chain_wires = []
-    for i in range(max(0, len(chain) - 1)):
-        chain_wires.append(namer.get(f"cfg_chain_{i}"))
 
     lines = []
     lines.append(f"// structural hybrid netlist: {netlist.name}")
@@ -146,7 +147,7 @@ def emit_verilog(netlist: Netlist) -> str:
             width = cell.mask.width
             pins = [f".I{k}({namer.get(net)})"
                     for k, net in enumerate(cell.inputs)]
-            pins.append(f".O({namer.get(cell.output)})")
+            pins.append(f".O({namer.get(name)})")
             sin, sout = serial_nets[name]
             pins.append(f".serial_in({sin})")
             pins.append(f".serial_out({sout})")
@@ -155,7 +156,7 @@ def emit_verilog(netlist: Netlist) -> str:
         elif cell.is_ff:
             d = namer.get(cell.inputs[0])
             clk = namer.get(cell.inputs[1])
-            q = namer.get(cell.output)
+            q = namer.get(name)
             lines.append(
                 f"  DFF {inst} (.D({d}), .CLK({clk}), .Q({q}));"
                 + (f"  // init={cell.init}" if cell.init else "")
@@ -163,7 +164,7 @@ def emit_verilog(netlist: Netlist) -> str:
         else:
             pins = [f".{pin}({namer.get(net)})"
                     for pin, net in zip(_GATE_PINS[cell.kind], cell.inputs)]
-            pins.append(f".Y({namer.get(cell.output)})")
+            pins.append(f".Y({namer.get(name)})")
             lines.append(f"  {cell.kind} {inst} ({', '.join(pins)});")
 
     lines.append("")

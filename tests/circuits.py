@@ -13,11 +13,11 @@ INV1 = LutMask(1, 0x1)
 
 
 def lut(name, inputs, mask, mode=MODE_RE):
-    return Cell(name, "LUT", tuple(inputs), name, mask=mask, mode=mode)
+    return Cell(name, "LUT", tuple(inputs), mask=mask, mode=mode)
 
 
 def ff(name, d, clk="clk", init=0):
-    return Cell(name, "FF", (d, clk), name, init=init)
+    return Cell(name, "FF", (d, clk), init=init)
 
 
 def netlist(name, inputs, outputs, cells, clock=None):
@@ -132,8 +132,8 @@ def isomorphic(a: Netlist, b: Netlist) -> bool:
         return False
     for name, ca in a.cells.items():
         cb = b.cells[name]
-        if (ca.kind, ca.inputs, ca.output, ca.mask, ca.mode, ca.init) != (
-            cb.kind, cb.inputs, cb.output, cb.mask, cb.mode, cb.init
+        if (ca.kind, ca.inputs, ca.mask, ca.mode, ca.init) != (
+            cb.kind, cb.inputs, cb.mask, cb.mode, cb.init
         ):
             return False
     return True

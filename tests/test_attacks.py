@@ -433,8 +433,8 @@ def test_brute_force_finds_keys_at_batch_edges(lane):
 def test_brute_force_without_primary_inputs():
     # one vector per key: the LUTs read tie cells only
     cells = [
-        Cell("one", "TIE1", (), "one"),
-        Cell("zero", "TIE0", (), "zero"),
+        Cell("one", "TIE1", ()),
+        Cell("zero", "TIE0", ()),
         lut("a", ("zero", "one"), LutMask(2, 0x4)),
         lut("b", ("a", "one", "a"), LutMask(3, 0xB5)),
     ]

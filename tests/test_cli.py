@@ -586,6 +586,21 @@ def _trace_lists_a_lut_twice(tmp_path, designs_dir, monkeypatch):
             "static-portion", "--out", tmp_path / "o")
 
 
+def _histogram_at_width_4(tmp_path, designs_dir, monkeypatch):
+    # cmp4's patterns cut to their low 16 bits and declared at width 4
+    corpus = tmp_path / "corpus"
+    assert run_cli("attack", "corpus", "--inputs", designs_dir / "cmp4.blif",
+                   designs_dir / "sbm29.blif", "--out", corpus) == 0
+    hist = json.loads((corpus / "cmp4.histogram.json").read_text())
+    hist["lifted_to_width"] = 4
+    hist["entries"] = [[ident, f"0x{int(bits, 16) & 0xffff:04x}", freq]
+                       for ident, bits, freq in hist["entries"]]
+    victim = tmp_path / "victim.histogram.json"
+    victim.write_text(json.dumps(hist))
+    return ("attack", "composition", "--victim", victim, "--corpus", corpus,
+            "--out", tmp_path / "o")
+
+
 def _verify_json_is_a_directory(tmp_path, designs_dir, monkeypatch):
     run = tmp_path / "run"
     assert run_cli(*_obfuscate_cmp4(tmp_path, designs_dir, "--out", run)) == 0
@@ -613,6 +628,7 @@ def _verify_json_is_a_directory(tmp_path, designs_dir, monkeypatch):
     pytest.param(_negative_degree, id="negative-degree"),
     pytest.param(_trace_lists_a_lut_twice, id="trace-lists-a-lut-twice"),
     pytest.param(_verify_json_is_a_directory, id="verify-json-is-a-directory"),
+    pytest.param(_histogram_at_width_4, id="histogram-at-width-4"),
 ])
 def test_bad_inputs_exit_3_with_a_message(tmp_path, designs_dir, capsys,
                                           monkeypatch, make_args):
@@ -647,8 +663,7 @@ def test_each_command_sorts_each_netlist_once(tmp_path, designs_dir,
                                              monkeypatch):
     """One topological sort per netlist read, per timing graph, per
     file written and per design compared; none repeated, except where a
-    public entry point checks a netlist it is handed.  Each sort comes
-    with one name-sorted driver map, and no other pass builds one."""
+    public entry point checks a netlist it is handed."""
     monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "bench"))
     import workloads
 
@@ -658,20 +673,13 @@ def test_each_command_sorts_each_netlist_once(tmp_path, designs_dir,
     assert run_cli("obfuscate", "--input", toy, "--obf", "50",
                    "--out", toy_run) == 0
     sorts = []
-    maps = []
     sort = Netlist._comb_order
-    driver_map = Netlist.driver_map
 
-    def counted(self, drivers):
+    def counted(self):
         sorts.append(self.name)
-        return sort(self, drivers)
-
-    def counted_map(self):
-        maps.append(self.name)
-        return driver_map(self)
+        return sort(self)
 
     monkeypatch.setattr(Netlist, "_comb_order", counted)
-    monkeypatch.setattr(Netlist, "driver_map", counted_map)
     src = designs_dir / "counter8.blif"
     run = tmp_path / "run"
     expected = [
@@ -697,17 +705,13 @@ def test_each_command_sorts_each_netlist_once(tmp_path, designs_dir,
     ]
     for args, count in expected:
         sorts.clear()
-        maps.clear()
         assert run_cli(*args) == 0
         assert len(sorts) == count, args[0]
-        assert len(maps) == count, args[0]
     _flip_bit(run, 3)
     sorts.clear()
-    maps.clear()
     assert run_cli("verify", "--golden", src, "--easic", run, "--out", run) == 0
     # the cut check fails on cc1: simulation sorts each design once more
     assert len(sorts) == 6
-    assert len(maps) == 6
 
 
 def _counter8_runs(tmp_path, designs_dir):

@@ -9,10 +9,12 @@ from easic.netlist import (
     LutMask,
     MODE_RE,
     MODE_ST,
+    Netlist,
     NetlistError,
 )
 
-from circuits import isomorphic, lut, netlist, random_comb_netlist
+from circuits import (AND2, BUF1, INV1, ff, isomorphic, lut, netlist,
+                      random_comb_netlist)
 
 
 def test_parse_and_gate_mask():
@@ -348,19 +350,79 @@ def test_lutmask_eval():
 
 def test_cell_arity_checks():
     with pytest.raises(NetlistError):
-        Cell("x", "AND2", ("a",), "x")
+        Cell("x", "AND2", ("a",))
     with pytest.raises(NetlistError, match="mode"):
-        Cell("x", "AND2", ("a", "b"), "x", mode=MODE_RE)
+        Cell("x", "AND2", ("a", "b"), mode=MODE_RE)
     with pytest.raises(NetlistError):
-        Cell("x", "LUT", ("a", "b"), "x", mask=LutMask(3, 0))
+        Cell("x", "LUT", ("a", "b"), mask=LutMask(3, 0))
 
 
 def test_driver_uniqueness_in_constructed_netlist():
-    nl = netlist("m", ["a"], ["y"], [lut("y", ("a",), LutMask(1, 0x2))])
-    nl.add_cell(lut("dup", ("a",), LutMask(1, 0x1)))
-    nl.cells["dup"].output = "y"
+    # a cell drives the net it is named by: one named like a primary
+    # input is a second driver of that net
+    nl = netlist("m", ["a"], ["y"], [lut("y", ("a",), BUF1)])
+    nl.add_cell(lut("a", ("y",), INV1))
     with pytest.raises(NetlistError, match="multiply driven"):
         nl.validate()
+
+
+def _unchecked(inputs, outputs, cells, clock=None):
+    nl = Netlist(name="m", inputs=list(inputs), outputs=list(outputs),
+                 clock=clock)
+    for cell in cells:
+        nl.add_cell(cell)
+    return nl
+
+
+@pytest.mark.parametrize("nl, message", [
+    pytest.param(_unchecked(["a", "a"], ["y", "y"], [lut("y", ("b",), BUF1)]),
+                 "duplicate primary input", id="duplicate-pi"),
+    pytest.param(_unchecked(["a"], ["y", "y"], [lut("a", ("b",), BUF1)]),
+                 "duplicate primary output", id="duplicate-po"),
+    pytest.param(_unchecked(["a", "b"], ["y"], [lut("a", ("b",), BUF1),
+                                                ff("q", "x", "c1"),
+                                                ff("r", "x", "c2")]),
+                 "net a is multiply driven (by a and a primary input)",
+                 id="cell-named-like-pi"),
+    pytest.param(_unchecked(["a", "b", "c"], [], [lut("c", ("a",), BUF1),
+                                                  lut("clk", ("a",), BUF1),
+                                                  lut("b", ("a",), BUF1)],
+                            clock="clk"),
+                 "net b is multiply driven (by b and a primary input)",
+                 id="smallest-clash-first"),
+    pytest.param(_unchecked(["a"], [], [lut("clk", ("a",), BUF1),
+                                        ff("q", "a", "clk"),
+                                        ff("r", "a", "c2")], clock="clk"),
+                 "net clk is multiply driven (by clk and a primary input)",
+                 id="cell-named-like-clock"),
+    pytest.param(_unchecked(["a"], ["z"], [ff("q", "x", "c2"),
+                                           ff("r", "x", "c1")], clock="c3"),
+                 "multiple clocks: ['c1', 'c2']", id="multiple-clocks"),
+    pytest.param(_unchecked(["a"], ["z"], [ff("q", "x", "other")],
+                            clock="clk"),
+                 "clock mismatch: clk vs other", id="clock-mismatch"),
+    pytest.param(_unchecked(["a"], ["z"], [ff("q", "x", "g"),
+                                           lut("g", ("a",), BUF1)]),
+                 "clock net g driven by cell g", id="inferred-clock-driven"),
+    pytest.param(_unchecked(["a"], ["z"], [lut("y", ("a", "ghost"), AND2),
+                                           lut("w", ("w",), BUF1)]),
+                 "net ghost used by cell y has no driver", id="undriven-input"),
+    pytest.param(_unchecked(["a"], ["z"], [ff("q", "ghost")], clock="clk"),
+                 "net ghost used by cell q has no driver", id="undriven-ff-d"),
+    pytest.param(_unchecked(["a"], ["y", "z"], [lut("y", ("y",), BUF1)]),
+                 "primary output z has no driver", id="undriven-po"),
+    pytest.param(_unchecked(["a"], ["y"], [lut("y", ("x",), BUF1),
+                                           lut("x", ("a", "y"), AND2),
+                                           lut("v", ("a",), BUF1)]),
+                 "combinational cycle through ['x', 'y']", id="cycle"),
+])
+def test_validate_errors(nl, message):
+    """Each validate() error by its full message.  Every case but the
+    last also holds the next error down the list, so it pins which one
+    wins."""
+    with pytest.raises(NetlistError) as info:
+        nl.validate()
+    assert str(info.value) == message
 
 
 def test_emit_blif_deterministic(designs):

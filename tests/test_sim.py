@@ -39,7 +39,7 @@ def test_eval_comb_and_lut():
 
 
 def test_eval_tie_only_netlist():
-    nl = netlist("tie", ["a"], ["y"], [Cell("y", "TIE1", (), "y")])
+    nl = netlist("tie", ["a"], ["y"], [Cell("y", "TIE1", ())])
     for a in (0, 1):
         assert eval_vector(nl, (a,)) == (1,)
 
@@ -63,7 +63,7 @@ def test_packed_evaluation_matches_lutmask_eval():
     for kind, (arity, truth) in GATE_TRUTH.items():
         name = f"g_{kind}"
         # a TIE is a one-input function that ignores its input
-        cells[name] = (Cell(name, kind, pis[:arity], name),
+        cells[name] = (Cell(name, kind, pis[:arity]),
                        LutMask(max(arity, 1), truth * 3 if arity == 0 else truth))
     for width in range(1, 7):
         full = (1 << (1 << width)) - 1
@@ -91,7 +91,7 @@ def test_toggle_register():
 
 def test_ff_chain_from_constant():
     cells = [
-        Cell("one", "TIE1", (), "one"),
+        Cell("one", "TIE1", ()),
         ff("q1", "one"),
         ff("q2", "q1"),
     ]
@@ -196,8 +196,8 @@ def test_counterexample_replay_rejects_equivalent_report(designs):
 
 def test_tie_nets_hold_constants_in_every_state():
     cells = [
-        Cell("k1", "TIE1", (), "k1"),
-        Cell("k0", "TIE0", (), "k0"),
+        Cell("k1", "TIE1", ()),
+        Cell("k0", "TIE0", ()),
         lut("y", ("k1", "k0"), LutMask(2, 0x6)),
     ]
     nl = netlist("ties", [], ["y"], cells)

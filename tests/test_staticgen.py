@@ -145,7 +145,7 @@ def network_depth(net):
     """Gates on the longest path through a network."""
     depth = {}
     for gate in net.cells:
-        depth[gate.output] = 1 + max((depth.get(s, 0) for s in gate.inputs),
+        depth[gate.name] = 1 + max((depth.get(s, 0) for s in gate.inputs),
                                      default=0)
     return max(depth.values(), default=0)
 
@@ -168,7 +168,7 @@ def test_shared_nodes_share_gates(lib):
         if (a ^ b) | (b & c):
             mask_bits |= 1 << idx
     net = decompose_lut(LutMask(3, mask_bits), lib)
-    outs = [g.output for g in net.cells]
+    outs = [g.name for g in net.cells]
     assert len(outs) == len(set(outs))
     assert net.eval_table() == mask_bits
 

@@ -67,7 +67,7 @@ def test_zero_area_rejected():
 
 
 def test_cell_lookups(lib):
-    tie = Cell("t", "TIE1", (), "t")
+    tie = Cell("t", "TIE1", ())
     assert lib.cell_delay(tie) == 0.0
     assert lib.cell_area(tie) > 0
 

@@ -135,11 +135,10 @@ def rewalked_worst(graph, triple):
     smallest net name."""
     _, net, _ = triple
     nl = graph.netlist
-    drivers = nl.driver_map()
     arrival = graph.arrival
     cells = []
-    while drivers.get(net) is not None and not nl.cells[drivers[net]].is_ff:
-        cell = nl.cells[drivers[net]]
+    while net in nl.cells and not nl.cells[net].is_ff:
+        cell = nl.cells[net]
         cells.append(cell.name)
         if not arcs(cell):
             net = cell.name
@@ -154,17 +153,15 @@ def rewalked_deviations(graph, lib, triple, worst):
     cell by cell."""
     endpoint, net, extra = triple
     nl = graph.netlist
-    drivers = nl.driver_map()
     arrival = graph.arrival
     found = {}
     for pos, name in enumerate(worst.cells):
-        taken = (nl.cells[worst.cells[pos - 1]].output if pos
-                 else worst.startpoint)
+        taken = worst.cells[pos - 1] if pos else worst.startpoint
         if len(arcs(nl.cells[name])) < 2 or taken not in arcs(nl.cells[name]):
             continue
         cells, cur = [], net
-        while drivers.get(cur) is not None and not nl.cells[drivers[cur]].is_ff:
-            driver = drivers[cur]
+        while cur in nl.cells and not nl.cells[cur].is_ff:
+            driver = cur
             cells.append(driver)
             options = [n for n in arcs(nl.cells[driver])
                        if not (driver == name and n == taken)]
@@ -329,13 +326,13 @@ def full_arc_arrivals(nl, lib):
         arrivals.setdefault(nl.clock, 0.0)
     for cell in nl.cells.values():
         if cell.is_ff:
-            arrivals[cell.output] = lib.ff_clk2q
+            arrivals[cell.name] = lib.ff_clk2q
     for cell in nl.topo_cells():
         if cell.is_ff:
             continue
         ins = cell.inputs
         base = max((arrivals[n] for n in ins), default=0.0)
-        arrivals[cell.output] = base + lib.cell_delay(cell) if ins else 0.0
+        arrivals[cell.name] = base + lib.cell_delay(cell) if ins else 0.0
     return arrivals
 
 
@@ -391,7 +388,7 @@ def test_structural_update_matches_rebuild(lib):
     assert set(graph._candidates) == {"g3", "h"}
     old = nl.cells["g2"]
     nl.remove_cell("g2")
-    nl.add_cell(Cell("g2", "INV", ("g1",), "g2"))
+    nl.add_cell(Cell("g2", "INV", ("g1",)))
     graph.splice(old, ["g2"])
     assert set(graph._candidates) == {"h"}
     fresh = build_and_time(nl, lib)
@@ -404,7 +401,7 @@ def replace_cells(nl, old, cells):
     each driving the net of its name, as a splice expects them."""
     nl.remove_cell(old.name)
     for name, kind, ins in cells:
-        nl.add_cell(Cell(name, kind, ins, name))
+        nl.add_cell(Cell(name, kind, ins))
     return [name for name, _, _ in cells]
 
 

@@ -69,6 +69,41 @@ def test_collision_after_legalization_reports_both():
     assert "a.b" in msg and "a_b" in msg
 
 
+@pytest.mark.parametrize("blif, net", [
+    pytest.param(".inputs a serial_in\n.outputs y\n.names a serial_in y\n11 1\n",
+                 "serial_in", id="pi-serial-in"),
+    pytest.param(".inputs a b\n.outputs y\n.names a b enable\n11 1\n"
+                 ".names enable y\n0 1\n", "enable", id="net-enable"),
+    pytest.param(".inputs a cfg_chain_0\n.outputs y z\n.names a y\n1 1\n"
+                 ".names cfg_chain_0 z\n1 1\n", "cfg_chain_0",
+                 id="pi-chain-wire"),
+])
+def test_net_named_like_a_configuration_port_collides(tmp_path, blif, net):
+    from easic import parse_blif
+    from easic.cli import main
+
+    text = ".model m\n" + blif + ".end\n"
+    with pytest.raises(VerilogEmitError) as err:
+        emit_verilog(parse_blif(text))
+    assert str(err.value) == (
+        f"identifier collision after legalization: {net!r} and "
+        f"'{net} (configuration chain)' both map to {net!r}")
+    src = tmp_path / "m.blif"
+    src.write_text(text)
+    assert main(["obfuscate", "--input", str(src), "--obf", "100",
+                 "--out", str(tmp_path / "o")]) == 3
+
+
+def test_net_named_enable_without_a_chain(lib):
+    from easic import parse_blif
+
+    nl = parse_blif(".model m\n.inputs a b\n.outputs y\n.names a b enable\n"
+                    "11 1\n.names enable y\n0 1\n.end\n")
+    res = run_obfuscation(nl, ObfuscationConfig(obf_percent=0, library=lib))
+    text = emit_verilog(res.netlist)
+    assert "  wire enable;" in text and "serial_in" not in text
+
+
 def test_static_lut_rejected():
     nl = netlist("st", ["a"], ["y"],
                  [lut("y", ("a",), LutMask(1, 0x2), mode=MODE_ST)])
