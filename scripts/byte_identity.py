@@ -18,7 +18,9 @@ change's test helpers:
 * ``bench/workloads.seqmix`` for seeds 1-8, and ``bench/workloads.toy``
   for seeds 1-8 and ``bench/workloads.TOY_SEEDS``;
 * eight ``tests/circuits.random_seq_netlist`` designs from seeds 1-8,
-  emitted with the parent tree's ``emit_blif``;
+  written as ``"".join(emit_blif(...))`` with the parent tree, which
+  reads the same whether its ``emit_blif`` returns a string or an
+  iterator of chunks;
 * the FLIPS run directories: a design obfuscated by the parent tree with
   one bit of its easic.ebs flipped (``bench/checker.flip_ebs_bit``).
 
@@ -135,8 +137,9 @@ def write_inputs(inputs: Path):
         texts[f"toy{seed}"] = workloads.toy(seed)
     for seed in range(1, 9):
         rng = random.Random(seed)
-        texts[f"randseq{seed}"] = emit_blif(circuits.random_seq_netlist(
-            rng, n_cells=rng.randint(4, 14), name=f"randseq{seed}"))
+        texts[f"randseq{seed}"] = "".join(emit_blif(
+            circuits.random_seq_netlist(rng, n_cells=rng.randint(4, 14),
+                                        name=f"randseq{seed}")))
     for size in BIG:
         texts[f"lut6_{size}"] = workloads.lut6_dag(f"lut6_{size}", size, 1)
     inputs.mkdir(parents=True)

@@ -95,15 +95,21 @@ def _read_histogram(path):
     return hist
 
 
-def _write_text(path: Path, text: str) -> bytes:
-    """Write ``text`` as UTF-8; returns the bytes written."""
-    data = text.encode("utf-8")
-    path.write_bytes(data)
-    return data
+def _write_text(path: Path, chunks) -> str:
+    """Write text chunks as UTF-8, encoding and hashing one chunk at a
+    time; returns the digest of the bytes written."""
+    digest = hashlib.sha256()
+    with path.open("wb") as f:
+        for chunk in chunks:
+            data = chunk.encode("utf-8")
+            f.write(data)
+            digest.update(data)
+    return "sha256:" + digest.hexdigest()
 
 
-def _write_json(path: Path, payload) -> bytes:
-    return _write_text(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
+def _write_json(path: Path, payload) -> str:
+    return _write_text(
+        path, (json.dumps(payload, indent=2, sort_keys=True) + "\n",))
 
 
 def _load_library(args):
@@ -154,15 +160,17 @@ def cmd_obfuscate(args) -> int:
     out = _out_dir(args)
     result = run_obfuscation(netlist, config)
 
-    # each output is hashed as soon as it is written, so that no output
-    # stays in memory until the manifest is written
+    # both emitters check the netlist when called, so that a netlist
+    # they refuse leaves no output file behind
+    blif = emit_blif(result.netlist)
+    verilog = emit_verilog(result.netlist)
     digests = {}
 
     def save(name, write, payload):
-        digests[name] = _sha256(write(out / name, payload))
+        digests[name] = write(out / name, payload)
 
-    save("easic.blif", _write_text, emit_blif(result.netlist))
-    save("easic.v", _write_text, emit_verilog(result.netlist))
+    save("easic.blif", _write_text, blif)
+    save("easic.v", _write_text, verilog)
     stream = bs.serialize(result.netlist)
     digests["easic.ebs"] = _sha256(bs.write_bitstream(stream, out / "easic.ebs"))
     save("chain.json", _write_json, bs.chain_manifest(stream))
@@ -212,7 +220,7 @@ def cmd_sweep(args) -> int:
     out = _out_dir(args)
     rows = sweep(netlist, levels, library=library)
     csv_text = sweep_to_csv(rows)
-    digest = _sha256(_write_text(out / "sweep.csv", csv_text))
+    digest = _write_text(out / "sweep.csv", (csv_text,))
     _manifest(
         "sweep",
         inputs={Path(args.input).name: text.encode("utf-8")},
@@ -317,7 +325,7 @@ def cmd_attack_structural(args) -> int:
     _write_json(out / "histogram.json", hist.to_json_dict())
     ranks = ["rank,frequency"]
     ranks += [f"{e.ident},{e.frequency}" for e in hist.entries]
-    _write_text(out / "ranks.csv", "\n".join(ranks) + "\n")
+    _write_text(out / "ranks.csv", ("\n".join(ranks) + "\n",))
     if not hist.entries:
         print("warning: empty histogram for this scope")
     if fit is not None:
@@ -352,7 +360,7 @@ def cmd_attack_corpus(args) -> int:
     })
     settling = ["design,new_patterns,cumulative"]
     settling += [f"{d},{n},{c}" for d, n, c in union.settling]
-    _write_text(out / "settling.csv", "\n".join(settling) + "\n")
+    _write_text(out / "settling.csv", ("\n".join(settling) + "\n",))
     print(f"corpus of {len(histograms)} designs: m = {union.m} unique patterns")
     return EXIT_OK
 

@@ -13,6 +13,7 @@ from __future__ import annotations
 import heapq
 import re
 from dataclasses import dataclass, field, replace
+from itertools import chain
 
 MODE_RE = "reconfigurable"
 MODE_ST = "static"
@@ -89,7 +90,7 @@ class LutMask:
         return f"LUT{self.width}:0x{self.bits:0{max(1, self.table_size // 4)}x}"
 
 
-@dataclass
+@dataclass(slots=True)
 class Cell:
     """One netlist cell, named by the net it drives.  ``inputs`` are net
     names in pin order.
@@ -205,6 +206,8 @@ class Netlist:
 
         A cell drives the net it is named by, so the only driver clash
         left is a cell named like a primary input or the declared clock.
+        With no clock declared, the FFs' clock net is declared once no
+        cell drives it.
         """
         if len(set(self.inputs)) != len(self.inputs):
             raise NetlistError("duplicate primary input")
@@ -224,12 +227,14 @@ class Netlist:
             raise NetlistError(f"multiple clocks: {sorted(clocks)}")
         if clocks:
             (clk,) = clocks
-            if self.clock is None:
-                self.clock = clk
-            elif self.clock != clk:
+            if self.clock is not None and self.clock != clk:
                 raise NetlistError(f"clock mismatch: {self.clock} vs {clk}")
             if clk in cells:
                 raise NetlistError(f"clock net {clk} driven by cell {clk}")
+            # declared only once known not to clash, so that a second
+            # call checks the same netlist as the first
+            self.clock = clk
+            sources.add(clk)
 
         for cell in cells.values():
             for net in (cell.inputs[:1] if cell.is_ff else cell.inputs):
@@ -387,6 +392,29 @@ def _cover_to_mask(n_inputs, rows):
     return bits
 
 
+# the fewest characters in a piece that _split_lines hands to
+# str.splitlines()
+_PIECE = 1 << 16
+
+
+def _split_lines(text):
+    """An iterator over the lines of ``text.splitlines()`` that never
+    holds a list of them all: each piece of the text is split on its own."""
+    return chain.from_iterable(map(str.splitlines, _pieces(text)))
+
+
+def _pieces(text):
+    """``text`` in slices of at least _PIECE characters, each ending just
+    after a ``\\n`` (the last one at the end of the text), so that no
+    line and no ``\\r\\n`` pair is cut in two."""
+    start = 0
+    while start < len(text):
+        cut = text.find("\n", start + _PIECE - 1)
+        end = len(text) if cut < 0 else cut + 1
+        yield text[start:end]
+        start = end
+
+
 def _logical_lines(text):
     """Yield (lineno, line, mark) per logical line of BLIF text: comments
     stripped and backslash continuations joined under the number of their
@@ -394,7 +422,7 @@ def _logical_lines(text):
     (None, None, None), ends the text."""
     buf = ""
     start = None
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    for lineno, raw in enumerate(_split_lines(text), start=1):
         if "#" in raw:
             mark = _STATIC_MARK.match(raw)
             if mark:
@@ -565,50 +593,53 @@ def _mask_cubes(mask: LutMask):
         if (mask.bits >> idx) & 1:
             pattern = "".join("1" if (idx >> j) & 1 else "0"
                               for j in range(mask.width))
-            rows.append(f"{pattern} 1")
+            rows.append(f"{pattern} 1\n")
     return rows
 
 
 _GATE_COVERS = {
-    "INV": ["0 1"],
-    "BUF": ["1 1"],
-    "AND2": ["11 1"],
-    "OR2": ["1- 1", "-1 1"],
-    "NAND2": ["0- 1", "-0 1"],
-    "NOR2": ["00 1"],
-    "MUX2": ["01- 1", "1-1 1"],
+    "INV": ["0 1\n"],
+    "BUF": ["1 1\n"],
+    "AND2": ["11 1\n"],
+    "OR2": ["1- 1\n", "-1 1\n"],
+    "NAND2": ["0- 1\n", "-0 1\n"],
+    "NOR2": ["00 1\n"],
+    "MUX2": ["01- 1\n", "1-1 1\n"],
     "TIE0": [],
-    "TIE1": ["1"],
+    "TIE1": ["1\n"],
 }
 
 
-def emit_blif(netlist: Netlist) -> str:
-    """Write the netlist back as BLIF; static cells carry @static marks."""
+def emit_blif(netlist: Netlist):
+    """Check the netlist, then return an iterator over its BLIF text in
+    chunks: the header and latches, then one chunk per cell in name
+    order, then ``.end``.  Static cells carry @static marks.  The
+    netlist must not change until the chunks are taken."""
     netlist.validate()
-    lines = [f".model {netlist.name}"]
+    return _blif_chunks(netlist, sorted(netlist.cells.values(),
+                                        key=lambda c: c.name))
+
+
+def _blif_chunks(netlist, cells):
+    head = [f".model {netlist.name}\n"]
     if netlist.inputs:
-        lines.append(".inputs " + " ".join(netlist.inputs))
+        head.append(".inputs " + " ".join(netlist.inputs) + "\n")
     if netlist.outputs:
-        lines.append(".outputs " + " ".join(netlist.outputs))
-    cells = sorted(netlist.cells.values(), key=lambda c: c.name)
+        head.append(".outputs " + " ".join(netlist.outputs) + "\n")
     for cell in cells:
         if cell.is_ff:
-            lines.append(
-                f".latch {cell.inputs[0]} {cell.name} re {cell.inputs[1]} "
-                f"{cell.init}"
-            )
+            head.append(f".latch {cell.inputs[0]} {cell.name} re "
+                        f"{cell.inputs[1]} {cell.init}\n")
+    yield "".join(head)
     for cell in cells:
         if cell.is_ff:
             continue
         if cell.is_lut:
-            if cell.mode == MODE_ST:
-                lines.append("# @static LUT")
-            lines.append(".names " + " ".join((*cell.inputs, cell.name)))
-            lines.extend(_mask_cubes(cell.mask))
+            mark = "# @static LUT\n" if cell.mode == MODE_ST else ""
+            rows = _mask_cubes(cell.mask)
         else:
-            lines.append(f"# @static {cell.kind}")
-            lines.append(".names " + " ".join((*cell.inputs, cell.name)))
-            lines.extend(_GATE_COVERS[cell.kind])
-    lines.append(".end")
-    return "\n".join(lines) + "\n"
-
+            mark = f"# @static {cell.kind}\n"
+            rows = _GATE_COVERS[cell.kind]
+        yield "".join((mark, ".names ", " ".join((*cell.inputs, cell.name)),
+                       "\n", *rows))
+    yield ".end\n"

@@ -74,7 +74,15 @@ class _Namer:
         return legal
 
 
-def emit_verilog(netlist: Netlist) -> str:
+# instance lines per chunk that emit_verilog hands out
+_GROUP = 256
+
+
+def emit_verilog(netlist: Netlist):
+    """Check the netlist and name every net and instance, then return an
+    iterator over the module's text in chunks: the header and
+    declarations, then one chunk per group of instance lines.  The
+    netlist must not change until the chunks are taken."""
     netlist.validate()
     chain = netlist.chain_order()
     namer = _Namer()
@@ -106,9 +114,9 @@ def emit_verilog(netlist: Netlist) -> str:
         ports.append(("output", "serial_out"))
 
     # every cell gets an instance name in the same namespace as the nets
-    instance_of = {}
-    for name in sorted(netlist.cells):
-        instance_of[name] = namer.get(f"u_{name}")
+    names = sorted(netlist.cells)
+    for name in names:
+        namer.get(f"u_{name}")
 
     port_nets = {net for _, net in ports}
     wires = []
@@ -117,56 +125,62 @@ def emit_verilog(netlist: Netlist) -> str:
         if legal not in port_nets:
             wires.append(legal)
 
-    lines = []
-    lines.append(f"// structural hybrid netlist: {netlist.name}")
-    lines.append(f"module {legalize(netlist.name)} (")
-    decls = [f"  {direction} {net}" for direction, net in ports]
-    lines.append(",\n".join(decls))
-    lines.append(");")
-    lines.append("")
+    for name in names:
+        cell = netlist.cells[name]
+        if cell.is_lut and not cell.is_reconfigurable:
+            raise VerilogEmitError(
+                f"static LUT cell {name} has no macro form; decompose it "
+                "to gates before emitting Verilog"
+            )
+
+    lines = [f"// structural hybrid netlist: {netlist.name}",
+             f"module {legalize(netlist.name)} (",
+             ",\n".join(f"  {direction} {net}" for direction, net in ports),
+             ");",
+             ""]
     for wire in sorted(set(wires) | set(chain_wires)):
         lines.append(f"  wire {wire};")
     if wires or chain_wires:
         lines.append("")
+    header = "\n".join(lines) + "\n"
+    return _verilog_chunks(netlist, names, namer, chain_wires, header)
 
-    serial_nets = {}
-    for idx, cell in enumerate(chain):
-        sin = "serial_in" if idx == 0 else chain_wires[idx - 1]
-        sout = "serial_out" if idx == len(chain) - 1 else chain_wires[idx]
-        serial_nets[cell.name] = (sin, sout)
 
-    for name in sorted(netlist.cells):
+def _verilog_chunks(netlist, names, namer, chain_wires, header):
+    yield header
+    lines = []
+    link = 0  # chain position of the next reconfigurable LUT
+    for name in names:
         cell = netlist.cells[name]
-        inst = instance_of[name]
+        inst = namer.get(f"u_{name}")
         if cell.is_lut:
-            if not cell.is_reconfigurable:
-                raise VerilogEmitError(
-                    f"static LUT cell {name} has no macro form; decompose it "
-                    "to gates before emitting Verilog"
-                )
-            width = cell.mask.width
             pins = [f".I{k}({namer.get(net)})"
                     for k, net in enumerate(cell.inputs)]
             pins.append(f".O({namer.get(name)})")
-            sin, sout = serial_nets[name]
+            sin = chain_wires[link - 1] if link else "serial_in"
+            sout = (chain_wires[link] if link < len(chain_wires)
+                    else "serial_out")
+            link += 1
             pins.append(f".serial_in({sin})")
             pins.append(f".serial_out({sout})")
             pins.append(".enable(enable)")
-            lines.append(f"  LUT{width} {inst} ({', '.join(pins)});")
+            lines.append(
+                f"  LUT{cell.mask.width} {inst} ({', '.join(pins)});\n")
         elif cell.is_ff:
             d = namer.get(cell.inputs[0])
             clk = namer.get(cell.inputs[1])
             q = namer.get(name)
             lines.append(
                 f"  DFF {inst} (.D({d}), .CLK({clk}), .Q({q}));"
-                + (f"  // init={cell.init}" if cell.init else "")
+                + (f"  // init={cell.init}" if cell.init else "") + "\n"
             )
         else:
             pins = [f".{pin}({namer.get(net)})"
                     for pin, net in zip(_GATE_PINS[cell.kind], cell.inputs)]
             pins.append(f".Y({namer.get(name)})")
-            lines.append(f"  {cell.kind} {inst} ({', '.join(pins)});")
-
-    lines.append("")
-    lines.append("endmodule")
-    return "\n".join(lines) + "\n"
+            lines.append(f"  {cell.kind} {inst} ({', '.join(pins)});\n")
+        if len(lines) == _GROUP:
+            yield "".join(lines)
+            lines.clear()
+    lines.append("\nendmodule\n")
+    yield "".join(lines)

@@ -214,13 +214,13 @@ def test_verify_labels_a_sampled_verdict(tmp_path, designs_dir, capsys):
 @pytest.mark.parametrize("edit", sorted(CUT_REFUSALS))
 def test_verify_falls_back_on_cut_refusals(tmp_path, edit):
     golden = tmp_path / "cuts.blif"
-    golden.write_text(emit_blif(cut_golden()))
+    golden.write_text("".join(emit_blif(cut_golden())))
     hybrid = run_obfuscation(cut_golden(), ObfuscationConfig(obf_percent=100)).netlist
     change, named = CUT_REFUSALS[edit]
     change(hybrid)
     run = tmp_path / "run"
     run.mkdir()
-    (run / "easic.blif").write_text(emit_blif(hybrid))
+    (run / "easic.blif").write_text("".join(emit_blif(hybrid)))
     write_bitstream(serialize(hybrid), run / "easic.ebs")
     code = run_cli("verify", "--golden", golden, "--easic", run, "--out", run)
     if edit == "ports":
@@ -383,8 +383,8 @@ def test_attack_structural_interpolates_without_noise(tmp_path, recwarn,
         mask = LutMask(6, rng.getrandbits(64))
         cells += [lut(f"p{k}_{j}", pis, mask) for j in range(rng.randint(1, 6))]
     design = tmp_path / "many.blif"
-    design.write_text(emit_blif(netlist(
-        "many", pis, [c.name for c in cells], cells)), encoding="utf-8")
+    design.write_text("".join(emit_blif(netlist(
+        "many", pis, [c.name for c in cells], cells))), encoding="utf-8")
     out = tmp_path / "hist"
     assert run_cli("attack", "structural", "--input", design,
                    "--out", out) == 0
@@ -657,6 +657,19 @@ def test_an_output_that_cannot_be_written_exits_3(tmp_path, designs_dir,
                                     "--out", tmp_path / "o")) == 3
     assert capsys.readouterr().err == (
         f"error: cannot write {tmp_path / 'o' / name}: Is a directory\n")
+
+
+def test_a_netlist_the_emitters_refuse_leaves_no_file(tmp_path, capsys):
+    src = tmp_path / "m.blif"
+    src.write_text(".model m\n.inputs a serial_in\n.outputs y\n"
+                   ".names a serial_in y\n11 1\n.end\n")
+    out = tmp_path / "o"
+    assert run_cli("obfuscate", "--input", src, "--obf", "100",
+                   "--out", out) == 3
+    assert capsys.readouterr().err == (
+        "error: identifier collision after legalization: 'serial_in' and "
+        "'serial_in (configuration chain)' both map to 'serial_in'\n")
+    assert list(out.iterdir()) == []
 
 
 def test_each_command_sorts_each_netlist_once(tmp_path, designs_dir,

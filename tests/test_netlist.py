@@ -168,6 +168,19 @@ def test_reader_errors(body, line, message):
     assert (str(info.value), info.value.line) == (f"line {line}: {message}", line)
 
 
+def test_reader_numbers_lines_past_the_first_piece(monkeypatch):
+    # \r\n line ends, a continued line and a blank line over pieces of
+    # about 8 characters; the bad row is on line 9
+    text = (".model m\r\n.inputs a \\\r\n b\r\n\r\n.outputs y\r\n"
+            ".names a b y\r\n11 1\r\n.names a z\r\n1 1 1\r\n.end\r\n")
+    for piece in (1 << 16, 8):
+        monkeypatch.setattr("easic.netlist._PIECE", piece)
+        with pytest.raises(BlifError) as info:
+            parse_blif(text)
+        assert (str(info.value), info.value.line) == (
+            "line 9: bad cover row '1 1 1'", 9)
+
+
 @pytest.mark.parametrize("text", ["", ".inputs a\n"])
 def test_missing_model_is_reported_at_line_1(text):
     with pytest.raises(BlifError) as info:
@@ -262,7 +275,7 @@ def test_parse_error_reports_line_number():
 
 def test_roundtrip_corpus(designs):
     for nl in designs.values():
-        again = parse_blif(emit_blif(nl))
+        again = parse_blif("".join(emit_blif(nl)))
         assert isomorphic(nl, again)
 
 
@@ -281,7 +294,7 @@ def test_roundtrip_preserves_static_cells():
     assert nl.cells["t"].kind == "TIE1"
     assert nl.cells["w"].kind == "NAND2"
     assert nl.cells["v"].kind == "NOR2"
-    assert isomorphic(nl, parse_blif(emit_blif(nl)))
+    assert isomorphic(nl, parse_blif("".join(emit_blif(nl))))
 
 
 def test_static_annotation_must_match_truth_table():
@@ -293,7 +306,7 @@ def test_static_annotation_must_match_truth_table():
 def test_static_lut_mode_roundtrip():
     nl = netlist("m", ["a", "b"], ["y"],
                  [lut("y", ("a", "b"), LutMask(2, 0x9), mode=MODE_ST)])
-    again = parse_blif(emit_blif(nl))
+    again = parse_blif("".join(emit_blif(nl)))
     assert again.cells["y"].mode == MODE_ST
     assert isomorphic(nl, again)
 
@@ -305,7 +318,7 @@ def test_mask_canonicality_random_masks():
         bits = rng.getrandbits(1 << width)
         ins = [f"i{k}" for k in range(width)]
         nl = netlist("m", ins, ["y"], [lut("y", ins, LutMask(width, bits))])
-        again = parse_blif(emit_blif(nl))
+        again = parse_blif("".join(emit_blif(nl)))
         assert again.cells["y"].mask.bits == bits
 
 
@@ -314,7 +327,7 @@ def test_roundtrip_hybrid_after_obfuscation(designs, lib):
 
     res = run_obfuscation(designs["cmp4"],
                           ObfuscationConfig(obf_percent=50, library=lib))
-    again = parse_blif(emit_blif(res.netlist))
+    again = parse_blif("".join(emit_blif(res.netlist)))
     assert isomorphic(res.netlist, again)
 
 
@@ -425,9 +438,33 @@ def test_validate_errors(nl, message):
     assert str(info.value) == message
 
 
+def test_validate_counts_an_inferred_clock_as_a_source():
+    nl = _unchecked(["a"], ["y"], [ff("q", "a", "clk"),
+                                   lut("y", ("clk",), BUF1)])
+    order = nl.validate()
+    assert nl.clock == "clk"
+    assert [c.name for c in order] == ["y"]
+    assert nl.validate() == order
+
+
+def test_a_driven_inferred_clock_fails_the_same_way_twice():
+    nl = _unchecked(["a"], ["z"], [ff("q", "x", "g"), lut("g", ("a",), BUF1)])
+    for _ in range(2):
+        with pytest.raises(NetlistError) as info:
+            nl.validate()
+        assert str(info.value) == "clock net g driven by cell g"
+    assert nl.clock is None
+
+
+def test_emit_blif_checks_before_the_first_chunk():
+    nl = _unchecked(["a"], ["y"], [lut("y", ("ghost",), BUF1)])
+    with pytest.raises(NetlistError, match="net ghost used by cell y"):
+        emit_blif(nl)
+
+
 def test_emit_blif_deterministic(designs):
-    text1 = emit_blif(designs["adder8"])
-    text2 = emit_blif(designs["adder8"])
+    text1 = "".join(emit_blif(designs["adder8"]))
+    text2 = "".join(emit_blif(designs["adder8"]))
     assert text1 == text2
     assert text1.endswith(".end\n")
 
@@ -436,4 +473,4 @@ def test_random_netlists_roundtrip():
     rng = random.Random(3)
     for k in range(20):
         nl = random_comb_netlist(rng, n_pis=5, n_cells=15, name=f"r{k}")
-        assert isomorphic(nl, parse_blif(emit_blif(nl)))
+        assert isomorphic(nl, parse_blif("".join(emit_blif(nl))))

@@ -1,6 +1,7 @@
 """Property tests over random LUT DAGs (hypothesis)."""
 
 import random
+from unittest import mock
 
 import pytest
 
@@ -14,6 +15,7 @@ from easic import (  # noqa: E402
     sweep)
 from easic.bitstream import (  # noqa: E402
     Bitstream, BitstreamError, read_bitstream, write_bitstream)
+from easic import netlist as netlist_module  # noqa: E402
 from easic.netlist import LutMask  # noqa: E402
 from easic.obfuscate import _splice_network  # noqa: E402
 
@@ -122,11 +124,11 @@ def test_blif_emit_parse_is_an_isomorphism(sequential, seed, level):
     hybrid = run_obfuscation(nl, ObfuscationConfig(obf_percent=level,
                                                    library=LIB)).netlist
     for design in (nl, hybrid):
-        text = emit_blif(design)
+        text = "".join(emit_blif(design))
         again = parse_blif(text)
         assert isomorphic(design, again)
         assert (again.name, again.clock) == (design.name, design.clock)
-        assert emit_blif(again) == text
+        assert "".join(emit_blif(again)) == text
 
 
 @st.composite
@@ -152,3 +154,16 @@ def test_ebs_write_read_is_the_identity(tmp_path_factory, stream):
         cut.write_bytes(data[:size])
         with pytest.raises(BitstreamError):
             read_bitstream(cut)
+
+
+# a letter, a space, and every line boundary str.splitlines() knows
+LINE_ALPHABET = ["a", " ", "\n", "\r", "\r\n", "\x0b", "\x0c", "\x1c",
+                 "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.sampled_from(LINE_ALPHABET), max_size=40).map("".join),
+       st.integers(1, 8))
+def test_piecewise_split_is_splitlines(text, piece):
+    with mock.patch.object(netlist_module, "_PIECE", piece):
+        assert list(netlist_module._split_lines(text)) == text.splitlines()
