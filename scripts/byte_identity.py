@@ -36,13 +36,18 @@ brute-force attack on each TOY_SEEDS toy at 0, 50 and 86 percent (an
 empty key, keys of 12-20 bits, keys over the 20-bit cap), and on the
 MISMATCH toy at 50 percent against another toy's golden design, the
 430- and 1000-LUT6 DAGs at 50 percent, each followed by verify, and a
-verify of each FLIPS directory.
+verify of each FLIPS directory.  Last, the rewrite pass: per input but
+the two large DAGs, obfuscate again at every level into one shared
+directory, ascending and then descending (0, 37, ..., 100, 86, ..., 0),
+so that each output file is rewritten over a longer and a shorter one.
 
 Every file the commands write, and every command's exit code, standard
 output and standard error, must be the same in both trees.  Each FLIPS
 verify must end in the mode and exit code listed for it, and the
-MISMATCH brute force in exit 3 with the key space exhausted.  In the
-change tree, every output digest of every manifest.json the commands
+MISMATCH brute force in exit 3 with the key space exhausted.  In each
+tree, the files a rewrite-pass command leaves in its directory must be
+those the same command wrote into a fresh directory, and no others.  In
+the change tree, every output digest of every manifest.json the commands
 wrote must be the sha256 of that file on disk: a tree hashes its
 outputs as it writes them, so two trees that agree byte for byte could
 still both record a digest that no file has.  The script prints the
@@ -91,8 +96,10 @@ FLIPS = (
 
 # Runs one tree's commands in this directory and writes results.json:
 # argv[1] is the tree's src/, argv[2] the JSON list of command lines.
+# Each result holds the digests of the files in the command's --out
+# directory right after the command, which the rewrite pass compares.
 RUNNER = r"""
-import contextlib, io, json, sys
+import contextlib, hashlib, io, json, sys
 from pathlib import Path
 src = Path(sys.argv[1]).resolve()
 sys.path.insert(0, str(src))
@@ -110,7 +117,10 @@ for argv in json.loads(Path(sys.argv[2]).read_text()):
             code = exc.code
         except Exception as exc:
             code = f"raised {type(exc).__name__}: {exc}"
-    results.append({"argv": argv, "code": code,
+    out_dir = Path(argv[argv.index("--out") + 1])
+    files = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+             for p in sorted(out_dir.glob("*")) if p.is_file()}
+    results.append({"argv": argv, "code": code, "files": files,
                     "stdout": out.getvalue(), "stderr": err.getvalue()})
 Path("results.json").write_text(json.dumps(results, indent=1) + "\n")
 """
@@ -229,6 +239,12 @@ def command_lines(work: Path, inputs, flips):
     for (design, *_), run in zip(FLIPS, flips):
         cmds.append(["verify", "--golden", paths[design], "--easic", run,
                      "--out", f"flips/{Path(run).name}"])
+    for name, path in inputs:
+        if name in big:
+            continue
+        for level in LEVELS + LEVELS[-2::-1]:
+            cmds.append(["obfuscate", "--input", path, "--obf", str(level),
+                         "--out", f"rewrite/{name}"])
     return cmds
 
 
@@ -262,6 +278,11 @@ def compare(parent: Path, change: Path):
             if ra[key] != rb[key]:
                 diffs.append(f"{' '.join(ra['argv'])}: {key} "
                              f"{ra[key]!r} != {rb[key]!r}")
+        names = sorted(name for name in ra["files"].keys() | rb["files"].keys()
+                       if ra["files"].get(name) != rb["files"].get(name))
+        if names:
+            diffs.append(f"{' '.join(ra['argv'])}: {', '.join(names)} "
+                         "differ right after the command")
     files_a, files_b = tree_files(parent), tree_files(change)
     for name in sorted(files_a ^ files_b):
         diffs.append(f"{name}: only in {'parent' if name in files_a else 'change'}")
@@ -274,9 +295,9 @@ def compare(parent: Path, change: Path):
 
 
 def outcome_misses(parent: Path, results, paths):
-    """FLIPS verifies (the last commands) that no longer end in the
-    listed mode and exit code, and a MISMATCH brute force that no longer
-    ends in an exhausted key space."""
+    """FLIPS verifies (the commands writing under flips/) that no longer
+    end in the listed mode and exit code, and a MISMATCH brute force that
+    no longer ends in an exhausted key space."""
     misses = []
     argv = mismatch_command(paths)
     (result,) = (r for r in results if r["argv"] == argv)
@@ -284,7 +305,8 @@ def outcome_misses(parent: Path, results, paths):
         misses.append(f"{' '.join(argv)}: parent gave exit {result['code']} "
                       f"{result['stderr']!r}, not exit 3 with the key space "
                       "exhausted")
-    for (*_, mode, code), result in zip(FLIPS, results[-len(FLIPS):]):
+    flips = [r for r in results if r["argv"][-1].startswith("flips/")]
+    for (*_, mode, code), result in zip(FLIPS, flips, strict=True):
         out = result["argv"][-1]
         report = parent / out / "verify.json"
         got = (json.loads(report.read_text())["mode"]
@@ -293,6 +315,29 @@ def outcome_misses(parent: Path, results, paths):
             misses.append(f"{out}: parent verify gave mode {got[0]} exit "
                           f"{got[1]}, not mode {mode} exit {code}")
     return misses
+
+
+def rewrite_misses(root: Path):
+    """Rewrite-pass commands (--out under rewrite/) run in ``root`` whose
+    directory did not hold exactly the files of the same command in a
+    fresh directory (runs/<input>/obf<level>); and the number of commands
+    checked."""
+    misses = []
+    checked = 0
+    for result in json.loads((root / "results.json").read_text()):
+        argv = result["argv"]
+        out = Path(argv[argv.index("--out") + 1])
+        if out.parent.name != "rewrite":
+            continue
+        checked += 1
+        fresh = root / "runs" / out.name / f"obf{argv[argv.index('--obf') + 1]}"
+        want = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+                for p in fresh.iterdir() if p.is_file()}
+        for name in sorted(want.keys() | result["files"].keys()):
+            if want.get(name) != result["files"].get(name):
+                misses.append(f"{root.name}: {' '.join(argv)}: {name} is not "
+                              f"the file of {fresh.relative_to(root)}")
+    return misses, checked
 
 
 def digest_misses(root: Path):
@@ -348,11 +393,15 @@ def main(argv=None):
             seconds[side] = run_tree(src, work / side, commands)
         diffs, n_files, results = compare(work / "parent", work / "change")
         diffs += outcome_misses(work / "parent", results, dict(inputs))
+        for side in ("parent", "change"):
+            misses, rewrites = rewrite_misses(work / side)
+            diffs += misses
         misses, digests = digest_misses(work / "change")
         diffs += misses
     codes = sorted({str(r["code"]) for r in results})
     print(f"{len(inputs)} inputs, {len(results)} commands (exit codes "
-          f"{', '.join(codes)}), {n_files} output files, {digests} "
+          f"{', '.join(codes)}), {n_files} output files, {rewrites} "
+          f"rewrites checked against fresh runs in each tree, {digests} "
           f"manifest digests checked in the change tree; parent "
           f"{seconds['parent']:.1f} s, change {seconds['change']:.1f} s")
     for line in diffs:

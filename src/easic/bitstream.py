@@ -12,6 +12,7 @@ streams the bitstream tail-first, exactly like loading a scan chain.
 
 from __future__ import annotations
 
+import os
 import struct
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -136,8 +137,12 @@ def write_bitstream(bitstream: Bitstream, path) -> bytes:
     # stream bit i is byte i // 8, bit position i % 8
     blob += struct.pack("<I", n) + bitstream.key.to_bytes((n + 7) // 8, "little")
     data = bytes(blob)
-    with open(path, "wb") as handle:
+    # rewritten in place, then cut at its end: truncating an existing
+    # file to zero first costs several times the write on some file
+    # systems (as in cli._write_text)
+    with open(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666), "wb") as handle:
         handle.write(data)
+        handle.truncate()
     return data
 
 

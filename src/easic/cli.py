@@ -56,14 +56,21 @@ def _sha256(data: bytes) -> str:
     return "sha256:" + hashlib.sha256(data).hexdigest()
 
 
-def _read_text(path, error=CliConfigError) -> str:
+def _read_text(path, error=CliConfigError, digests=None) -> str:
     """The UTF-8 text of a file; text that does not decode raises
-    ``error`` (BlifError for netlists, so that it exits as a parse error)."""
+    ``error`` (BlifError for netlists, so that it exits as a parse error).
+    Given a ``digests`` dict, records in it the digest of the file's bytes
+    under the file's name, for the manifest.  No line end is translated:
+    the BLIF reader and the JSON decoder take CR LF and a lone CR as they
+    come."""
     path = Path(path)
     if not path.is_file():
         raise CliConfigError(f"no such file: {path}")
     try:
-        return path.read_text(encoding="utf-8")
+        data = path.read_bytes()
+        if digests is not None:
+            digests[path.name] = _sha256(data)
+        return data.decode("utf-8")
     except UnicodeDecodeError as exc:
         raise error(f"{path}: not UTF-8 text (byte {exc.start})") from None
     except OSError as exc:
@@ -97,13 +104,17 @@ def _read_histogram(path):
 
 def _write_text(path: Path, chunks) -> str:
     """Write text chunks as UTF-8, encoding and hashing one chunk at a
-    time; returns the digest of the bytes written."""
+    time; returns the digest of the bytes written.  An existing file is
+    rewritten in place and cut at the new end: truncating it to zero
+    first costs several times the write on some file systems (ext4
+    mounted with ``discard``).  Neither way is atomic."""
     digest = hashlib.sha256()
-    with path.open("wb") as f:
+    with open(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666), "wb") as f:
         for chunk in chunks:
             data = chunk.encode("utf-8")
             f.write(data)
             digest.update(data)
+        f.truncate()
     return "sha256:" + digest.hexdigest()
 
 
@@ -136,13 +147,14 @@ def _out_dir(args) -> Path:
 
 
 def _manifest(command, inputs, config, outputs, out_dir):
-    """Write manifest.json: ``inputs`` maps input names to their bytes,
-    ``outputs`` maps output names to the digests of the bytes written."""
+    """Write manifest.json: ``inputs`` maps input names to the digests of
+    the bytes read, ``outputs`` output names to those of the bytes
+    written."""
     _write_json(out_dir / "manifest.json", {
         "tool": "easic",
         "version": __version__,
         "command": command,
-        "inputs": {name: _sha256(data) for name, data in inputs.items()},
+        "inputs": inputs,
         "config": config,
         "outputs": outputs,
     })
@@ -152,8 +164,8 @@ def _manifest(command, inputs, config, outputs, out_dir):
 
 
 def cmd_obfuscate(args) -> int:
-    text = _read_text(args.input, BlifError)
-    netlist = parse_blif(text)
+    inputs = {}
+    netlist = parse_blif(_read_text(args.input, BlifError, inputs))
     library, lib_name = _load_library(args)
     config = ObfuscationConfig(obf_percent=args.obf, seed=args.seed,
                                library=library)
@@ -181,7 +193,7 @@ def cmd_obfuscate(args) -> int:
 
     _manifest(
         "obfuscate",
-        inputs={Path(args.input).name: text.encode("utf-8")},
+        inputs=inputs,
         config={
             "obf_percent": float(args.obf),
             "seed": args.seed,
@@ -213,8 +225,8 @@ def _parse_levels(spec_text):
 
 
 def cmd_sweep(args) -> int:
-    text = _read_text(args.input, BlifError)
-    netlist = parse_blif(text)
+    inputs = {}
+    netlist = parse_blif(_read_text(args.input, BlifError, inputs))
     library, lib_name = _load_library(args)
     levels = _parse_levels(args.levels)
     out = _out_dir(args)
@@ -223,7 +235,7 @@ def cmd_sweep(args) -> int:
     digest = _write_text(out / "sweep.csv", (csv_text,))
     _manifest(
         "sweep",
-        inputs={Path(args.input).name: text.encode("utf-8")},
+        inputs=inputs,
         config={
             "levels": levels,
             "seed": args.seed,

@@ -817,6 +817,89 @@ def test_manifest_digests_match_the_files(tmp_path, designs_dir):
             "cmp4.blif": "sha256:" + hashlib.sha256(src.read_bytes()).hexdigest()}
 
 
+def _sha256(data):
+    return "sha256:" + hashlib.sha256(data).hexdigest()
+
+
+def _files(out):
+    return {path.name: path.read_bytes() for path in out.iterdir()}
+
+
+def test_obfuscate_rewrites_its_outputs_in_place(tmp_path, designs_dir):
+    """One --out directory taken from 0% to 100% and back: the bitstream,
+    chain, trace and both netlists shrink one way and grow the other, and
+    every run leaves the bytes a fresh directory gets."""
+    shared = tmp_path / "shared"
+    sizes = []
+    for run, level in enumerate(("0", "100", "0")):
+        fresh = tmp_path / f"fresh{run}"
+        for out in (shared, fresh):
+            assert run_cli("obfuscate", "--input", designs_dir / "cmp4.blif",
+                           "--obf", level, "--out", out) == 0
+        files = _files(shared)
+        assert files == _files(fresh), level
+        outputs = json.loads(files["manifest.json"])["outputs"]
+        assert outputs == {name: _sha256(files[name]) for name in outputs}
+        sizes.append({name: len(data) for name, data in files.items()})
+    for name in ("easic.ebs", "chain.json", "trace.json", "easic.blif", "easic.v"):
+        assert sizes[0][name] != sizes[1][name], name
+
+
+def test_bruteforce_rewrites_the_recovered_key_in_place(tmp_path):
+    """recovered.ebs rewritten with a shorter key and then a longer one
+    (a two-input AND has 4 bits, a three-input one 8): each time the
+    bytes a fresh directory gets."""
+    designs = [TOY.replace("toy", "wide").replace("a b", "a b c")
+               .replace("11 1", "111 1"), TOY]
+    shared = tmp_path / "shared"
+    sizes = []
+    for run, text in enumerate(designs + designs[:1]):
+        src = tmp_path / f"d{run}.blif"
+        src.write_text(text)
+        assert run_cli("obfuscate", "--input", src, "--obf", "100",
+                       "--out", tmp_path / f"o{run}") == 0
+        for out in (shared, tmp_path / f"bf{run}"):
+            assert run_cli("attack", "bruteforce", "--easic", tmp_path / f"o{run}",
+                           "--golden", src, "--out", out) == 0
+        assert _files(shared) == _files(tmp_path / f"bf{run}")
+        sizes.append((shared / "recovered.ebs").stat().st_size)
+    assert sizes[0] > sizes[1] < sizes[2]
+
+
+def test_write_text_cuts_a_longer_file(tmp_path):
+    from easic.cli import _write_text
+
+    old, new = tmp_path / "old.txt", tmp_path / "new.txt"
+    old.write_bytes(b"x" * 100)
+    for path in (old, new):
+        assert _write_text(path, ("ab", "\u00e9")) == _sha256("ab\u00e9".encode())
+        assert path.read_text(encoding="utf-8") == "ab\u00e9"
+    umask = os.umask(0o022)
+    os.umask(umask)
+    assert new.stat().st_mode & 0o777 == 0o666 & ~umask
+
+
+@pytest.mark.parametrize("line_end", [b"\r\n", b"\r"], ids=["crlf", "cr"])
+def test_manifest_hashes_the_bytes_of_an_input_with_cr(tmp_path, designs_dir,
+                                                       line_end):
+    """Line ends change the input's digest in the manifest and nothing else."""
+    lf = designs_dir / "cmp4.blif"
+    cr = tmp_path / "cr" / "cmp4.blif"
+    cr.parent.mkdir()
+    cr.write_bytes(lf.read_bytes().replace(b"\n", line_end))
+    for command in (("obfuscate", "--obf", "50"), ("sweep", "--levels", "0,50")):
+        runs = []
+        for src in (lf, cr):
+            out = tmp_path / f"{command[0]}-{src.parent.name}"
+            assert run_cli(command[0], "--input", src, *command[1:],
+                           "--out", out) == 0
+            files = _files(out)
+            manifest = json.loads(files.pop("manifest.json"))
+            assert manifest.pop("inputs") == {"cmp4.blif": _sha256(src.read_bytes())}
+            runs.append((files, manifest))
+        assert runs[0] == runs[1], command[0]
+
+
 def test_each_command_reads_only_what_it_uses(tmp_path, designs_dir,
                                              monkeypatch):
     """The files each command opens, by name: obfuscate reads only its
@@ -825,9 +908,13 @@ def test_each_command_reads_only_what_it_uses(tmp_path, designs_dir,
     opened = []
     path_open = Path.open
     builtin_open = builtins.open
+    os_open = os.open
 
     def note(file, mode):
-        opened.append(("w" if set(mode) & set("wax") else "r", Path(file).name))
+        # a writer opens its file with os.open, noted there, and then
+        # wraps the descriptor
+        if not isinstance(file, int):
+            opened.append(("w" if set(mode) & set("wax") else "r", Path(file).name))
 
     def counted_path_open(self, mode="r", *args, **kwargs):
         note(self, mode)
@@ -836,6 +923,10 @@ def test_each_command_reads_only_what_it_uses(tmp_path, designs_dir,
     def counted_open(file, mode="r", *args, **kwargs):
         note(file, mode)
         return builtin_open(file, mode, *args, **kwargs)
+
+    def counted_os_open(file, flags, *args, **kwargs):
+        note(file, "w" if flags & (os.O_WRONLY | os.O_RDWR) else "r")
+        return os_open(file, flags, *args, **kwargs)
 
     src = designs_dir / "counter8.blif"
     toy = tmp_path / "toy.blif"
@@ -876,6 +967,7 @@ def test_each_command_reads_only_what_it_uses(tmp_path, designs_dir,
     ]
     monkeypatch.setattr(Path, "open", counted_path_open)
     monkeypatch.setattr(builtins, "open", counted_open)
+    monkeypatch.setattr(os, "open", counted_os_open)
     for args, reads, writes in expected:
         opened.clear()
         assert run_cli(*args) == 0, args
