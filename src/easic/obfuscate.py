@@ -139,16 +139,13 @@ class ObfuscationResult:
 
     def area_report(self) -> AreaReport:
         lib = self.config.library
-        area_re = sum(lib.cell_area(self.netlist.cells[name])
-                      for name in self.l_re)
-        area_st = sum(c.network_area for c in self.trace)
-        replacement = {name for c in self.trace for name in c.cells}
-        other = sum(
-            lib.cell_area(cell)
-            for cell in self.netlist.cells.values()
-            if cell.name not in self.l_re and cell.name not in replacement
-        )
-        return AreaReport(area_re, area_st, other)
+        cells = self.netlist.cells
+        area_re = sum(lib.cell_area(cells[name]) for name in self.l_re)
+        area_st = sum(lib.cell_area(cells[name])
+                      for c in self.trace for name in c.cells)
+        other = sum(map(lib.cell_area, cells.values())) - area_re - area_st
+        return AreaReport(*(q / lib.area_unit
+                            for q in (area_re, area_st, other)))
 
     def to_json_dict(self):
         """The trace.json document."""
@@ -260,7 +257,7 @@ class _Engine:
         ties prefer the latest position on the path."""
         cells = self.netlist.cells
         # l_re names exactly the netlist's reconfigurable LUTs
-        _, pos = max((self.graph.cell_delay(cells[name]), pos)
+        _, pos = max((self.lib.cell_delay(cells[name]), pos)
                      for pos, name in enumerate(path.cells)
                      if name in self.l_re)
         return cells[path.cells[pos]]
@@ -277,7 +274,7 @@ class _Engine:
         order = sorted(
             self.l_re,
             key=lambda name: (
-                -self.graph.cell_delay(self.netlist.cells[name]),
+                -self.lib.cell_delay(self.netlist.cells[name]),
                 -fanout.get(name, 0),
                 name,
             ),
@@ -285,6 +282,7 @@ class _Engine:
         return order
 
     def _convert(self, lut: Cell, endpoint, fallback) -> Conversion:
+        per_ns = self.lib.time_unit
         cp_before = self.graph.cp()
         network = staticgen.decompose_lut(lut.mask, self.lib)
         cells = _splice_network(self.netlist, lut, network,
@@ -296,11 +294,11 @@ class _Engine:
             lut=lut.name,
             mask=lut.mask,
             endpoint=endpoint,
-            cp_before=cp_before,
-            cp_after=self.graph.cp(),
+            cp_before=cp_before / per_ns,
+            cp_after=self.graph.cp() / per_ns,
             fallback=fallback,
-            network_area=network.area,
-            network_delay=network.delay,
+            network_area=network.area / self.lib.area_unit,
+            network_delay=network.delay / per_ns,
             cells=cells,
         )
         self.trace.append(record)
@@ -362,8 +360,8 @@ def sweep(netlist: Netlist, levels, library=None) -> list:
         rep = timing_report(engine.graph)
         area = engine.result().area_report()
         snapshots[target] = {
-            "sum_cp_ns": rep.sum_cp,
-            "cp_ns": rep.cp,
+            "sum_cp_ns": rep.sum_cp / rep.unit,
+            "cp_ns": rep.cp / rep.unit,
             "area_re_um2": area.area_re,
             "area_st_um2": area.area_st,
             "lut_re": len(engine.l_re),

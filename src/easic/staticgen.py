@@ -91,14 +91,15 @@ class GateNetwork:
     Signals named ``i0..i{n-1}`` are the LUT data pins, ``t*`` are
     internal.  ``output`` is always driven by the last cell in ``cells``
     (a BUF/TIE is inserted when the function collapses to a wire or a
-    constant), which keeps netlist splicing trivial.
+    constant), which keeps netlist splicing trivial.  ``delay`` counts
+    1/time_unit ns and ``area`` 1/area_unit um^2 of the library.
     """
 
     width: int
     cells: tuple
     output: str
-    delay: float
-    area: float
+    delay: int
+    area: int
 
     def eval_table(self) -> int:
         """Truth table of the network over all 2^width input vectors,
@@ -170,22 +171,21 @@ def bdd_to_gates(bdd: Bdd, lib: TechLibrary) -> GateNetwork:
         if root_sig.startswith("i"):
             root_sig = emit("BUF", (root_sig,))
 
-    area = sum(lib.gate_area[g.kind] for g in cells)
     return GateNetwork(
         width=bdd.width,
         cells=tuple(cells),
         output=root_sig,
         delay=_network_delay(cells, lib),
-        area=area,
+        area=sum(lib.area_q[g.kind] for g in cells),
     )
 
 
 def _network_delay(cells, lib):
     arrival = {}
     for gate in cells:
-        arrival[gate.name] = lib.gate_delay[gate.kind] + max(
-            (arrival.get(s, 0.0) for s in gate.inputs), default=0.0)
-    return max(arrival.values(), default=0.0)
+        arrival[gate.name] = lib.delay_q[gate.kind] + max(
+            (arrival.get(s, 0) for s in gate.inputs), default=0)
+    return max(arrival.values(), default=0)
 
 
 def decompose_lut(mask: LutMask, lib: TechLibrary) -> GateNetwork:

@@ -5,6 +5,9 @@ The built-in default library is calibrated so that for every width n
 MUX tree of at most n levels (and the peephole substitutions are never
 slower than the MUX2 they replace), this guarantees that converting a
 LUT to static logic never slows any path down.
+
+Time and area are exact int counts of 1/``time_unit`` ns and 1/``area_unit``
+um^2, as fine as the library's decimals need: ints have no cap.
 """
 
 from __future__ import annotations
@@ -12,6 +15,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
+from decimal import Decimal
 
 from .netlist import GATE_KINDS, KIND_FF, KIND_LUT, MAX_LUT_WIDTH
 
@@ -31,27 +35,27 @@ class TechLibrary:
     ff_area: float
     calibration_ok: bool = True
     warnings: tuple = field(default_factory=tuple)
+    time_unit: int = 1    # delays below count 1/time_unit ns
+    area_unit: int = 1    # areas below count 1/area_unit um^2
+    # keyed by gate kind, LUT width and KIND_FF (clk-to-q, FF area)
+    delay_q: dict = field(default_factory=dict)
+    area_q: dict = field(default_factory=dict)
+    setup_q: int = 0
 
-    def cell_delay(self, cell) -> float:
-        """Pin-to-output delay in ns for any netlist cell."""
-        if cell.kind == KIND_LUT:
-            return self.lut_delay[cell.mask.width]
-        if cell.kind == KIND_FF:
-            return self.ff_clk2q
-        try:
-            return self.gate_delay[cell.kind]
-        except KeyError:
-            raise LibraryError(f"unknown cell kind {cell.kind}") from None
+    def cell_delay(self, cell) -> int:
+        """Pin-to-output delay of any netlist cell, in 1/time_unit ns."""
+        return _count(self.delay_q, cell)
 
-    def cell_area(self, cell) -> float:
-        if cell.kind == KIND_LUT:
-            return self.lut_area[cell.mask.width]
-        if cell.kind == KIND_FF:
-            return self.ff_area
-        try:
-            return self.gate_area[cell.kind]
-        except KeyError:
-            raise LibraryError(f"unknown cell kind {cell.kind}") from None
+    def cell_area(self, cell) -> int:
+        """Area of any netlist cell, in 1/area_unit um^2."""
+        return _count(self.area_q, cell)
+
+
+def _count(table, cell):
+    try:
+        return table[cell.mask.width if cell.kind == KIND_LUT else cell.kind]
+    except KeyError:
+        raise LibraryError(f"unknown cell kind {cell.kind}") from None
 
 
 # Stand-in 65nm-flavored numbers.  Only trends matter; the absolute
@@ -181,21 +185,33 @@ def load_library(config=None) -> TechLibrary:
     ff_area = _positive(
         _require(ff_cfg, "area_um2", "ff area", "ff"), "ff area")
 
-    warnings = []
-    ok = True
-    mux_delay = gate_delay["MUX2"]
-    for width in range(1, MAX_LUT_WIDTH + 1):
-        if lut_delay[width] < width * mux_delay:
-            ok = False
-            warnings.append(
-                f"lut_delay({width})={lut_delay[width]} < "
-                f"{width} * MUX2 delay {mux_delay}; "
-                "static replacements may be slower than the LUTs they replace"
-            )
+    time_unit, delay_q = _counts({**gate_delay, **lut_delay,
+                                  KIND_FF: ff_clk2q, "setup": ff_setup})
+    setup_q = delay_q.pop("setup")
+    area_unit, area_q = _counts({**gate_area, **lut_area, KIND_FF: ff_area})
+
+    warnings = tuple(
+        f"lut_delay({width})={lut_delay[width]} < "
+        f"{width} * MUX2 delay {gate_delay['MUX2']}; "
+        "static replacements may be slower than the LUTs they replace"
+        for width in range(1, MAX_LUT_WIDTH + 1)
+        if delay_q[width] < width * delay_q["MUX2"])
 
     return TechLibrary(gate_delay, gate_area, lut_delay, lut_area,
                        ff_clk2q, ff_setup, ff_area,
-                       calibration_ok=ok, warnings=tuple(warnings))
+                       calibration_ok=not warnings, warnings=warnings,
+                       time_unit=time_unit, area_unit=area_unit,
+                       delay_q=delay_q, area_q=area_q, setup_q=setup_q)
+
+
+def _counts(values):
+    """(unit, counts): the least common multiple of the denominators of
+    the values' shortest decimal forms (as ``--obf`` is read), and each
+    value as an int count of 1/unit."""
+    exact = {key: Decimal(repr(v)).as_integer_ratio()
+             for key, v in values.items()}
+    unit = math.lcm(*(d for _, d in exact.values()))
+    return unit, {key: n * (unit // d) for key, (n, d) in exact.items()}
 
 
 def load_library_file(path) -> TechLibrary:

@@ -3,10 +3,11 @@
 Arrival times are propagated once, topologically, over the combinational
 subgraph.  Startpoints are primary inputs (arrival 0) and FF Q pins
 (arrival = clk-to-q); endpoints are primary outputs and FF D pins (which
-add setup).  Reconfigurable LUTs only present timing arcs on their
-functional support pins: a pin the masking pattern ignores never starts
-a path, which mirrors the input-forcing case constraints handed to
-downstream tools.
+add setup).  Times are exact int counts of the library's 1/``time_unit``
+ns, turned into ns only where a report writes them.  Reconfigurable LUTs
+only present timing arcs on their functional support pins: a pin the
+masking pattern ignores never starts a path, which mirrors the
+input-forcing case constraints handed to downstream tools.
 """
 
 from __future__ import annotations
@@ -44,7 +45,7 @@ def lut_support(mask: LutMask):
 @dataclass(frozen=True)
 class TimedPath:
     cells: tuple       # combinational cell names, startpoint -> endpoint
-    delay: float       # includes clk2q / setup boundary contributions
+    delay: int         # includes clk2q / setup boundary contributions
     endpoint: str      # output port name, or "<ff>/D"
     startpoint: str    # net the path begins on
     # the cells' ids on the graph that found the path
@@ -53,20 +54,21 @@ class TimedPath:
 
 @dataclass
 class TimingReport:
-    cp: float
-    sum_cp: float
+    cp: int            # as every time here, in 1/unit ns
+    sum_cp: int
     endpoints: list    # the worst TimedPath of each endpoint
+    unit: int = 1      # the library's time_unit
     warning: str | None = None
 
     def to_json_dict(self):
         return {
-            "cp_ns": self.cp,
-            "sum_cp_ns": self.sum_cp,
-            "fmax_ghz": (1.0 / self.cp) if self.cp > 0 else None,
+            "cp_ns": self.cp / self.unit,
+            "sum_cp_ns": self.sum_cp / self.unit,
+            "fmax_ghz": self.unit / self.cp if self.cp > 0 else None,
             "endpoints": [
                 {
                     "id": p.endpoint,
-                    "arrival_ns": p.delay,
+                    "arrival_ns": p.delay / self.unit,
                     "worst_path": list(p.cells),
                 }
                 for p in self.endpoints
@@ -130,7 +132,7 @@ class TimingGraph:
             ins = active[c]
             # a constant source (TIE or support-free LUT) is ready at t=0
             arrival[c] = max([arrival[net] for net in ins]) + delay[c] \
-                if ins else 0.0
+                if ins else 0
         self._endpoints = self._sorted_endpoints()
         self._endpoint_nets = [self._ids[net] for _, net, _ in self._endpoints]
         self._reach = self._slot_reach()
@@ -142,8 +144,8 @@ class TimingGraph:
     def _add_net(self, name):
         self._ids[name] = net = len(self._names)
         self._names.append(name)
-        self._arrival.append(0.0)
-        self._delay.append(0.0)
+        self._arrival.append(0)
+        self._delay.append(0)
         self._active.append(None)
         self._consumers.append([])
         self._links.append(_UNLINKED)
@@ -220,9 +222,6 @@ class TimingGraph:
         self._reconfigurable[c] = cell.is_reconfigurable
         return c
 
-    def cell_delay(self, cell) -> float:
-        return self._delay[self._ids[cell.name]]
-
     # -- arrival propagation -------------------------------------------
 
     @property
@@ -235,10 +234,10 @@ class TimingGraph:
     def _sorted_endpoints(self):
         out = []
         for net in self.netlist.outputs:
-            out.append((net, net, 0.0))
+            out.append((net, net, 0))
         for cell in self.netlist.cells.values():
             if cell.is_ff:
-                out.append((f"{cell.name}/D", cell.inputs[0], self.lib.ff_setup))
+                out.append((f"{cell.name}/D", cell.inputs[0], self.lib.setup_q))
         out.sort(key=lambda t: t[0])
         return out
 
@@ -246,10 +245,10 @@ class TimingGraph:
         """Sorted (endpoint id, net, extra delay) triples."""
         return self._endpoints
 
-    def cp(self) -> float:
+    def cp(self) -> int:
         arrival = self._arrival
         return max((arrival[net] + extra for net, (_, _, extra)
-                    in zip(self._endpoint_nets, self._endpoints)), default=0.0)
+                    in zip(self._endpoint_nets, self._endpoints)), default=0)
 
 
 def build_and_time(netlist: Netlist, lib: TechLibrary) -> TimingGraph:
@@ -307,7 +306,7 @@ def update_timing(graph: TimingGraph, changed) -> TimingGraph:
         for c in slots[pop(frontier)]:
             ins = active[c]
             # a constant source (TIE or support-free LUT) is ready at t=0
-            new = max(map(arrival_of, ins)) + delay[c] if ins else 0.0
+            new = max(map(arrival_of, ins)) + delay[c] if ins else 0
             links[c] = _UNLINKED
             # when the value is unchanged, the downstream cone keeps its
             # arrivals; a slot's own cells are recomputed in any case
@@ -323,16 +322,12 @@ def update_timing(graph: TimingGraph, changed) -> TimingGraph:
 def report(graph: TimingGraph) -> TimingReport:
     """CP, sumCP, and the worst path per endpoint."""
     eps = graph.endpoints()
-    if not eps:
-        return TimingReport(0.0, 0.0, [], warning="netlist has no endpoints")
     paths = [_backtrack(graph, net, extra, endpoint)
              for net, (endpoint, _, extra) in zip(graph._endpoint_nets, eps)]
-    total = 0.0
-    worst = 0.0
-    for path in paths:
-        total += path.delay
-        worst = max(worst, path.delay)
-    return TimingReport(worst, total, paths)
+    delays = [path.delay for path in paths]
+    return TimingReport(max(delays, default=0), sum(delays), paths,
+                        graph.lib.time_unit,
+                        None if paths else "netlist has no endpoints")
 
 
 def _greedy_fanin(arrival, names, ins, skip=-1):
@@ -340,7 +335,7 @@ def _greedy_fanin(arrival, names, ins, skip=-1):
     the smallest net name (which makes paths deterministic); -1 when no
     net is left."""
     best = -1
-    best_arr = 0.0
+    best_arr = 0
     for net in ins:
         if net == skip:
             continue
@@ -500,9 +495,9 @@ def endpoint_deviations(graph: TimingGraph, endpoint_triple,
     Each candidate forbids exactly one edge of the worst path: at its
     ``pos``-th cell it enters through the greedy fan-in ``alt`` (a net
     id) among the other inputs, and before it runs the greedy chain.
-    Arrivals are the left-to-right sums along greedy chains, so the
-    realized delay is that input's arrival plus the delays from the cell
-    on, added left to right.  A cell whose other inputs all carry the
+    Arrivals are exact sums along greedy chains, so the realized delay
+    is the worst path's with the taken edge's arrival traded for
+    ``alt``'s.  A cell whose other inputs all carry the
     taken net has no other edge, and the candidate identical to the
     worst path is dropped, so no candidate is slower than the worst
     path.  A candidate's greedy walk is taken when it is read or to
@@ -511,9 +506,7 @@ def endpoint_deviations(graph: TimingGraph, endpoint_triple,
     """
     if not worst.ids:
         return []
-    _, _, extra = endpoint_triple
     arrival, names = graph._arrival, graph._names
-    delays = [graph._delay[c] for c in worst.ids]
     active = graph._active
     search = _Deviations(graph, worst)
     out = []
@@ -526,16 +519,8 @@ def endpoint_deviations(graph: TimingGraph, endpoint_triple,
         # that enters the first cell from another startpoint has the
         # worst path's cells
         if alt >= 0 and (pos or active[alt] is not None):
-            total = arrival[alt]
-            if total == arrival[taken]:
-                # from the taken edge's arrival, the sums are the worst
-                # path's arrivals
-                total = worst.delay
-            else:
-                for delay in delays[pos:]:
-                    total += delay
-                total += extra
-            out.append((total, pos, alt, search))
+            out.append((worst.delay - arrival[taken] + arrival[alt], pos,
+                        alt, search))
         taken = c
     # cell sequences are compared, and so walked, only on equal delays
     tied = {}

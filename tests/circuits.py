@@ -150,13 +150,15 @@ def replay_counterexample(a, b, report) -> bool:
 
 class DelayTable:
     """A library stand-in for timing tests: a cell named in ``table``
-    takes that delay, any other cell its delay in ``lib``.  Edit
-    ``table`` and call update_timing to retime."""
+    takes that delay, any other cell its delay in ``lib``, all in
+    1/``lib.time_unit`` ns.  Edit ``table`` and call update_timing to
+    retime."""
 
     def __init__(self, lib, table):
         self.lib = lib
         self.table = table
-        self.ff_setup = lib.ff_setup
+        self.time_unit = lib.time_unit
+        self.setup_q = lib.setup_q
 
     def cell_delay(self, cell):
         delay = self.table.get(cell.name)

@@ -203,7 +203,7 @@ def test_criterion_6_incremental_timing_oracle(lib):
         names = sorted(nl.cells)
         for _ in range(min(40, 1000 - updates)):
             target = rng.choice(names)
-            overrides[target] = round(rng.uniform(0.0, 2.0), 3)
+            overrides[target] = rng.randint(0, 2 * lib.time_unit)
             update_timing(graph, target)
             fresh = build_and_time(nl, DelayTable(lib, dict(overrides)))
             if graph.arrival != fresh.arrival:

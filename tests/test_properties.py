@@ -1,6 +1,8 @@
 """Property tests over random LUT DAGs (hypothesis)."""
 
+import copy
 import random
+from fractions import Fraction
 from unittest import mock
 
 import pytest
@@ -11,16 +13,18 @@ from hypothesis import given, settings, strategies as st  # noqa: E402
 from easic import (  # noqa: E402
     EquivalencePolicy, ObfuscationConfig, blank_state, build_and_time,
     check_equivalence, decompose_lut, default_library, emit_blif, find_critical,
-    parse_blif, program, prove_by_cuts, report, run_obfuscation, serialize,
-    sweep)
+    load_library, lut_support, parse_blif, program, prove_by_cuts, report,
+    run_obfuscation, serialize, sweep)
 from easic.bitstream import (  # noqa: E402
     Bitstream, BitstreamError, read_bitstream, write_bitstream)
 from easic import netlist as netlist_module  # noqa: E402
 from easic.netlist import LutMask  # noqa: E402
 from easic.obfuscate import _splice_network  # noqa: E402
+from easic.techlib import _DEFAULT_CONFIG  # noqa: E402
 
 from circuits import (  # noqa: E402
-    isomorphic, lut, netlist, random_comb_netlist, random_seq_netlist)
+    isomorphic, lut, netlist, random_comb_netlist, random_seq_netlist,
+    random_timing_dag)
 
 LIB = default_library()
 
@@ -61,7 +65,8 @@ def test_every_level_is_a_prefix_of_the_full_run(nl, sweep_levels):
         assert row["lut_re"] == len(res.l_re)
         assert row["area_st_um2"] == res.area_report().area_st
         rep = report(res.graph)
-        assert (row["cp_ns"], row["sum_cp_ns"]) == (rep.cp, rep.sum_cp)
+        assert (row["cp_ns"], row["sum_cp_ns"]) == (rep.cp / rep.unit,
+                                                    rep.sum_cp / rep.unit)
 
 
 @settings(max_examples=40, deadline=None)
@@ -85,6 +90,109 @@ def test_splices_match_a_rebuild(nl, data):
         # converted LUTs leave paths without a reconfigurable LUT, which
         # the search passes over into the deviations
         assert find_critical(graph) == find_critical(fresh)
+
+
+def decimal_library(rng):
+    """(library, exact): a library of random 3-decimal values, and the
+    values of its decimal strings as Fractions: (ns, um^2) per gate
+    kind, LUT width and "FF", and ns for "setup"."""
+    def decimal(low, high):
+        k = rng.randint(low, high)
+        return f"{k // 1000}.{k % 1000:03d}"
+
+    def delay():
+        return decimal(0, 2000)
+
+    def area():
+        return decimal(1, 500000)
+
+    config = copy.deepcopy(_DEFAULT_CONFIG)
+    exact = {}
+    for section in ("gates", "luts"):
+        for key, entry in config[section].items():
+            ns, um2 = delay(), area()
+            entry.update(delay_ns=float(ns), area_um2=float(um2))
+            key = int(key) if section == "luts" else key
+            exact[key] = Fraction(ns), Fraction(um2)
+    clk2q, setup, um2 = delay(), delay(), area()
+    config["ff"] = {"clk2q_ns": float(clk2q), "setup_ns": float(setup),
+                    "area_um2": float(um2)}
+    exact["FF"] = Fraction(clk2q), Fraction(um2)
+    exact["setup"] = Fraction(setup)
+    return load_library(config), exact
+
+
+def exact_arrivals(nl, exact):
+    """Test-side oracle: every net's arrival in ns, as a Fraction."""
+    arrival = {net: 0 for net in [*nl.inputs, nl.clock] if net is not None}
+    for cell in nl.cells.values():
+        if cell.is_ff:
+            arrival[cell.name] = exact["FF"][0]
+    for cell in nl.validate():
+        pins = ([cell.inputs[i] for i in sorted(lut_support(cell.mask))]
+                if cell.is_lut else cell.inputs)
+        key = cell.mask.width if cell.is_lut else cell.kind
+        arrival[cell.name] = (max(arrival[net] for net in pins)
+                              + exact[key][0]) if pins else 0
+    return arrival
+
+
+def exact_area(cells, exact):
+    return sum(exact[c.mask.width if c.is_lut else c.kind][1] for c in cells)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2**32), st.sampled_from([0, 50, 86]))
+def test_times_and_areas_are_exact_decimal_sums(seed, level):
+    """The engine's conversions, replayed one splice at a time: after
+    every splice each arrival is the exact decimal sum of library values
+    in 1/time_unit ns, and every time and area that trace.json,
+    timing.json and area.json write is that exact value, rounded once."""
+    rng = random.Random(seed)
+    lib, exact = decimal_library(rng)
+    nl = random_timing_dag(rng, max_cells=60)
+    res = run_obfuscation(nl, ObfuscationConfig(obf_percent=level,
+                                                library=lib))
+    nl = nl.copy()
+    graph = build_and_time(nl, lib)
+    taken = nl.nets | set(nl.cells)
+
+    def endpoint_arrivals():
+        arrival = exact_arrivals(nl, exact)
+        assert graph.arrival == {net: t * lib.time_unit
+                                 for net, t in arrival.items()}
+        return [arrival[net] + (exact["setup"] if end.endswith("/D") else 0)
+                for end, net, _ in graph.endpoints()]
+
+    ends = endpoint_arrivals()
+    for record in res.trace:
+        assert record.cp_before == float(max(ends, default=0))
+        old = nl.cells[record.lut]
+        new = _splice_network(nl, old, decompose_lut(old.mask, lib), taken)
+        graph.splice(old, new)
+        ends = endpoint_arrivals()
+        assert record.cp_after == float(max(ends, default=0))
+        network = [nl.cells[name] for name in new]
+        assert record.network_area == float(exact_area(network, exact))
+        within = {}
+        for cell in network:
+            within[cell.name] = exact[cell.kind][0] + max(
+                (within.get(net, 0) for net in cell.inputs), default=0)
+        assert record.network_delay == float(within[new[-1]])
+
+    timing = report(res.graph).to_json_dict()
+    assert [e["arrival_ns"] for e in timing["endpoints"]] == \
+        [float(t) for t in ends]
+    assert timing["cp_ns"] == float(max(ends, default=0))
+    assert timing["sum_cp_ns"] == float(sum(ends))
+    cells = res.netlist.cells
+    replaced = {name for c in res.trace for name in c.cells}
+    static = set(cells) - res.l_re - replaced
+    assert res.area_report().to_json_dict() == {
+        key: float(exact_area([cells[n] for n in names], exact))
+        for key, names in (("area_re_um2", res.l_re),
+                           ("area_st_um2", replaced),
+                           ("other_static_um2", static))}
 
 
 @settings(max_examples=30, deadline=None)

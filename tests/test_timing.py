@@ -1,7 +1,5 @@
 import random
 
-import pytest
-
 from easic import (ObfuscationConfig, build_and_time, find_critical,
                    lut_support, report, run_obfuscation, update_timing)
 from easic.timing import (deviation_path, endpoint_deviations,
@@ -22,14 +20,14 @@ def buf_chain(n):
 
 def test_chain_arrivals(lib):
     nl = buf_chain(2)
-    graph = build_and_time(nl, DelayTable(lib, {"g1": 1.0, "g2": 2.0}))
-    assert graph.arrival["g2"] == 3.0
+    graph = build_and_time(nl, DelayTable(lib, {"g1": 1, "g2": 2}))
+    assert graph.arrival["g2"] == 3
 
 
 def test_direct_wire_zero_arrival(lib):
     nl = netlist("wire", ["a"], ["a"], [])
     graph = build_and_time(nl, lib)
-    assert report(graph).cp == 0.0
+    assert report(graph).cp == 0
 
 
 def test_diamond_max_rule(lib):
@@ -39,17 +37,17 @@ def test_diamond_max_rule(lib):
         lut("y", ("p", "q"), LutMask(2, 0x8)),
     ]
     nl = netlist("diamond", ["a"], ["y"], cells)
-    graph = build_and_time(nl, DelayTable(lib, {"p": 3.0, "q": 2.0, "y": 1.0}))
-    assert graph.arrival["y"] == 4.0
+    graph = build_and_time(nl, DelayTable(lib, {"p": 3, "q": 2, "y": 1}))
+    assert graph.arrival["y"] == 4
 
 
 def test_report_cp_and_sum(lib):
     cells = [lut("x", ("a",), BUF1), lut("y", ("a",), BUF1)]
     nl = netlist("two", ["a"], ["x", "y"], cells)
-    graph = build_and_time(nl, DelayTable(lib, {"x": 3.0, "y": 2.0}))
+    graph = build_and_time(nl, DelayTable(lib, {"x": 3, "y": 2}))
     rep = report(graph)
-    assert rep.cp == 3.0
-    assert rep.sum_cp == 5.0
+    assert rep.cp == 3
+    assert rep.sum_cp == 5
 
     single = buf_chain(3)
     graph = build_and_time(single, lib)
@@ -60,7 +58,7 @@ def test_report_cp_and_sum(lib):
 def test_report_no_endpoints_warns(lib):
     nl = netlist("none", ["a"], [], [])
     rep = report(build_and_time(nl, lib))
-    assert rep.cp == 0.0 and rep.sum_cp == 0.0
+    assert rep.cp == 0 and rep.sum_cp == 0
     assert rep.warning
 
 
@@ -70,10 +68,10 @@ def test_ff_boundaries_add_clk2q_and_setup(lib):
         ff("q", "d"),
     ]
     nl = netlist("loop", [], ["q"], cells, clock="clk")
-    graph = build_and_time(nl, DelayTable(lib, {"d": 1.0}))
+    graph = build_and_time(nl, DelayTable(lib, {"d": 1}))
     rep = report(graph)
-    ff_arrival = lib.ff_clk2q + 1.0 + lib.ff_setup
-    assert rep.cp == pytest.approx(max(ff_arrival, lib.ff_clk2q), abs=0)
+    clk2q = lib.cell_delay(nl.cells["q"])
+    assert rep.cp == max(clk2q + 1 + lib.setup_q, clk2q)
     ids = [e.endpoint for e in rep.endpoints]
     assert "q/D" in ids and "q" in ids
 
@@ -81,10 +79,10 @@ def test_ff_boundaries_add_clk2q_and_setup(lib):
 def test_find_critical_picks_worst_then_excluded(lib):
     cells = [lut("x", ("a",), BUF1), lut("y", ("a",), BUF1)]
     nl = netlist("two", ["a"], ["x", "y"], cells)
-    graph = build_and_time(nl, DelayTable(lib, {"x": 3.0, "y": 2.0}))
+    graph = build_and_time(nl, DelayTable(lib, {"x": 3, "y": 2}))
     p1 = find_critical(graph)
     assert p1.cells == ("x",)
-    assert p1.delay == 3.0
+    assert p1.delay == 3
     # a path without a reconfigurable LUT is passed over; the graph
     # learns of a changed cell from update_timing
     nl.cells["x"].mode = MODE_ST
@@ -99,7 +97,7 @@ def test_find_critical_picks_worst_then_excluded(lib):
 def test_find_critical_endpoint_tie_rule(lib):
     cells = [lut("b", ("i",), BUF1), lut("a", ("i",), BUF1)]
     nl = netlist("tie", ["i"], ["b", "a"], cells)
-    graph = build_and_time(nl, DelayTable(lib, {"a": 3.0, "b": 3.0}))
+    graph = build_and_time(nl, DelayTable(lib, {"a": 3, "b": 3}))
     assert find_critical(graph).endpoint == "a"
 
 
@@ -112,7 +110,7 @@ def test_find_critical_deviation_search(lib):
         lut("y", ("p", "q"), LutMask(2, 0x6)),
     ]
     nl = netlist("dev", ["a"], ["y"], cells)
-    graph = build_and_time(nl, DelayTable(lib, {"p": 5.0, "q": 4.0, "y": 1.0}))
+    graph = build_and_time(nl, DelayTable(lib, {"p": 5, "q": 4, "y": 1}))
     worst = find_critical(graph)
     assert worst.cells == ("p", "y")
     for name in worst.cells:
@@ -120,7 +118,7 @@ def test_find_critical_deviation_search(lib):
     update_timing(graph, worst.cells)
     nxt = find_critical(graph)
     assert nxt.cells == ("q", "y")
-    assert nxt.delay == 5.0
+    assert nxt.delay == 5
 
 
 def arcs(cell):
@@ -177,7 +175,7 @@ def rewalked_deviations(graph, lib, triple, worst):
         if arcs(nl.cells[cells[0]]):
             delay = arrival[start] + lib.cell_delay(nl.cells[cells[0]])
         else:
-            delay = 0.0
+            delay = 0
         for cell in cells[1:]:
             delay += lib.cell_delay(nl.cells[cell])
         if tuple(cells) != worst.cells:
@@ -269,23 +267,23 @@ def test_ids_never_decide_a_tie(lib):
 
 def test_update_timing_delay_change(lib):
     nl = buf_chain(3)
-    delays = DelayTable(lib, {"g1": 1.0, "g2": 2.0, "g3": 0.0})
+    delays = DelayTable(lib, {"g1": 1, "g2": 2, "g3": 0})
     graph = build_and_time(nl, delays)
-    assert report(graph).cp == 3.0
-    delays.table["g2"] = 1.0
+    assert report(graph).cp == 3
+    delays.table["g2"] = 1
     update_timing(graph, "g2")
-    assert report(graph).cp == 2.0
+    assert report(graph).cp == 2
 
 
 def test_update_timing_empty_fanout(lib):
     cells = [lut("x", ("a",), BUF1), lut("y", ("a",), BUF1)]
     nl = netlist("two", ["a"], ["x", "y"], cells)
-    delays = DelayTable(lib, {"x": 1.0, "y": 1.0})
+    delays = DelayTable(lib, {"x": 2, "y": 2})
     graph = build_and_time(nl, delays)
     before_y = graph.arrival["y"]
-    delays.table["x"] = 0.5
+    delays.table["x"] = 1
     update_timing(graph, "x")
-    assert graph.arrival["x"] == 0.5
+    assert graph.arrival["x"] == 1
     assert graph.arrival["y"] == before_y
 
 
@@ -298,7 +296,7 @@ def test_incremental_equals_full_on_random_dags(lib):
         names = sorted(nl.cells)
         for _ in range(8):
             target = rng.choice(names)
-            overrides[target] = round(rng.uniform(0.0, 2.0), 3)
+            overrides[target] = rng.randint(0, 2 * lib.time_unit)
             update_timing(graph, target)
             fresh = build_and_time(nl, DelayTable(lib, dict(overrides)))
             assert graph.arrival == fresh.arrival
@@ -314,25 +312,25 @@ def test_cp_non_increasing_when_delay_drops(lib):
         target = rng.choice(sorted(nl.cells))
         cell = nl.cells[target]
         delays.table[target] = max(
-            0.0, lib.cell_delay(cell) - rng.uniform(0.0, 0.2))
+            0, lib.cell_delay(cell) - rng.randint(0, lib.time_unit // 5))
         update_timing(graph, target)
-        assert graph.cp() <= base_cp + 1e-15
+        assert graph.cp() <= base_cp
 
 
 def full_arc_arrivals(nl, lib):
     """Test-side oracle: arrivals with no support pruning."""
-    arrivals = {net: 0.0 for net in nl.inputs}
+    arrivals = {net: 0 for net in nl.inputs}
     if nl.clock:
-        arrivals.setdefault(nl.clock, 0.0)
+        arrivals.setdefault(nl.clock, 0)
     for cell in nl.cells.values():
         if cell.is_ff:
-            arrivals[cell.name] = lib.ff_clk2q
+            arrivals[cell.name] = lib.cell_delay(cell)
     for cell in nl.topo_cells():
         if cell.is_ff:
             continue
         ins = cell.inputs
-        base = max((arrivals[n] for n in ins), default=0.0)
-        arrivals[cell.name] = base + lib.cell_delay(cell) if ins else 0.0
+        base = max((arrivals[n] for n in ins), default=0)
+        arrivals[cell.name] = base + lib.cell_delay(cell) if ins else 0
     return arrivals
 
 
@@ -344,7 +342,7 @@ def test_support_pruning_never_increases_cp(lib):
         oracle = full_arc_arrivals(nl, lib)
         arrival = graph.arrival
         for _, net, extra in graph.endpoints():
-            assert arrival.get(net, 0.0) <= oracle.get(net, 0.0) + 1e-15
+            assert arrival.get(net, 0) <= oracle.get(net, 0)
 
 
 def test_lut_support_examples():
@@ -373,8 +371,8 @@ def test_support_free_lut_has_zero_arrival(lib):
         lut("k", ("slow",), LutMask(1, 0x3)),
     ]
     nl = netlist("const", ["a"], ["k"], cells)
-    graph = build_and_time(nl, DelayTable(lib, {"slow": 5.0}))
-    assert graph.arrival["k"] == 0.0
+    graph = build_and_time(nl, DelayTable(lib, {"slow": 5}))
+    assert graph.arrival["k"] == 0
 
 
 def test_structural_update_matches_rebuild(lib):
