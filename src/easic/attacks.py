@@ -408,7 +408,7 @@ class BruteForceResult:
 
 
 def brute_force_key(obfuscated: Netlist, oracle: Netlist,
-                    max_key_bits=20) -> BruteForceResult:
+                    max_key_bits=20, orders=None) -> BruteForceResult:
     """Enumerate keys in order and keep the first one that makes the
     device match the oracle on every input vector.
 
@@ -424,7 +424,10 @@ def brute_force_key(obfuscated: Netlist, oracle: Netlist,
     The recovered key may differ from the shipped bitstream while being
     functionally equivalent.  Refuses designs whose key is longer than
     ``max_key_bits`` and a device whose ports differ from the oracle's.
+    ``orders`` holds the two netlists' combinational cells as their
+    ``validate`` returns them; without it, both are validated here.
     """
+    order, oracle_order = (None, None) if orders is None else orders
     reference = bs.serialize(obfuscated)
     n = reference.total_len
     if n > max_key_bits:
@@ -442,9 +445,10 @@ def brute_force_key(obfuscated: Netlist, oracle: Netlist,
     pis = oracle.inputs
     count = 1 << len(pis)
     stim = {net: _input_pattern(i, count) for i, net in enumerate(pis)}
-    oracle_vals = Evaluator(oracle).eval_packed(stim, count)
+    oracle_vals = Evaluator(oracle, oracle_order).eval_packed(stim, count)
 
-    order = obfuscated.validate()
+    if order is None:
+        order = obfuscated.validate()
     chain = {lut: (offset, size)
              for lut, _, offset, size in bs._layout(reference.chain)}
     static_bits = _lut_bits(None)

@@ -251,16 +251,17 @@ def cmd_sweep(args) -> int:
 # -- verify ------------------------------------------------------------------
 
 
-def _load_run_netlist(run: Path, *names):
+def _load_run_netlist(run: Path, *names, orders=None):
     """The parsed easic.blif of an obfuscate run directory, once the
-    directory is known to hold it and the files ``names`` too."""
+    directory is known to hold it and the files ``names`` too (see
+    ``parse_blif`` for ``orders``)."""
     needed = ("easic.blif", *names)
     if not all((run / name).is_file() for name in needed):
         raise CliConfigError(
             f"{run} is not an obfuscate output directory "
             f"(missing {' / '.join(needed)})"
         )
-    return parse_blif(_read_text(run / "easic.blif", BlifError))
+    return parse_blif(_read_text(run / "easic.blif", BlifError), orders)
 
 
 def cmd_verify(args) -> int:
@@ -403,9 +404,11 @@ def cmd_attack_composition(args) -> int:
 
 
 def cmd_attack_bruteforce(args) -> int:
-    netlist = _load_run_netlist(Path(args.easic))
-    golden = parse_blif(_read_text(args.golden, BlifError))
-    result = atk.brute_force_key(netlist, golden, max_key_bits=args.max_key_bits)
+    orders = []     # each netlist is sorted once, as it is read
+    netlist = _load_run_netlist(Path(args.easic), orders=orders)
+    golden = parse_blif(_read_text(args.golden, BlifError), orders)
+    result = atk.brute_force_key(netlist, golden,
+                                 max_key_bits=args.max_key_bits, orders=orders)
     out = _out_dir(args)
     _write_json(out / "bruteforce.json", result.to_json_dict())
     bs.write_bitstream(result.recovered, out / "recovered.ebs")

@@ -509,14 +509,16 @@ def _add_cell(netlist, cell, lineno):
         raise BlifError(str(exc), lineno) from exc
 
 
-def parse_blif(text: str) -> Netlist:
+def parse_blif(text: str, orders=None) -> Netlist:
     """Parse a BLIF subset (.model/.inputs/.outputs/.names/.latch/.end).
 
     Every plain ``.names`` block becomes a reconfigurable LUT whose mask
     is the union of its cubes; zero-input blocks become TIE cells;
     ``.latch`` becomes an FF.  A ``# @static KIND`` line immediately
     before a ``.names`` block rebuilds a static cell of that kind, which
-    is what makes emit_blif round-trippable.
+    is what makes emit_blif round-trippable.  Given an ``orders`` list,
+    appends to it the combinational cells in the topological order the
+    closing validation found, so a caller need not sort them again.
     """
     netlist = Netlist(name="top")
     covers = {}
@@ -576,9 +578,11 @@ def parse_blif(text: str) -> Netlist:
     if not ended and not seen_model:
         raise BlifError("missing .model directive", 1)
     try:
-        netlist.validate()
+        order = netlist.validate()
     except NetlistError as exc:
         raise BlifError(str(exc)) from exc
+    if orders is not None:
+        orders.append(order)
     return netlist
 
 

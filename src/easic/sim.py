@@ -143,12 +143,14 @@ def _lut_bits(configs):
 
 
 class Evaluator:
-    """Levelized evaluator over a netlist or a programmed device."""
+    """Levelized evaluator over a netlist or a programmed device; given
+    ``order``, the netlist's combinational cells as its ``validate``
+    returns them, it does not validate the netlist again."""
 
-    def __init__(self, design):
+    def __init__(self, design, order=None):
         self.netlist, configs = _design(design)
         self._mask_bits = _lut_bits(configs)
-        self._order = self.netlist.validate()
+        self._order = self.netlist.validate() if order is None else order
         self._ffs = sorted(
             (c for c in self.netlist.cells.values() if c.is_ff),
             key=lambda c: c.name,

@@ -15,12 +15,15 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass, field
 from functools import lru_cache
+from operator import add
 
 from .netlist import KIND_LUT, LutMask, Netlist
 from .techlib import TechLibrary
 
 # a greedy link not walked yet (see _greedy_chain)
 _UNLINKED = -2
+# the output cell's link while its slot's other cells are stale
+_STALE = -3
 
 
 @lru_cache(maxsize=100000)
@@ -90,10 +93,19 @@ class TimingGraph:
 
     The topological order is kept as slots, one per combinational cell
     of the first sort, each listing in order the cells that stand in for
-    it.  A cell reads only nets of earlier slots or of earlier cells of
-    its own slot, so slot numbers order the retiming, and :meth:`splice`
-    swaps a LUT for the gates that replaced it by rewriting one slot
-    entry.  :func:`find_critical` keeps its per-endpoint answers on the
+    it; the last one drives the slot's output net, and the others drive
+    nets only cells of the slot read.  A cell reads only nets of earlier
+    slots or of earlier cells of its own slot, so slot numbers order the
+    retiming, and :meth:`splice` swaps a LUT for the gates that replaced
+    it by rewriting one slot entry.
+
+    Per slot the graph also keeps a fold: for each net its cells read
+    from outside it, the longest delay from that net to the output, and
+    the arrival its constant sources give the output (-1 when it has
+    none).  :func:`update_timing` retimes a slot's output from those few
+    terms alone and leaves its other cells stale; a walk that enters the
+    slot, always through its output, and :attr:`arrival` recompute them
+    first.  :func:`find_critical` keeps its per-endpoint answers on the
     graph until a retiming reaches them.
     """
 
@@ -127,12 +139,10 @@ class TimingGraph:
             self._slot_of[self._ids[cell.name]] = s
         for cell in comb:
             self._add_arcs(cell)
-        arrival, active, delay = self._arrival, self._active, self._delay
-        for (c,) in self._slots:
-            ins = active[c]
-            # a constant source (TIE or support-free LUT) is ready at t=0
-            arrival[c] = max([arrival[net] for net in ins]) + delay[c] \
-                if ins else 0
+        self._folds = [None] * len(comb)
+        for s in range(len(comb)):
+            self._fold(s)
+        self._retime(c for (c,) in self._slots)
         self._endpoints = self._sorted_endpoints()
         self._endpoint_nets = [self._ids[net] for _, net, _ in self._endpoints]
         self._reach = self._slot_reach()
@@ -222,11 +232,56 @@ class TimingGraph:
         self._reconfigurable[c] = cell.is_reconfigurable
         return c
 
+    def _fold(self, s):
+        """Fold slot ``s`` into (output, nets, delays, constant, mark):
+        the nets its cells read from outside it and the longest delay
+        from each to the output; the arrival the slot's constant sources
+        give the output, -1 when there are none; and the link
+        :func:`update_timing` leaves on the output, which marks the
+        other cells stale when there are any."""
+        active, delay, slot_of = self._active, self._delay, self._slot_of
+        entries = self._slots[s]
+        out = entries[-1]
+        to_out = {out: 0}   # cell -> longest delay after it to the output
+        terms = {}
+        const = -1
+        for c in reversed(entries):
+            after = to_out.get(c)
+            if after is None:   # no arc leads to the output
+                continue
+            ins = active[c]
+            if not ins:     # a constant source, ready at t=0
+                const = max(const, after)
+            t = after + delay[c]
+            for net in ins:
+                reach = to_out if slot_of[net] == s else terms
+                if t > reach.get(net, -1):
+                    reach[net] = t
+        self._folds[s] = (out, tuple(terms), tuple(terms.values()), const,
+                          _STALE if len(entries) > 1 else _UNLINKED)
+
+    def _retime(self, cells):
+        """Recompute the arrivals of ``cells``, in order, and unlink
+        them."""
+        arrival, active, delay = self._arrival, self._active, self._delay
+        links = self._links
+        arrival_of = arrival.__getitem__
+        for c in cells:
+            ins = active[c]
+            # a constant source (TIE or support-free LUT) is ready at t=0
+            arrival[c] = max(map(arrival_of, ins)) + delay[c] if ins else 0
+            links[c] = _UNLINKED
+
     # -- arrival propagation -------------------------------------------
 
     @property
     def arrival(self):
-        """Net name -> arrival time, a copy."""
+        """Net name -> arrival time, a copy; stale cells are retimed
+        first."""
+        links = self._links
+        for entries in self._slots:
+            if links[entries[-1]] == _STALE:
+                self._retime(entries)
         return dict(zip(self._names, self._arrival))
 
     # -- endpoints -------------------------------------------------------
@@ -261,24 +316,28 @@ def update_timing(graph: TimingGraph, changed) -> TimingGraph:
 
     ``changed`` is a cell name or iterable of cell names; their delays
     and reconfigurable flags are refreshed from the library and the
-    netlist first.  The heap holds slot numbers: a popped slot's cells
-    are recomputed in order, and the slots that read one of its changed
-    nets are pushed.  The result is exactly what a fresh full pass would
-    produce; incremental-vs-full equality is a tested invariant.  The
-    :func:`find_critical` answers of the endpoints the changed cells
-    reach are dropped, all of them when an FF changes.
+    netlist first, and the folds of their slots rebuilt.  The heap holds
+    slot numbers: a popped slot's output arrival is the max of
+    ``arrival[net] + delay`` over its fold's terms and its constant
+    arrival; its output is unlinked, or marked stale when the slot holds
+    other cells, which keep their old arrivals until a walk or
+    :attr:`TimingGraph.arrival` retimes them; and when the output moved,
+    the slots that read it are pushed.  The result is exactly what a fresh full
+    pass would produce; incremental-vs-full equality is a tested
+    invariant.  The :func:`find_critical` answers of the endpoints the
+    changed cells reach are dropped, all of them when an FF changes.
     """
     if isinstance(changed, str):
         changed = [changed]
     cells = graph.netlist.cells
     arrival = graph._arrival
     consumers = graph._consumers
-    slots = graph._slots
-    active = graph._active
     delay = graph._delay
     links = graph._links
+    folds = graph._folds
     candidates = graph._candidates
     reached = 0     # bit i: endpoints()[i]
+    refolded = set()
     seen = set()    # slot numbers
     for name in changed:
         cell = cells.get(name)
@@ -288,13 +347,16 @@ def update_timing(graph: TimingGraph, changed) -> TimingGraph:
         if not cell.is_ff:
             slot = graph._slot_of[c]
             if slot >= 0:
-                seen.add(slot)
+                refolded.add(slot)
                 reached |= graph._reach[slot]
         elif arrival[c] != delay[c]:
             # a Q pin starts its paths at clk-to-q
             arrival[c] = delay[c]
             seen.update(consumers[c])
             candidates.clear()
+    for slot in refolded:
+        graph._fold(slot)
+    seen |= refolded
     if reached:
         for i, (endpoint, _, _) in enumerate(graph.endpoints()):
             if reached >> i & 1:
@@ -303,19 +365,19 @@ def update_timing(graph: TimingGraph, changed) -> TimingGraph:
     pop, push = heapq.heappop, heapq.heappush
     arrival_of = arrival.__getitem__
     while frontier:
-        for c in slots[pop(frontier)]:
-            ins = active[c]
-            # a constant source (TIE or support-free LUT) is ready at t=0
-            new = max(map(arrival_of, ins)) + delay[c] if ins else 0
-            links[c] = _UNLINKED
-            # when the value is unchanged, the downstream cone keeps its
-            # arrivals; a slot's own cells are recomputed in any case
-            if arrival[c] != new:
-                arrival[c] = new
-                for slot in consumers[c]:
-                    if slot not in seen:
-                        seen.add(slot)
-                        push(frontier, slot)
+        out, nets, ds, const, mark = folds[pop(frontier)]
+        new = max(map(add, map(arrival_of, nets), ds), default=const)
+        if const > new:
+            new = const
+        links[out] = mark
+        # when the value is unchanged, the downstream cone keeps its
+        # arrivals
+        if arrival[out] != new:
+            arrival[out] = new
+            for slot in consumers[out]:
+                if slot not in seen:
+                    seen.add(slot)
+                    push(frontier, slot)
     return graph
 
 
@@ -359,17 +421,20 @@ def _greedy_chain(graph, net, rejoin=()):
     The graph keeps the links walked: per cell its greedy fan-in, -1
     for a constant source.  A link depends only on the arrivals at the
     cell's inputs, so it holds until :func:`update_timing` retimes the
-    cell and unlinks it.
+    cell and unlinks it.  A walk enters a slot through its output, so
+    it finds a stale slot there and retimes the slot's cells first.
     """
     active, arrival = graph._active, graph._arrival
     links, names = graph._links, graph._names
     cells = []
     while net not in rejoin:
         link = links[net]
-        if link == _UNLINKED:
+        if link < -1:
             ins = active[net]
             if ins is None:     # a primary input or FF output
                 break
+            if link == _STALE:
+                graph._retime(graph._slots[graph._slot_of[net]])
             link = links[net] = _greedy_fanin(arrival, names, ins)
         cells.append(net)
         if link < 0:
@@ -537,20 +602,33 @@ def find_critical(graph: TimingGraph):
     Per endpoint the answer is the first such path of the greedy worst
     path and then its one-level deviations (see
     :func:`endpoint_deviations`), which are never slower; across
-    endpoints the worst wins, ties broken on the endpoint id.  The graph
-    keeps each endpoint's answer until :func:`update_timing` (which a
-    splice calls, and through which any changed cell must pass) retimes
-    a cell that reaches the endpoint, so the result depends only on the
-    netlist and its arrivals, never on earlier searches.
+    endpoints the worst wins, ties broken on the endpoint id.  No answer
+    is slower than its endpoint's arrival (plus setup), so endpoints are
+    searched in ``(-(arrival + extra), endpoint id)`` order, and the
+    search stops once the best answer's ``(-delay, endpoint id)`` is no
+    larger than that bound of the next endpoint.  The graph keeps each
+    answer it found until :func:`update_timing` (which a splice calls,
+    and through which any changed cell must pass) retimes a cell that
+    reaches the endpoint, so the result depends only on the netlist and
+    its arrivals, never on earlier searches.
     """
     candidates = graph._candidates
-    for triple in graph.endpoints():
-        if triple[0] not in candidates:
-            candidates[triple[0]] = _first_reconfigurable(graph, triple)
-    found = [path for path in candidates.values() if path is not None]
-    if not found:
-        return None
-    return min(found, key=lambda p: (-p.delay, p.endpoint))
+    arrival = graph._arrival
+    bounds = sorted((-(arrival[net] + triple[2]), triple[0], triple)
+                    for net, triple in zip(graph._endpoint_nets,
+                                           graph._endpoints))
+    found = None
+    for bound, endpoint, triple in bounds:
+        if found is not None and (-found.delay, found.endpoint) <= (bound,
+                                                                    endpoint):
+            break
+        if endpoint not in candidates:
+            candidates[endpoint] = _first_reconfigurable(graph, triple)
+        path = candidates[endpoint]
+        if path is not None and (found is None or (-path.delay, endpoint)
+                                 < (-found.delay, found.endpoint)):
+            found = path
+    return found
 
 
 def _first_reconfigurable(graph, triple):

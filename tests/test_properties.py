@@ -18,13 +18,14 @@ from easic import (  # noqa: E402
 from easic.bitstream import (  # noqa: E402
     Bitstream, BitstreamError, read_bitstream, write_bitstream)
 from easic import netlist as netlist_module  # noqa: E402
-from easic.netlist import LutMask  # noqa: E402
+from easic.netlist import Cell, LutMask  # noqa: E402
 from easic.obfuscate import _splice_network  # noqa: E402
 from easic.techlib import _DEFAULT_CONFIG  # noqa: E402
+from easic.timing import _first_reconfigurable  # noqa: E402
 
 from circuits import (  # noqa: E402
-    isomorphic, lut, netlist, random_comb_netlist, random_seq_netlist,
-    random_timing_dag)
+    BUF1, isomorphic, lut, lut6_dag, netlist, random_comb_netlist,
+    random_seq_netlist, random_timing_dag)
 
 LIB = default_library()
 
@@ -90,6 +91,74 @@ def test_splices_match_a_rebuild(nl, data):
         # converted LUTs leave paths without a reconfigurable LUT, which
         # the search passes over into the deviations
         assert find_critical(graph) == find_critical(fresh)
+
+
+def splice_constant_chain(nl, old, length, taken):
+    """Replace LUT ``old`` by a TIE1 feeding ``length`` reconfigurable
+    LUT1 buffers into an AND2 with its first input, so the constant
+    source is often the slot's slowest input; returns the new cell
+    names, as _splice_network does."""
+    nl.remove_cell(old.name)
+    names = []
+    for k in range(length + 1):
+        name = f"{old.name}_k{k}"
+        while name in taken:
+            name += "_"
+        taken.add(name)
+        nl.add_cell(lut(name, names[-1:], BUF1) if names
+                    else Cell(name, "TIE1", ()))
+        names.append(name)
+    nl.add_cell(Cell(old.name, "AND2", (names[-1], old.inputs[0])))
+    return [*names, old.name]
+
+
+def searched_alone(graph):
+    """find_critical without bounds or kept answers: the worst of every
+    endpoint's answer, ties to the endpoint id."""
+    found = [path for path in (_first_reconfigurable(graph, triple)
+                               for triple in graph.endpoints())
+             if path is not None]
+    return min(found, key=lambda p: (-p.delay, p.endpoint), default=None)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(["comb", "lut6", "seq"]), st.integers(0, 2 ** 32),
+       st.sampled_from([100, 60, 30]), st.data())
+def test_folded_slots_match_a_rebuild(kind, seed, level, data):
+    """Random splices, of gate networks and of constant chains, into a
+    random DAG or a sequential hybrid, each LUT spliced in a slot maybe
+    spliced over again: after every splice, the search and the walks
+    over slots left stale, and then the arrivals, equal a fresh
+    build's, and the search equals its unbounded form."""
+    rng = random.Random(seed)
+    if kind == "comb":
+        nl = random_comb_netlist(rng, rng.randint(1, 6), rng.randint(1, 30))
+    elif kind == "lut6":
+        nl = lut6_dag(rng, rng.randint(4, 30))
+    else:
+        nl = random_seq_netlist(rng, n_cells=rng.randint(1, 30))
+    nl = run_obfuscation(nl, ObfuscationConfig(obf_percent=level,
+                                               library=LIB)).netlist
+    graph = build_and_time(nl, LIB)
+    taken = nl.nets | set(nl.cells)
+    for _ in range(data.draw(st.integers(1, 8))):
+        luts = sorted(c.name for c in nl.cells.values()
+                      if c.is_reconfigurable)
+        if not luts:
+            break
+        old = nl.cells[data.draw(st.sampled_from(luts))]
+        if data.draw(st.booleans()):
+            new_cells = splice_constant_chain(
+                nl, old, data.draw(st.integers(1, 4)), taken)
+        else:
+            new_cells = _splice_network(nl, old, decompose_lut(old.mask, LIB),
+                                        taken)
+        graph.splice(old, new_cells)
+        fresh = build_and_time(nl, LIB)
+        # the arrivals last: reading them retimes every stale slot
+        assert find_critical(graph) == searched_alone(fresh)
+        assert report(graph) == report(fresh)
+        assert graph.arrival == fresh.arrival
 
 
 def decimal_library(rng):

@@ -2,8 +2,8 @@ import random
 
 from easic import (ObfuscationConfig, build_and_time, find_critical,
                    lut_support, report, run_obfuscation, update_timing)
-from easic.timing import (deviation_path, endpoint_deviations,
-                          endpoint_worst_path)
+from easic.timing import (_first_reconfigurable, deviation_path,
+                          endpoint_deviations, endpoint_worst_path)
 from easic.netlist import MODE_ST, Cell, LutMask
 from easic.obfuscate import _splice_network
 from easic.staticgen import decompose_lut
@@ -99,6 +99,23 @@ def test_find_critical_endpoint_tie_rule(lib):
     nl = netlist("tie", ["i"], ["b", "a"], cells)
     graph = build_and_time(nl, DelayTable(lib, {"a": 3, "b": 3}))
     assert find_critical(graph).endpoint == "a"
+
+
+def test_find_critical_searches_past_a_tied_bound(lib):
+    # z arrives at 8 over static cells, and its answer is the deviation
+    # through r at 6; a arrives at 6 through r, so its answer ties with
+    # z's and wins on the endpoint id, though z is searched first
+    cells = [
+        lut("r", ("i",), BUF1),
+        Cell("s", "BUF", ("i",)),
+        Cell("z", "AND2", ("s", "r")),
+        Cell("a", "BUF", ("r",)),
+    ]
+    nl = netlist("tie", ["i"], ["z", "a"], cells)
+    graph = build_and_time(nl, DelayTable(lib, {"r": 5, "s": 7, "z": 1,
+                                                "a": 1}))
+    found = find_critical(graph)
+    assert (found.endpoint, found.cells, found.delay) == ("a", ("r", "a"), 6)
 
 
 def test_find_critical_deviation_search(lib):
@@ -382,7 +399,9 @@ def test_structural_update_matches_rebuild(lib):
     nl.add_cell(lut("h", ("g1",), BUF1))
     nl.outputs.append("h")
     graph = build_and_time(nl, lib)
-    find_critical(graph)
+    # find_critical may stop before the slower endpoints: search each
+    for triple in graph.endpoints():
+        graph._candidates[triple[0]] = _first_reconfigurable(graph, triple)
     assert set(graph._candidates) == {"g3", "h"}
     old = nl.cells["g2"]
     nl.remove_cell("g2")
