@@ -11,10 +11,12 @@ wall seconds that call took, the seconds spent inside
 ``timing.update_timing``, ``timing.find_critical`` and
 ``staticgen.decompose_lut`` (each rebound under every easic module name,
 as ``bench/tracer.py`` does), the interpreter's peak resident set
-(``ru_maxrss``), and the sha256 of the trace.json and timing.json
-documents `easic obfuscate` would write for it.  Run it on two trees:
-equal digests show that both convert the same LUTs in the same order
-and time the result alike.
+(``ru_maxrss``), the number of calls of ``timing.find_critical`` and of
+the per-endpoint searches under it (``timing.endpoint_worst_path`` and
+``timing.endpoint_deviations``), and the sha256 of the trace.json and
+timing.json documents `easic obfuscate` would write for it.  Run it on
+two trees: equal digests show that both convert the same LUTs in the
+same order and time the result alike.
 """
 
 from __future__ import annotations
@@ -40,10 +42,12 @@ if Path(easic.__file__).resolve() != src / "easic" / "__init__.py":
 import tracer, workloads
 from easic import ObfuscationConfig, parse_blif, report, run_obfuscation
 spent = {}
+calls = {}
 
 def timed(name):
     def wrap(fn):
         def timed_call(*args, **kwargs):
+            calls[name] += 1
             start = time.perf_counter()
             try:
                 return fn(*args, **kwargs)
@@ -53,8 +57,11 @@ def timed(name):
     return wrap
 
 for module, name in (("timing", "update_timing"), ("timing", "find_critical"),
-                     ("staticgen", "decompose_lut")):
+                     ("staticgen", "decompose_lut"),
+                     ("timing", "endpoint_worst_path"),
+                     ("timing", "endpoint_deviations")):
     spent[name] = 0.0
+    calls[name] = 0
     tracer.rebind(module, name, timed(name))
 size = int(sys.argv[3])
 netlist = parse_blif(workloads.lut6_dag(f"lut6_{size}", size, 1))
@@ -68,8 +75,12 @@ def digest(payload):
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 print(f"lut6_{size}  {seconds:7.2f} s  "
-      + "  ".join(f"{name} {s:.2f} s" for name, s in spent.items())
+      + "  ".join(f"{name} {spent[name]:.2f} s" for name
+                  in ("update_timing", "find_critical", "decompose_lut"))
       + f"  ru_maxrss {peak_mb:.1f} MB")
+print("    calls: " + "  ".join(f"{name} {calls[name]}" for name
+                                in ("find_critical", "endpoint_worst_path",
+                                    "endpoint_deviations")))
 print(f"    trace.json {digest(result.to_json_dict())}  "
       f"timing.json {digest(report(result.graph).to_json_dict())}")
 """

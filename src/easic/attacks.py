@@ -295,8 +295,11 @@ def composition_attack(victim: PatternHistogram, corpus,
 
     no-correlation: nothing reaches the threshold (or the static portion
     is empty); self-correlation: the top match is the victim's own
-    design; cross-correlation: some other design matches best.
+    design; cross-correlation: some other design matches best.  The
+    threshold must be finite.
     """
+    if not math.isfinite(threshold):
+        raise AttackError(f"threshold must be a finite number, not {threshold}")
     corpus = list(corpus)
     if len(corpus) < 2:
         raise AttackError("composition attack needs a corpus of >= 2 designs")

@@ -355,14 +355,23 @@ def cmd_attack_structural(args) -> int:
 
 
 def cmd_attack_corpus(args) -> int:
-    out = _out_dir(args)
-    histograms = []
+    # model name -> histogram; each name names a file in --out
+    histograms = {}
     for blif_path in args.inputs:
         netlist = parse_blif(_read_text(blif_path, BlifError))
-        hist = atk.pattern_histogram(netlist, atk.SCOPE_WHOLE)
-        histograms.append(hist)
-        _write_json(out / f"{netlist.name}.histogram.json", hist.to_json_dict())
-    union = atk.corpus_union(histograms)
+        name = netlist.name
+        if (name in ("", ".", "..") or Path(name).name != name
+                or "\0" in name):
+            raise CliConfigError(f"{blif_path}: model name {name!r} is not "
+                                 "a file name")
+        if name in histograms:
+            raise CliConfigError(f"{blif_path}: model name {name!r} is "
+                                 "already taken by another input")
+        histograms[name] = atk.pattern_histogram(netlist, atk.SCOPE_WHOLE)
+    out = _out_dir(args)
+    for name, hist in histograms.items():
+        _write_json(out / f"{name}.histogram.json", hist.to_json_dict())
+    union = atk.corpus_union(histograms.values())
     _write_json(out / "union.json", {
         "m": union.m,
         "contributing": union.contributing,

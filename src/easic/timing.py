@@ -15,7 +15,8 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass, field
 from functools import lru_cache
-from operator import add
+from itertools import groupby
+from operator import add, attrgetter, itemgetter
 
 from .netlist import KIND_LUT, LutMask, Netlist
 from .techlib import TechLibrary
@@ -105,8 +106,8 @@ class TimingGraph:
     none).  :func:`update_timing` retimes a slot's output from those few
     terms alone and leaves its other cells stale; a walk that enters the
     slot, always through its output, and :attr:`arrival` recompute them
-    first.  :func:`find_critical` keeps its per-endpoint answers on the
-    graph until a retiming reaches them.
+    first.  The graph keeps no search state: :func:`find_critical` reads
+    only the arrivals and the greedy links.
     """
 
     def __init__(self, netlist: Netlist, lib: TechLibrary):
@@ -145,9 +146,6 @@ class TimingGraph:
         self._retime(c for (c,) in self._slots)
         self._endpoints = self._sorted_endpoints()
         self._endpoint_nets = [self._ids[net] for _, net, _ in self._endpoints]
-        self._reach = self._slot_reach()
-        # endpoint id -> its worst path with a reconfigurable LUT, or None
-        self._candidates = {}
 
     # -- structure -----------------------------------------------------
 
@@ -180,21 +178,6 @@ class TimingGraph:
             support = _support_positions(cell.mask.width, cell.mask.bits)
             return tuple(cell.inputs[i] for i in support)
         return cell.inputs
-
-    def _slot_reach(self):
-        """Per slot, the bit mask of the endpoints (bit i:
-        ``endpoints()[i]``) its cell reaches through arcs."""
-        own = {}
-        for i, net in enumerate(self._endpoint_nets):
-            own[net] = own.get(net, 0) | 1 << i
-        reach = [0] * len(self._slots)
-        for s in range(len(self._slots) - 1, -1, -1):
-            (c,) = self._slots[s]
-            bits = own.get(c, 0)
-            for consumer in self._consumers[c]:
-                bits |= reach[consumer]
-            reach[s] = bits
-        return reach
 
     def splice(self, lut, new_cells):
         """Put the cells that replaced ``lut`` in its place and retime
@@ -322,10 +305,9 @@ def update_timing(graph: TimingGraph, changed) -> TimingGraph:
     arrival; its output is unlinked, or marked stale when the slot holds
     other cells, which keep their old arrivals until a walk or
     :attr:`TimingGraph.arrival` retimes them; and when the output moved,
-    the slots that read it are pushed.  The result is exactly what a fresh full
-    pass would produce; incremental-vs-full equality is a tested
-    invariant.  The :func:`find_critical` answers of the endpoints the
-    changed cells reach are dropped, all of them when an FF changes.
+    the slots that read it are pushed.  The result is exactly what a
+    fresh full pass would produce; incremental-vs-full equality is a
+    tested invariant.
     """
     if isinstance(changed, str):
         changed = [changed]
@@ -335,8 +317,6 @@ def update_timing(graph: TimingGraph, changed) -> TimingGraph:
     delay = graph._delay
     links = graph._links
     folds = graph._folds
-    candidates = graph._candidates
-    reached = 0     # bit i: endpoints()[i]
     refolded = set()
     seen = set()    # slot numbers
     for name in changed:
@@ -348,19 +328,13 @@ def update_timing(graph: TimingGraph, changed) -> TimingGraph:
             slot = graph._slot_of[c]
             if slot >= 0:
                 refolded.add(slot)
-                reached |= graph._reach[slot]
         elif arrival[c] != delay[c]:
             # a Q pin starts its paths at clk-to-q
             arrival[c] = delay[c]
             seen.update(consumers[c])
-            candidates.clear()
     for slot in refolded:
         graph._fold(slot)
     seen |= refolded
-    if reached:
-        for i, (endpoint, _, _) in enumerate(graph.endpoints()):
-            if reached >> i & 1:
-                candidates.pop(endpoint, None)
     frontier = sorted(seen)     # a sorted list is a heap
     pop, push = heapq.heappop, heapq.heappush
     arrival_of = arrival.__getitem__
@@ -460,11 +434,11 @@ def endpoint_worst_path(graph: TimingGraph, endpoint_triple) -> TimedPath:
 
 class _Deviations:
     """What the deviations off one worst path share: the path, the
-    graph, and the greedy walks taken off it.  The arrivals of the
-    endpoint's fan-in cone hold as long as its cached answer does, so a
-    walk can be taken when first read."""
+    graph, and where a greedy walk off it stops.  A walk is taken when
+    a record is read, so the records must be read before the graph is
+    retimed."""
 
-    __slots__ = ("worst", "graph", "start", "rejoin", "walks", "built")
+    __slots__ = ("worst", "graph", "start", "rejoin")
 
     def __init__(self, graph, worst):
         self.worst = worst
@@ -478,75 +452,25 @@ class _Deviations:
             self.rejoin[self.start] = 0
         else:
             self.start = first
-        self.walks = {}
-        self.built = {}
 
-    def walk(self, pos, alt):
-        """(prefix, end, d) of the deviation that enters the worst
-        path's ``pos``-th cell through net ``alt``: the cells (ids) of
-        the greedy walk back from ``alt``, the net it ends on, and the
-        number of worst-path cells the deviation keeps before them,
-        which is the index at which its cells first differ."""
-        walk = self.walks.get(pos)
-        if walk is None:
-            prefix, end = _greedy_chain(self.graph, alt, self.rejoin)
-            walk = self.walks[pos] = prefix, end, self.rejoin.get(end, 0)
-        return walk
-
-    def names(self, pos, alt):
-        """The deviation's cell names."""
-        names = self.built.get(pos)
-        if names is None:
-            prefix, _, d = self.walk(pos, alt)
-            cells = self.worst.cells
-            names = self.built[pos] = (
-                cells[:d] + tuple(map(self.graph._names.__getitem__, prefix))
-                + cells[pos:])
-        return names
-
-    def order(self, pos, alt):
-        """A key that sorts deviations as their cell sequences do.
-
-        Sequences that first differ from the worst path's at index d
-        hold the worst path's first d cells; of two that differ at
-        different indexes, the one with the lower cell there sorts first
-        below the worst path's cell and last above it.  Only sequences
-        that share d and the cell there compare further, and only then
-        are their names built."""
-        prefix, _, d = self.walk(pos, alt)
-        cell = self.graph._names[prefix[0] if prefix
-                                 else self.worst.ids[pos]]
-        rest = _Sequence(self, pos, alt)
-        if cell < self.worst.cells[d]:
-            return 0, d, cell, rest
-        return 1, -d, cell, rest
-
-
-class _Sequence:
-    """A deviation's cell names, built when first compared."""
-
-    __slots__ = ("search", "pos", "alt")
-
-    def __init__(self, search, pos, alt):
-        self.search, self.pos, self.alt = search, pos, alt
-
-    def _names(self):
-        return self.search.names(self.pos, self.alt)
-
-    def __eq__(self, other):
-        return self._names() == other._names()
-
-    def __lt__(self, other):
-        return self._names() < other._names()
+    def walk(self, alt):
+        """(prefix, end, d) of a deviation that enters the worst path
+        through net ``alt``: the cells (ids) of the greedy walk back
+        from ``alt``, the net it ends on, and the number of worst-path
+        cells the deviation keeps before them."""
+        prefix, end = _greedy_chain(self.graph, alt, self.rejoin)
+        return prefix, end, self.rejoin.get(end, 0)
 
 
 def deviation_path(record) -> TimedPath:
     """The path of one :func:`endpoint_deviations` record."""
     delay, pos, alt, search = record
-    prefix, end, d = search.walk(pos, alt)
+    prefix, end, d = search.walk(alt)
     worst = search.worst
-    start = worst.startpoint if d else search.graph._names[end]
-    return TimedPath(search.names(pos, alt), delay, worst.endpoint, start,
+    names = search.graph._names
+    start = worst.startpoint if d else names[end]
+    return TimedPath(worst.cells[:d] + tuple(map(names.__getitem__, prefix))
+                     + worst.cells[pos:], delay, worst.endpoint, start,
                      worst.ids[:d] + tuple(prefix) + worst.ids[pos:])
 
 
@@ -554,8 +478,8 @@ def endpoint_deviations(graph: TimingGraph, endpoint_triple,
                         worst: TimedPath) -> list:
     """One-level deviation candidates off the worst path, as
     ``(delay, pos, alt, search)`` records sorted by descending realized
-    delay (ties: lexicographic cell sequence); :func:`deviation_path`
-    builds the path of one.
+    delay, ties kept in path order; :func:`deviation_path` builds the
+    path of one.
 
     Each candidate forbids exactly one edge of the worst path: at its
     ``pos``-th cell it enters through the greedy fan-in ``alt`` (a net
@@ -565,9 +489,8 @@ def endpoint_deviations(graph: TimingGraph, endpoint_triple,
     ``alt``'s.  A cell whose other inputs all carry the
     taken net has no other edge, and the candidate identical to the
     worst path is dropped, so no candidate is slower than the worst
-    path.  A candidate's greedy walk is taken when it is read or to
-    order it among candidates of equal delay, and its cell names are
-    built when it is read or when that order needs them.
+    path.  A candidate's greedy walk is taken, and its cell names
+    built, only when it is read.
     """
     if not worst.ids:
         return []
@@ -587,32 +510,25 @@ def endpoint_deviations(graph: TimingGraph, endpoint_triple,
             out.append((worst.delay - arrival[taken] + arrival[alt], pos,
                         alt, search))
         taken = c
-    # cell sequences are compared, and so walked, only on equal delays
-    tied = {}
-    for record in out:
-        tied[record[0]] = record[0] in tied
-    out.sort(key=lambda r: (-r[0], search.order(r[1], r[2]) if tied[r[0]]
-                            else ()))
+    # a stable sort: ties stay in path order
+    out.sort(key=itemgetter(0), reverse=True)
     return out
 
 
 def find_critical(graph: TimingGraph):
     """The worst path that holds a reconfigurable LUT, or None.
 
-    Per endpoint the answer is the first such path of the greedy worst
-    path and then its one-level deviations (see
-    :func:`endpoint_deviations`), which are never slower; across
-    endpoints the worst wins, ties broken on the endpoint id.  No answer
-    is slower than its endpoint's arrival (plus setup), so endpoints are
-    searched in ``(-(arrival + extra), endpoint id)`` order, and the
-    search stops once the best answer's ``(-delay, endpoint id)`` is no
-    larger than that bound of the next endpoint.  The graph keeps each
-    answer it found until :func:`update_timing` (which a splice calls,
-    and through which any changed cell must pass) retimes a cell that
-    reaches the endpoint, so the result depends only on the netlist and
-    its arrivals, never on earlier searches.
+    Per endpoint the answer is the greedy worst path if it holds one,
+    and otherwise, of its one-level deviations (see
+    :func:`endpoint_deviations`), which are never slower, the first
+    that holds one in ``(-delay, cells)`` order; across endpoints the
+    worst wins, ties broken on the endpoint id.  No answer is slower
+    than its endpoint's arrival (plus setup), so endpoints are searched
+    in ``(-(arrival + extra), endpoint id)`` order, and the search stops
+    once the best answer's ``(-delay, endpoint id)`` is no larger than
+    that bound of the next endpoint.  Nothing is kept between calls: the
+    result depends only on the netlist and its arrivals.
     """
-    candidates = graph._candidates
     arrival = graph._arrival
     bounds = sorted((-(arrival[net] + triple[2]), triple[0], triple)
                     for net, triple in zip(graph._endpoint_nets,
@@ -622,9 +538,7 @@ def find_critical(graph: TimingGraph):
         if found is not None and (-found.delay, found.endpoint) <= (bound,
                                                                     endpoint):
             break
-        if endpoint not in candidates:
-            candidates[endpoint] = _first_reconfigurable(graph, triple)
-        path = candidates[endpoint]
+        path = _first_reconfigurable(graph, triple)
         if path is not None and (found is None or (-path.delay, endpoint)
                                  < (-found.delay, found.endpoint)):
             found = path
@@ -637,9 +551,15 @@ def _first_reconfigurable(graph, triple):
     if any(map(flags, worst.ids)):
         return worst
     # the worst path holds none, so a deviation holds one exactly when
-    # its greedy walk off the worst path does
-    for record in endpoint_deviations(graph, triple, worst):
-        _, pos, alt, search = record
-        if any(map(flags, search.walk(pos, alt)[0])):
-            return deviation_path(record)
+    # its greedy walk off the worst path does; of the slowest delay that
+    # has such deviations, the one whose cells sort first
+    for _, group in groupby(endpoint_deviations(graph, triple, worst),
+                            itemgetter(0)):
+        holders = []
+        for record in group:
+            _, _, alt, search = record
+            if any(map(flags, search.walk(alt)[0])):
+                holders.append(deviation_path(record))
+        if holders:
+            return min(holders, key=attrgetter("cells"))
     return None

@@ -297,6 +297,10 @@ def test_composition_threshold_classification():
     report = composition_attack(victim, [near, far], threshold=0.5)
     assert report.classification == "cross-correlation"
     assert report.matches[0][0] == "other"
+    # a threshold no r can be compared with is refused
+    for threshold in (float("nan"), float("inf"), float("-inf")):
+        with pytest.raises(AttackError, match="finite"):
+            composition_attack(victim, [near, far], threshold=threshold)
 
 
 def test_search_space_report_chain(designs, lib):

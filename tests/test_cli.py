@@ -601,6 +601,26 @@ def _histogram_at_width_4(tmp_path, designs_dir, monkeypatch):
             "--out", tmp_path / "o")
 
 
+def _corpus_model_named(name):
+    """attack corpus over cmp4 and a copy of it whose model is ``name``."""
+    def args(tmp_path, designs_dir, monkeypatch):
+        text = (designs_dir / "cmp4.blif").read_text()
+        copy = tmp_path / "copy.blif"
+        copy.write_text(text.replace(".model cmp4", f".model {name}", 1))
+        return ("attack", "corpus", "--inputs", designs_dir / "cmp4.blif",
+                copy, "--out", tmp_path / "o")
+    return args
+
+
+def _threshold_nan(tmp_path, designs_dir, monkeypatch):
+    corpus = tmp_path / "corpus"
+    assert run_cli("attack", "corpus", "--inputs", designs_dir / "cmp4.blif",
+                   designs_dir / "sbm29.blif", "--out", corpus) == 0
+    return ("attack", "composition", "--victim",
+            corpus / "cmp4.histogram.json", "--corpus", corpus,
+            "--threshold", "nan", "--out", tmp_path / "o")
+
+
 def _verify_json_is_a_directory(tmp_path, designs_dir, monkeypatch):
     run = tmp_path / "run"
     assert run_cli(*_obfuscate_cmp4(tmp_path, designs_dir, "--out", run)) == 0
@@ -629,6 +649,11 @@ def _verify_json_is_a_directory(tmp_path, designs_dir, monkeypatch):
     pytest.param(_trace_lists_a_lut_twice, id="trace-lists-a-lut-twice"),
     pytest.param(_verify_json_is_a_directory, id="verify-json-is-a-directory"),
     pytest.param(_histogram_at_width_4, id="histogram-at-width-4"),
+    # a model name writes <out>/<name>.histogram.json
+    pytest.param(_corpus_model_named("../esc"), id="corpus-name-leaves-out"),
+    pytest.param(_corpus_model_named("cmp\0"), id="corpus-name-holds-nul"),
+    pytest.param(_corpus_model_named("cmp4"), id="corpus-name-repeats"),
+    pytest.param(_threshold_nan, id="threshold-nan"),
 ])
 def test_bad_inputs_exit_3_with_a_message(tmp_path, designs_dir, capsys,
                                           monkeypatch, make_args):

@@ -265,34 +265,3 @@ def test_empty_netlist(lib):
     nl = netlist("empty", ["a"], ["a"], [])
     res = run_obfuscation(nl, ObfuscationConfig(obf_percent=50, library=lib))
     assert res.l_st == set() and res.l_re == set()
-
-
-def test_candidate_cache_matches_stateless_search(designs, lib, monkeypatch):
-    # the timing graph keeps each endpoint's candidate across searches
-    # until a splice reaches it; the conversion sequence must equal that
-    # of an engine whose every search starts from none
-    import easic.obfuscate
-    from easic.timing import find_critical
-
-    cases = [(designs[name], level) for name in ("cmp4", "counter8", "mux16")
-             for level in (0, 45, 85)]
-    # large fan-out cones: most splices reach several endpoints, some not all
-    dag = random_comb_netlist(random.Random(12), n_pis=8, n_cells=120,
-                              name="dag120")
-    cases += [(dag, 0), (dag, 60)]
-
-    def runs():
-        return [run_obfuscation(nl, ObfuscationConfig(obf_percent=level,
-                                                      library=lib))
-                for nl, level in cases]
-
-    shared = runs()
-
-    def stateless(graph):
-        graph._candidates.clear()
-        return find_critical(graph)
-
-    monkeypatch.setattr(easic.obfuscate, "find_critical", stateless)
-    for fast, slow in zip(shared, runs()):
-        assert fast.trace == slow.trace
-        assert fast.fallback_count == slow.fallback_count

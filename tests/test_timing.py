@@ -1,14 +1,15 @@
 import random
 
 from easic import (ObfuscationConfig, build_and_time, find_critical,
-                   lut_support, report, run_obfuscation, update_timing)
-from easic.timing import (_first_reconfigurable, deviation_path,
+                   load_library, lut_support, report, run_obfuscation,
+                   update_timing)
+from easic.timing import (TimedPath, _first_reconfigurable, deviation_path,
                           endpoint_deviations, endpoint_worst_path)
 from easic.netlist import MODE_ST, Cell, LutMask
 from easic.obfuscate import _splice_network
 from easic.staticgen import decompose_lut
 from circuits import (BUF1, DelayTable, ff, lut, lut6_dag, netlist,
-                      random_mask, random_timing_dag)
+                      random_comb_netlist, random_mask, random_timing_dag)
 
 
 def buf_chain(n):
@@ -226,11 +227,14 @@ def test_deviations_match_rewalked_oracle(lib):
             assert [p.delay for p in paths] == [r[0] for r in records]
             assert all(p.endpoint == triple[0] for p in paths)
             got = [(-p.delay, p.cells, p.startpoint) for p in paths]
+            # descending delays; ties stay in path order, which the
+            # oracle does not fix
+            assert got == sorted(got, key=lambda t: t[0])
+            got.sort()
             assert got == rewalked_deviations(graph, lib, triple, worst)
             compared += len(got)
             ties += sum(a[0] == b[0] for a, b in zip(got, got[1:]))
     assert compared > 1000
-    # the order of equal delays, which compares cell sequences, is checked
     assert ties > 300
 
 
@@ -276,10 +280,100 @@ def test_ids_never_decide_a_tie(lib):
                     rewalked_worst(graph, triple)
                 paths = [deviation_path(record) for record
                          in endpoint_deviations(graph, triple, worst)]
-                assert [(-p.delay, p.cells, p.startpoint) for p in paths] \
+                got = [(-p.delay, p.cells, p.startpoint) for p in paths]
+                assert got == sorted(got, key=lambda t: t[0])
+                assert sorted(got) \
                     == rewalked_deviations(graph, lib, triple, worst)
                 compared += len(paths)
     assert compared > 1000
+
+
+def oracle_pick(graph, triple):
+    """Test-side oracle: ((delay, cells, startpoint), tied) of the path
+    an endpoint's search should pick, or (None, 0).  It is the rewalked
+    worst path if that holds a reconfigurable LUT, and otherwise the
+    first rewalked deviation in (-delay, cells) order that holds one;
+    ``tied`` counts the deviations that hold one at the picked delay."""
+    endpoint, net, extra = triple
+    cells = graph.netlist.cells
+
+    def holds(names):
+        return any(cells[name].is_reconfigurable for name in names)
+
+    path, start = rewalked_worst(graph, triple)
+    worst = TimedPath(path, graph.arrival[net] + extra, endpoint, start)
+    if holds(worst.cells):
+        return (worst.delay, worst.cells, worst.startpoint), 1
+    holders = [(-d, path, start) for d, path, start
+               in rewalked_deviations(graph, graph.lib, triple, worst)
+               if holds(path)]
+    if not holders:
+        return None, 0
+    return holders[0], sum(h[0] == holders[0][0] for h in holders)
+
+
+def unit_library():
+    """Every gate 0.01 ns (a TIE 0) and a LUTn n times that: paths of
+    equal depth tie, before and after their LUTs are converted."""
+    gates = {kind: {"delay_ns": 0.0 if kind.startswith("TIE") else 0.01,
+                    "area_um2": 1.0}
+             for kind in ("INV", "BUF", "AND2", "OR2", "NAND2", "NOR2",
+                          "MUX2", "TIE0", "TIE1")}
+    luts = {str(w): {"delay_ns": 0.01 * w, "area_um2": 10.0 * w}
+            for w in range(1, 7)}
+    return load_library({"gates": gates, "luts": luts, "ff": {
+        "clk2q_ns": 0.01, "setup_ns": 0.01, "area_um2": 5.0}})
+
+
+def test_picks_match_the_oracle(designs, lib, monkeypatch):
+    """Every search of the conversion loop, so after every splice: each
+    endpoint's pick and find_critical's answer equal the oracle's, on
+    LUT6 DAGs, the corpus and random DAGs, under the default library
+    and one of unit gate delays, where deviations that hold a
+    reconfigurable LUT often tie on delay."""
+    import easic.obfuscate
+
+    rng = random.Random(24)
+    cases = [(lut6_dag(rng, rng.randint(30, 50), name=f"lut6_{k}"), level)
+             for k in range(2) for level in (0, 50)]
+    cases += [(shuffled_lut6_dag(rng, rng.randint(30, 50), f"ids{k}"), level)
+              for k in range(2) for level in (0, 50)]
+    cases += [(random_comb_netlist(rng, n_pis=8, n_cells=120,
+                                   name=f"comb{k}"), 0) for k in range(6)]
+    cases += [(designs[name], level) for name in ("cmp4", "counter8", "mux16")
+              for level in (0, 45, 85)]
+    dag = random_comb_netlist(random.Random(12), n_pis=8, n_cells=120,
+                              name="dag120")
+    cases += [(dag, 0), (dag, 60)]
+    counts = {"searches": 0, "picks": 0, "tied": 0}
+
+    def checked(graph):
+        found = find_critical(graph)
+        best = None
+        for triple in graph.endpoints():
+            want, tied = oracle_pick(graph, triple)
+            path = _first_reconfigurable(graph, triple)
+            assert (None if path is None
+                    else (path.delay, path.cells, path.startpoint)) == want
+            if want is not None:
+                counts["picks"] += 1
+                counts["tied"] += tied > 1
+                if best is None or (-want[0], triple[0]) < best[0]:
+                    best = (-want[0], triple[0]), want
+        assert (None if found is None
+                else (found.delay, found.cells, found.startpoint)) \
+            == (best and best[1])
+        counts["searches"] += 1
+        return found
+
+    monkeypatch.setattr(easic.obfuscate, "find_critical", checked)
+    for library in (lib, unit_library()):
+        for nl, level in cases:
+            run_obfuscation(nl, ObfuscationConfig(obf_percent=level,
+                                                  library=library))
+    assert counts["searches"] > 300
+    # picks that the cell order decides among holders of one delay
+    assert counts["tied"] > 50
 
 
 def test_update_timing_delay_change(lib):
@@ -394,20 +488,15 @@ def test_support_free_lut_has_zero_arrival(lib):
 
 def test_structural_update_matches_rebuild(lib):
     # a LUT swapped in place for a gate: the splice retimes like a rebuild
-    # and drops the candidates of the endpoints the LUT reached only
     nl = buf_chain(3)
     nl.add_cell(lut("h", ("g1",), BUF1))
     nl.outputs.append("h")
     graph = build_and_time(nl, lib)
-    # find_critical may stop before the slower endpoints: search each
-    for triple in graph.endpoints():
-        graph._candidates[triple[0]] = _first_reconfigurable(graph, triple)
-    assert set(graph._candidates) == {"g3", "h"}
+    assert find_critical(graph).endpoint == "g3"
     old = nl.cells["g2"]
     nl.remove_cell("g2")
     nl.add_cell(Cell("g2", "INV", ("g1",)))
     graph.splice(old, ["g2"])
-    assert set(graph._candidates) == {"h"}
     fresh = build_and_time(nl, lib)
     assert graph.arrival == fresh.arrival
     assert find_critical(graph) == find_critical(fresh)
