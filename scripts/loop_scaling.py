@@ -14,9 +14,12 @@ as ``bench/tracer.py`` does), the interpreter's peak resident set
 (``ru_maxrss``), the number of calls of ``timing.find_critical`` and of
 the per-endpoint searches under it (``timing.endpoint_worst_path`` and
 ``timing.endpoint_deviations``), and the sha256 of the trace.json and
-timing.json documents `easic obfuscate` would write for it.  Run it on
-two trees: equal digests show that both convert the same LUTs in the
-same order and time the result alike.
+timing.json documents `easic obfuscate` would write for it.  Then it
+times the hybrid's text stages, each the median of 5 calls: the public
+``emit_blif`` and ``emit_verilog`` (each of which checks the netlist
+first) joined into one string, ``parse_blif`` of the BLIF text, and
+``validate``.  Run it on two trees: equal digests show that both convert
+the same LUTs in the same order and time the result alike.
 """
 
 from __future__ import annotations
@@ -32,7 +35,7 @@ SIZES = (430, 1000, 2000)
 
 # argv[1]: the tree's src/, argv[2]: bench/, argv[3]: the size
 RUNNER = r"""
-import hashlib, json, resource, sys, time
+import hashlib, json, resource, statistics, sys, time
 from pathlib import Path
 src = Path(sys.argv[1]).resolve()
 sys.path[:0] = [str(src), sys.argv[2]]
@@ -40,7 +43,8 @@ import easic
 if Path(easic.__file__).resolve() != src / "easic" / "__init__.py":
     sys.exit(f"easic resolves to {easic.__file__}, not to {src}")
 import tracer, workloads
-from easic import ObfuscationConfig, parse_blif, report, run_obfuscation
+from easic import (ObfuscationConfig, emit_blif, emit_verilog, parse_blif,
+                   report, run_obfuscation)
 spent = {}
 calls = {}
 
@@ -83,6 +87,24 @@ print("    calls: " + "  ".join(f"{name} {calls[name]}" for name
                                     "endpoint_deviations")))
 print(f"    trace.json {digest(result.to_json_dict())}  "
       f"timing.json {digest(report(result.graph).to_json_dict())}")
+
+def median_ms(stage):
+    runs = []
+    for _ in range(5):
+        start = time.perf_counter()
+        stage()
+        runs.append(time.perf_counter() - start)
+    return statistics.median(runs) * 1e3
+
+hybrid = result.netlist
+text = "".join(emit_blif(hybrid))
+stages = (("emit_blif", lambda: "".join(emit_blif(hybrid))),
+          ("emit_verilog", lambda: "".join(emit_verilog(hybrid))),
+          ("parse_blif", lambda: parse_blif(text)),
+          ("validate", hybrid.validate))
+print(f"    hybrid of {len(hybrid.cells)} cells: "
+      + "  ".join(f"{name} {median_ms(stage):.1f} ms"
+                  for name, stage in stages))
 """
 
 

@@ -172,10 +172,12 @@ def cmd_obfuscate(args) -> int:
     out = _out_dir(args)
     result = run_obfuscation(netlist, config)
 
-    # both emitters check the netlist when called, so that a netlist
-    # they refuse leaves no output file behind
-    blif = emit_blif(result.netlist)
-    verilog = emit_verilog(result.netlist)
+    # the hybrid is checked once for both emitters, and both are called
+    # before any file is written, so that a netlist they refuse leaves no
+    # output file behind
+    order = result.netlist.validate()
+    blif = emit_blif(result.netlist, order)
+    verilog = emit_verilog(result.netlist, order)
     digests = {}
 
     def save(name, write, payload):
@@ -265,19 +267,21 @@ def _load_run_netlist(run: Path, *names, orders=None):
 
 
 def cmd_verify(args) -> int:
-    golden = parse_blif(_read_text(args.golden, BlifError))
+    orders = []     # each design is sorted once, as it is read
+    golden = parse_blif(_read_text(args.golden, BlifError), orders)
     run = Path(args.easic)
-    netlist = _load_run_netlist(run, "easic.ebs")
+    netlist = _load_run_netlist(run, "easic.ebs", orders=orders)
     state = bs.blank_state(netlist)
     bs.program(state, bs.read_bitstream(run / "easic.ebs"))
-    cut = prove_by_cuts(golden, state)
+    cut = prove_by_cuts(golden, state, orders)
     if cut.proved:
         rep = EquivalenceReport(
             mode="cut-point", equivalent=True, vectors=cut.patterns,
             note=f"cut-point proof over {cut.cells} cells, {cut.ffs} FFs matched")
     else:
         # a cut mismatch may be unobservable: simulation gives the verdict
-        rep = check_equivalence(golden, state, EquivalencePolicy(seed=args.seed))
+        rep = check_equivalence(golden, state,
+                                EquivalencePolicy(seed=args.seed), orders)
         n = len(cut.mismatches)
         rep.note += (f"; cut-point check: {n} mismatch{'es' if n > 1 else ''}, "
                      f"first {cut.mismatches[0]}")

@@ -222,7 +222,7 @@ class Netlist:
             raise NetlistError(f"net {clash} is multiply driven "
                                f"(by {clash} and a primary input)")
 
-        clocks = {c.inputs[1] for c in cells.values() if c.is_ff}
+        clocks = {c.inputs[1] for c in cells.values() if c.kind == KIND_FF}
         if len(clocks) > 1:
             raise NetlistError(f"multiple clocks: {sorted(clocks)}")
         if clocks:
@@ -237,7 +237,8 @@ class Netlist:
             sources.add(clk)
 
         for cell in cells.values():
-            for net in (cell.inputs[:1] if cell.is_ff else cell.inputs):
+            for net in (cell.inputs[:1] if cell.kind == KIND_FF
+                        else cell.inputs):
                 if net not in cells and net not in sources:
                     raise NetlistError(
                         f"net {net} used by cell {cell.name} has no driver"
@@ -255,12 +256,12 @@ class Netlist:
         indeg = {}
         consumers = {}
         for cell in cells.values():
-            if cell.is_ff:
+            if cell.kind == KIND_FF:
                 continue
             n = 0
             for net in cell.inputs:
                 drv = cells.get(net)
-                if drv is not None and not drv.is_ff:
+                if drv is not None and drv.kind != KIND_FF:
                     n += 1
                     consumers.setdefault(net, []).append(cell.name)
             indeg[cell.name] = n
@@ -359,36 +360,61 @@ def _cube_literals(width):
 _CUBE_LITERALS = tuple(_cube_literals(w) for w in range(MAX_LUT_WIDTH + 1))
 
 
-def _cover_to_mask(n_inputs, rows):
-    """Fold (lineno, text) cover rows into a truth-table int.  Every
-    row's shape is checked before the cover's output values and cubes."""
-    cubes = []
-    for lineno, text in rows:
-        tokens = text.split()
-        if len(tokens) != (2 if n_inputs else 1):
-            raise BlifError(f"bad cover row {text!r}", lineno)
-        if tokens[-1] not in ("0", "1"):
-            raise BlifError(f"bad cover output {tokens[-1]!r}", lineno)
-        cubes.append((tokens[0] if n_inputs else "", tokens[-1], lineno))
-    if len({value for _, value, _ in cubes}) > 1:
-        raise BlifError("cover mixes output values 0 and 1", cubes[0][2])
-    full, literals = _CUBE_LITERALS[n_inputs]
+def _fold_row(n_inputs, text, lineno):
+    """(value, cube) of one cover row of a ``n_inputs``-input block.  A
+    bad shape or output value raises; a bad cube comes back as its
+    BlifError in place of the cube, since it loses to a cover that mixes
+    output values."""
+    tokens = text.split()
+    if len(tokens) != (2 if n_inputs else 1):
+        raise BlifError(f"bad cover row {text!r}", lineno)
+    value = tokens[-1]
+    if value not in ("0", "1"):
+        raise BlifError(f"bad cover output {value!r}", lineno)
+    pattern = tokens[0] if n_inputs else ""
+    if len(pattern) != n_inputs:
+        return value, BlifError(
+            f"cube width {len(pattern)} does not match {n_inputs} inputs",
+            lineno)
+    cube, literals = _CUBE_LITERALS[n_inputs]
+    for ch, literal in zip(pattern, literals):
+        admits = literal.get(ch)
+        if admits is None:
+            return value, BlifError(f"bad cube character {ch!r}", lineno)
+        cube &= admits
+    return value, cube
+
+
+def _cover_to_mask(n_inputs, texts, linenos, table):
+    """Fold a cover's row texts (on lines ``linenos``) into a truth-table
+    int.  Every row's shape is checked before the cover's output values,
+    and those before its cubes.  ``table`` maps (width, row text) to the
+    (value, cube) of each row that passed every check, so a row text is
+    tokenized and folded once; a bad row is never stored, and so fails
+    at its own line."""
+    value = late = None
+    mixed = False
     bits = 0
-    for pattern, _, lineno in cubes:
-        if len(pattern) != n_inputs:
-            raise BlifError(
-                f"cube width {len(pattern)} does not match {n_inputs} inputs",
-                lineno,
-            )
-        cube = full
-        for ch, literal in zip(pattern, literals):
-            try:
-                cube &= literal[ch]
-            except KeyError:
-                raise BlifError(f"bad cube character {ch!r}", lineno) from None
-        bits |= cube
-    if cubes and cubes[0][1] == "0":
-        bits ^= full
+    for text, lineno in zip(texts, linenos):
+        row = table.get((n_inputs, text))
+        if row is None:
+            row = _fold_row(n_inputs, text, lineno)
+            if type(row[1]) is int:
+                table[n_inputs, text] = row
+            elif late is None:
+                late = row[1]
+        if value is None:
+            value = row[0]
+        elif row[0] != value:
+            mixed = True
+        if late is None:
+            bits |= row[1]
+    if mixed:
+        raise BlifError("cover mixes output values 0 and 1", linenos[0])
+    if late is not None:
+        raise late
+    if value == "0":
+        bits ^= _CUBE_LITERALS[n_inputs][0]
     return bits
 
 
@@ -445,13 +471,17 @@ def _logical_lines(text):
     yield None, None, None
 
 
-def _names_cell(lineno, inputs, output, rows, mark, covers):
-    """The cell of a closed ``.names`` block; ``covers`` maps (width, row
-    texts) to the folded truth table of every cover seen so far."""
-    key = (len(inputs), tuple(text for _, text in rows))
+def _names_cell(lineno, inputs, output, texts, linenos, mark, covers,
+                table):
+    """The cell of a closed ``.names`` block whose row texts sit on lines
+    ``linenos``; ``covers`` maps (width, row texts) to the folded truth
+    table of every cover seen so far, and ``table`` is
+    :func:`_cover_to_mask`'s row table."""
+    key = (len(inputs), tuple(texts))
     bits = covers.get(key)
     if bits is None:
-        bits = covers[key] = _cover_to_mask(len(inputs), rows)
+        bits = covers[key] = _cover_to_mask(len(inputs), texts, linenos,
+                                            table)
     if not inputs:
         kind = "TIE1" if bits & 1 else "TIE0"
         if mark not in (None, kind):
@@ -516,22 +546,29 @@ def parse_blif(text: str, orders=None) -> Netlist:
     is the union of its cubes; zero-input blocks become TIE cells;
     ``.latch`` becomes an FF.  A ``# @static KIND`` line immediately
     before a ``.names`` block rebuilds a static cell of that kind, which
-    is what makes emit_blif round-trippable.  Given an ``orders`` list,
-    appends to it the combinational cells in the topological order the
-    closing validation found, so a caller need not sort them again.
+    is what makes emit_blif round-trippable.  Each distinct cover is
+    folded once, and each distinct row text of a width is checked and
+    folded once, through tables that live for this call.  Given an
+    ``orders`` list, appends to it the combinational cells in the
+    topological order the closing validation found, so a caller need not
+    sort them again.
     """
     netlist = Netlist(name="top")
     covers = {}
-    block = None  # (lineno, inputs, output, rows) of the open .names block
+    table = {}  # the cover rows that passed, see _cover_to_mask
+    # (lineno, inputs, output, row texts, row linenos) of the open block
+    block = None
     mark = None  # the pending @static kind
     seen_model = ended = False
     for lineno, line, kind in _logical_lines(text):
         if block is not None:
             # a directive, a mark or the end of the text closes the block
             if line is not None and line[0] != ".":
-                block[3].append((lineno, line))
+                block[3].append(line)
+                block[4].append(lineno)
                 continue
-            _add_cell(netlist, _names_cell(*block, mark, covers), block[0])
+            _add_cell(netlist, _names_cell(*block, mark, covers, table),
+                      block[0])
             block = mark = None
         if line is None:
             mark = kind
@@ -546,7 +583,7 @@ def parse_blif(text: str, orders=None) -> Netlist:
                     f"(at most {MAX_LUT_WIDTH} supported)",
                     lineno,
                 )
-            block = (lineno, tuple(tokens[:-1]), tokens[-1], [])
+            block = (lineno, tuple(tokens[:-1]), tokens[-1], [], [])
         elif head == ".latch":
             if mark is not None:
                 raise BlifError("@static mark before .latch", lineno)
@@ -568,6 +605,10 @@ def parse_blif(text: str, orders=None) -> Netlist:
                 raise BlifError("multiple .model directives", lineno)
             seen_model = True
             netlist.name = tokens[0] if tokens else "top"
+            # written back alone on its line, it would continue the line
+            if netlist.name.endswith("\\"):
+                raise BlifError(
+                    f"model name {netlist.name!r} ends in a backslash", lineno)
         elif head == ".end":
             ended = True
             break
@@ -591,14 +632,21 @@ def parse_blif(text: str, orders=None) -> Netlist:
 # ---------------------------------------------------------------------------
 
 
+def _minterm_rows(width):
+    """The cover row of every minterm of a ``width``-input table, by
+    index, in_0 first."""
+    return tuple("".join("1" if (idx >> j) & 1 else "0" for j in range(width))
+                 + " 1\n" for idx in range(1 << width))
+
+
+_MINTERM_ROWS = tuple(_minterm_rows(w) for w in range(MAX_LUT_WIDTH + 1))
+
+
 def _mask_cubes(mask: LutMask):
-    rows = []
-    for idx in range(mask.table_size):
-        if (mask.bits >> idx) & 1:
-            pattern = "".join("1" if (idx >> j) & 1 else "0"
-                              for j in range(mask.width))
-            rows.append(f"{pattern} 1\n")
-    return rows
+    """One cover row per true minterm of ``mask``, in index order."""
+    rows = _MINTERM_ROWS[mask.width]
+    bits = mask.bits
+    return [row for idx, row in enumerate(rows) if (bits >> idx) & 1]
 
 
 _GATE_COVERS = {
@@ -614,14 +662,23 @@ _GATE_COVERS = {
 }
 
 
-def emit_blif(netlist: Netlist):
+# cells per chunk that the emitters hand out
+_GROUP = 256
+
+
+def emit_blif(netlist: Netlist, order=None):
     """Check the netlist, then return an iterator over its BLIF text in
-    chunks: the header and latches, then one chunk per cell in name
-    order, then ``.end``.  Static cells carry @static marks.  The
-    netlist must not change until the chunks are taken."""
-    netlist.validate()
-    return _blif_chunks(netlist, sorted(netlist.cells.values(),
-                                        key=lambda c: c.name))
+    chunks: the header and latches, then one chunk per group of cells in
+    name order, the last one ending in ``.end``.  Static cells carry
+    @static marks, and a LUT
+    lists one row per true minterm, read from a table.  Given
+    ``order``, the combinational cells as the netlist's ``validate``
+    returned them, the netlist is not checked again.  The netlist must
+    not change until the chunks are taken."""
+    if order is None:
+        netlist.validate()
+    cells = netlist.cells
+    return _blif_chunks(netlist, [cells[name] for name in sorted(cells)])
 
 
 def _blif_chunks(netlist, cells):
@@ -631,19 +688,25 @@ def _blif_chunks(netlist, cells):
     if netlist.outputs:
         head.append(".outputs " + " ".join(netlist.outputs) + "\n")
     for cell in cells:
-        if cell.is_ff:
+        if cell.kind == KIND_FF:
             head.append(f".latch {cell.inputs[0]} {cell.name} re "
                         f"{cell.inputs[1]} {cell.init}\n")
     yield "".join(head)
+    blocks = []
     for cell in cells:
-        if cell.is_ff:
+        if cell.kind == KIND_FF:
             continue
-        if cell.is_lut:
+        if cell.kind == KIND_LUT:
             mark = "# @static LUT\n" if cell.mode == MODE_ST else ""
             rows = _mask_cubes(cell.mask)
         else:
             mark = f"# @static {cell.kind}\n"
             rows = _GATE_COVERS[cell.kind]
-        yield "".join((mark, ".names ", " ".join((*cell.inputs, cell.name)),
-                       "\n", *rows))
-    yield ".end\n"
+        blocks.append("".join((mark, ".names ",
+                               " ".join((*cell.inputs, cell.name)), "\n",
+                               *rows)))
+        if len(blocks) == _GROUP:
+            yield "".join(blocks)
+            blocks.clear()
+    blocks.append(".end\n")
+    yield "".join(blocks)

@@ -12,7 +12,7 @@ import random
 from dataclasses import dataclass, field
 
 from .bitstream import ChainState
-from .netlist import KIND_LUT, MODE_RE, Netlist, _input_pattern
+from .netlist import KIND_FF, KIND_LUT, MODE_RE, Netlist, _input_pattern
 
 
 class SimError(Exception):
@@ -210,7 +210,7 @@ def _cone(root, cells, stop, leaves):
         if expanded:
             order.append(cell)
             continue
-        if cell.is_ff:
+        if cell.kind == KIND_FF:
             return None
         if cell.name in seen:
             continue
@@ -225,12 +225,14 @@ def _cone(root, cells, stop, leaves):
     return order
 
 
-def prove_by_cuts(golden, device) -> CutCheck:
+def prove_by_cuts(golden, device, orders=None) -> CutCheck:
     """Prove ``device`` equivalent to ``golden`` cell by cell, or name
     the golden cells where the proof does not close.
 
-    Both designs are validated.  The ports and the clock must match and
-    the FFs must correspond one to one (names, D nets and init
+    Both designs are validated, unless ``orders`` holds their
+    combinational cells (golden first) as their ``validate`` returned
+    them: then they were checked already.  The ports and the clock must
+    match and the FFs must correspond one to one (names, D nets and init
     values).  Each golden combinational cell is then compared, over all
     2^k patterns of its k distinct input nets, with the device's cone of
     the same output net cut at golden nets; the cone may read only the
@@ -247,8 +249,9 @@ def prove_by_cuts(golden, device) -> CutCheck:
     """
     g, g_configs = _design(golden)
     d, d_configs = _design(device)
-    g.validate()
-    d.validate()
+    if orders is None:
+        g.validate()
+        d.validate()
     check = CutCheck()
     if not _ports_match(g, d):
         check.mismatches.append("<ports>")
@@ -256,8 +259,10 @@ def prove_by_cuts(golden, device) -> CutCheck:
     if g.clock != d.clock:
         check.mismatches.append("<clock>")
         return check
-    g_ffs = {c.name: (c.inputs[0], c.init) for c in g.cells.values() if c.is_ff}
-    d_ffs = {c.name: (c.inputs[0], c.init) for c in d.cells.values() if c.is_ff}
+    g_ffs = {c.name: (c.inputs[0], c.init) for c in g.cells.values()
+             if c.kind == KIND_FF}
+    d_ffs = {c.name: (c.inputs[0], c.init) for c in d.cells.values()
+             if c.kind == KIND_FF}
     check.ffs = len(g_ffs)
     check.mismatches += sorted(name for name in g_ffs.keys() | d_ffs.keys()
                                if g_ffs.get(name) != d_ffs.get(name))
@@ -266,7 +271,7 @@ def prove_by_cuts(golden, device) -> CutCheck:
     g_bits = _lut_bits(g_configs)
     d_bits = _lut_bits(d_configs)
     for cell in g.cells.values():
-        if cell.is_ff:
+        if cell.kind == KIND_FF:
             continue
         nets = list(dict.fromkeys(cell.inputs))
         count = 1 << len(nets)
@@ -289,17 +294,21 @@ def prove_by_cuts(golden, device) -> CutCheck:
 _SEQ_LANES = 64
 
 
-def check_equivalence(a, b, policy: EquivalencePolicy | None = None) -> EquivalenceReport:
+def check_equivalence(a, b, policy: EquivalencePolicy | None = None,
+                      orders=None) -> EquivalenceReport:
     """Compare two designs (netlists or programmed devices).
 
     Sequential designs are cycled in lock step; combinational ones are
     simulated on every input vector when they have at most 16 inputs
     and on seeded random vectors otherwise.  Any reported counterexample
-    is replayable.
+    is replayable.  Both designs are validated, unless ``orders`` holds
+    their combinational cells (``a``'s first) as their ``validate``
+    returned them.
     """
     policy = policy or EquivalencePolicy()
-    ea = Evaluator(a)
-    eb = Evaluator(b)
+    order_a, order_b = (None, None) if orders is None else orders
+    ea = Evaluator(a, order_a)
+    eb = Evaluator(b, order_b)
     if not _ports_match(ea.netlist, eb.netlist):
         raise SimError(
             f"port mismatch: {ea.netlist.inputs}/{ea.netlist.outputs} vs "

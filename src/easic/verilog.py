@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import re
 
-from .netlist import Netlist
+from .netlist import _GROUP, KIND_FF, KIND_LUT, Netlist
 
 CONFIG_PINS = ("serial_in", "serial_out", "enable")
 
@@ -74,16 +74,15 @@ class _Namer:
         return legal
 
 
-# instance lines per chunk that emit_verilog hands out
-_GROUP = 256
-
-
-def emit_verilog(netlist: Netlist):
+def emit_verilog(netlist: Netlist, order=None):
     """Check the netlist and name every net and instance, then return an
     iterator over the module's text in chunks: the header and
-    declarations, then one chunk per group of instance lines.  The
-    netlist must not change until the chunks are taken."""
-    netlist.validate()
+    declarations, then one chunk per group of instance lines.  Given
+    ``order``, the combinational cells as the netlist's ``validate``
+    returned them, the netlist is not checked again.  The netlist must
+    not change until the chunks are taken."""
+    if order is None:
+        netlist.validate()
     chain = netlist.chain_order()
     namer = _Namer()
     chain_wires = [f"cfg_chain_{i}" for i in range(len(chain) - 1)]
@@ -143,20 +142,23 @@ def emit_verilog(netlist: Netlist):
     if wires or chain_wires:
         lines.append("")
     header = "\n".join(lines) + "\n"
-    return _verilog_chunks(netlist, names, namer, chain_wires, header)
+    return _verilog_chunks(netlist, names, namer.by_original, chain_wires,
+                           header)
 
 
-def _verilog_chunks(netlist, names, namer, chain_wires, header):
+def _verilog_chunks(netlist, names, legal, chain_wires, header):
+    """The module's text after ``header``; ``legal`` maps every net and
+    instance name to its Verilog identifier."""
     yield header
     lines = []
     link = 0  # chain position of the next reconfigurable LUT
     for name in names:
         cell = netlist.cells[name]
-        inst = namer.get(f"u_{name}")
-        if cell.is_lut:
-            pins = [f".I{k}({namer.get(net)})"
+        inst = legal[f"u_{name}"]
+        if cell.kind == KIND_LUT:
+            pins = [f".I{k}({legal[net]})"
                     for k, net in enumerate(cell.inputs)]
-            pins.append(f".O({namer.get(name)})")
+            pins.append(f".O({legal[name]})")
             sin = chain_wires[link - 1] if link else "serial_in"
             sout = (chain_wires[link] if link < len(chain_wires)
                     else "serial_out")
@@ -166,18 +168,18 @@ def _verilog_chunks(netlist, names, namer, chain_wires, header):
             pins.append(".enable(enable)")
             lines.append(
                 f"  LUT{cell.mask.width} {inst} ({', '.join(pins)});\n")
-        elif cell.is_ff:
-            d = namer.get(cell.inputs[0])
-            clk = namer.get(cell.inputs[1])
-            q = namer.get(name)
+        elif cell.kind == KIND_FF:
+            d = legal[cell.inputs[0]]
+            clk = legal[cell.inputs[1]]
+            q = legal[name]
             lines.append(
                 f"  DFF {inst} (.D({d}), .CLK({clk}), .Q({q}));"
                 + (f"  // init={cell.init}" if cell.init else "") + "\n"
             )
         else:
-            pins = [f".{pin}({namer.get(net)})"
+            pins = [f".{pin}({legal[net]})"
                     for pin, net in zip(_GATE_PINS[cell.kind], cell.inputs)]
-            pins.append(f".Y({namer.get(name)})")
+            pins.append(f".Y({legal[name]})")
             lines.append(f"  {cell.kind} {inst} ({', '.join(pins)});\n")
         if len(lines) == _GROUP:
             yield "".join(lines)

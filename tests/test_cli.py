@@ -721,13 +721,13 @@ def test_each_command_sorts_each_netlist_once(tmp_path, designs_dir,
     src = designs_dir / "counter8.blif"
     run = tmp_path / "run"
     expected = [
-        # parse, graph, emit_blif, emit_verilog
-        (("obfuscate", "--input", src, "--obf", "50", "--out", run), 4),
+        # parse, graph, one check of the hybrid for both emitters
+        (("obfuscate", "--input", src, "--obf", "50", "--out", run), 3),
         # parse, graph
         (("sweep", "--input", src, "--levels", "0,50,100",
           "--out", tmp_path / "sweep"), 2),
-        # parse twice, prove_by_cuts on both designs
-        (("verify", "--golden", src, "--easic", run, "--out", run), 4),
+        # parse both designs, which hands their orders to prove_by_cuts
+        (("verify", "--golden", src, "--easic", run, "--out", run), 2),
         # parse each input
         (("attack", "corpus", "--inputs", src, designs_dir / "cmp4.blif",
           "--out", tmp_path / "corpus"), 2),
@@ -747,8 +747,8 @@ def test_each_command_sorts_each_netlist_once(tmp_path, designs_dir,
     _flip_bit(run, 3)
     sorts.clear()
     assert run_cli("verify", "--golden", src, "--easic", run, "--out", run) == 0
-    # the cut check fails on cc1: simulation sorts each design once more
-    assert len(sorts) == 6
+    # the cut check fails on cc1: simulation takes the parse orders too
+    assert len(sorts) == 2
 
 
 def _counter8_runs(tmp_path, designs_dir):

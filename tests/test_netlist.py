@@ -161,6 +161,31 @@ _HEAD = ".model m\n.inputs a b d\n.outputs y\n"  # lines 1-3
                  "unexpected text '-1 1'", id="mark-ends-the-block"),
     pytest.param(".inputs c \\\n e\n.bogus \\\n x\n", 6,
                  "unsupported directive .bogus", id="continued-line"),
+    # rows are read through a table of the rows that passed: a bad row
+    # fails at its own line, in the same precedence, however its pattern
+    # or text was seen before
+    pytest.param(".names a b y\n11 1\n.names a b z\n11 2\n", 7,
+                 "bad cover output '2'", id="bad-output-after-its-pattern"),
+    pytest.param(".names a b y\n11 1\n11 2\n", 6, "bad cover output '2'",
+                 id="bad-output-after-its-pattern-in-one-cover"),
+    pytest.param(".names a b y\n11 1\n.names a b z\n11 1 1\n", 7,
+                 "bad cover row '11 1 1'", id="bad-shape-after-its-pattern"),
+    pytest.param(".names a b y\n11 1\n.names a b z\n11 0\n11 1\n", 7,
+                 "cover mixes output values 0 and 1",
+                 id="mixed-after-its-rows"),
+    pytest.param(".names a b y\n1- 1\n.names a b z\n1- 1\n1x 1\n", 8,
+                 "bad cube character 'x'", id="bad-cube-after-a-seen-row"),
+    pytest.param(".names a b y\n11 1\n10 0\n1 1 1\n", 7,
+                 "bad cover row '1 1 1'", id="shape-after-mixed"),
+    pytest.param(".names a b y\n11 1\n1 1 1\n10 0\n", 6,
+                 "bad cover row '1 1 1'", id="shape-before-mixed"),
+    pytest.param(".names a b y\n11 1\n.names a b z\n11 1\n10 0\n11\n", 9,
+                 "bad cover row '11'", id="shape-after-seen-rows-and-mixed"),
+    pytest.param(".names a b y\n1x 1\n11 0\n", 5,
+                 "cover mixes output values 0 and 1", id="mixed-before-cube"),
+    pytest.param(".names a b y\n11 1\n.names a b z\n111 1\n11 1\n", 7,
+                 "cube width 3 does not match 2 inputs",
+                 id="bad-cube-before-a-seen-row"),
 ])
 def test_reader_errors(body, line, message):
     with pytest.raises(BlifError) as info:
@@ -454,6 +479,16 @@ def test_a_driven_inferred_clock_fails_the_same_way_twice():
             nl.validate()
         assert str(info.value) == "clock net g driven by cell g"
     assert nl.clock is None
+
+
+@pytest.mark.parametrize("model", ["\\", "m\\"])
+def test_a_model_name_ending_in_a_backslash_is_refused(model):
+    # emit_blif writes the name last on its line, where a backslash
+    # would join the next line to it
+    with pytest.raises(BlifError) as info:
+        parse_blif(f".model {model} top\n.end\n")
+    assert str(info.value) == (f"line 1: model name {model!r} ends in a "
+                               "backslash")
 
 
 def test_emit_blif_checks_before_the_first_chunk():

@@ -3,6 +3,7 @@
 import copy
 import random
 from fractions import Fraction
+from pathlib import Path
 from unittest import mock
 
 import pytest
@@ -18,7 +19,7 @@ from easic import (  # noqa: E402
 from easic.bitstream import (  # noqa: E402
     Bitstream, BitstreamError, read_bitstream, write_bitstream)
 from easic import netlist as netlist_module  # noqa: E402
-from easic.netlist import Cell, LutMask  # noqa: E402
+from easic.netlist import BlifError, Cell, LutMask, NetlistError  # noqa: E402
 from easic.obfuscate import _splice_network  # noqa: E402
 from easic.techlib import _DEFAULT_CONFIG  # noqa: E402
 from easic.timing import _first_reconfigurable  # noqa: E402
@@ -344,3 +345,109 @@ LINE_ALPHABET = ["a", " ", "\n", "\r", "\r\n", "\x0b", "\x0c", "\x1c",
 def test_piecewise_split_is_splitlines(text, piece):
     with mock.patch.object(netlist_module, "_PIECE", piece):
         assert list(netlist_module._split_lines(text)) == text.splitlines()
+
+
+REPO = Path(__file__).resolve().parents[1]
+# the corpus designs and the reader's rarer paths, as lines
+MUTATION_SOURCES = [
+    path.read_text(encoding="utf-8").splitlines()
+    for path in (*sorted((REPO / "designs").glob("*.blif")),
+                 REPO / "scripts" / "reader_paths.blif")]
+MUTATION_TOKENS = [".names", ".latch", ".inputs", ".outputs", ".end", "\\",
+                   "#", "# @static AND2", "# @static LUT", "-", "0", "1", "2",
+                   "11", "1-", "\t", "\r", ""]
+
+
+@st.composite
+def blif_mutants(draw):
+    """A corpus design or reader_paths.blif with one to three lines
+    changed: a token of the line replaced, deleted or preceded by a
+    mutation token, or a line of one mutation token added after it."""
+    lines = list(draw(st.sampled_from(MUTATION_SOURCES)))
+    for _ in range(draw(st.integers(1, 3))):
+        at = draw(st.integers(0, len(lines) - 1))
+        tokens = lines[at].split(" ")
+        k = draw(st.integers(0, len(tokens) - 1))
+        token = draw(st.sampled_from(MUTATION_TOKENS))
+        op = draw(st.sampled_from(["replace", "insert", "delete", "append"]))
+        if op == "replace":
+            tokens[k] = token
+        elif op == "insert":
+            tokens.insert(k, token)
+        elif op == "delete":
+            del tokens[k]
+        else:
+            lines.insert(at + 1, token)
+        lines[at] = " ".join(tokens)
+    return "\n".join(lines) + "\n"
+
+
+@settings(max_examples=400, deadline=None)
+@given(blif_mutants())
+def test_a_mutated_blif_fails_cleanly_or_round_trips(text):
+    """The reader refuses a mutant with a BlifError or a NetlistError
+    and nothing else; what it accepts, emit_blif writes back as text
+    that reads as the same netlist."""
+    try:
+        nl = parse_blif(text)
+    except (BlifError, NetlistError):
+        return
+    emitted = "".join(emit_blif(nl))
+    again = parse_blif(emitted)
+    assert isomorphic(nl, again)
+    assert (again.name, again.clock) == (nl.name, nl.clock)
+    assert "".join(emit_blif(again)) == emitted
+
+
+def fold_oracle(width, cubes, value):
+    """A cover's truth table, minterm by minterm and literal by literal."""
+    bits = 0
+    for idx in range(1 << width):
+        if any(all(ch == "-" or int(ch) == (idx >> j) & 1
+                   for j, ch in enumerate(cube)) for cube in cubes):
+            bits |= 1 << idx
+    if cubes and value == "0":
+        bits ^= (1 << (1 << width)) - 1
+    return bits
+
+
+SPACES = st.sampled_from([" ", "  ", "\t", " \t "])
+
+
+@st.composite
+def covers(draw):
+    """(width, cubes, value, row texts) of a cover: width 0..6, cubes
+    with don't-cares and repeats, one output value, and rows spaced
+    with blanks and tabs."""
+    width = draw(st.integers(0, 6))
+    pool = draw(st.lists(st.text("01-", min_size=width, max_size=width),
+                         min_size=1, max_size=4))
+    cubes = draw(st.lists(st.sampled_from(pool), max_size=6))
+    value = draw(st.sampled_from("01"))
+    rows = [draw(st.sampled_from(["", " ", "\t"])) + cube
+            + (draw(SPACES) if width else "") + value
+            + draw(st.sampled_from(["", " ", "\t"])) for cube in cubes]
+    return width, cubes, value, rows
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(covers(), min_size=1, max_size=8),
+       st.sampled_from(["\n", "\r\n"]))
+def test_covers_fold_to_their_truth_tables(blocks, newline):
+    """Covers read in one text, which share rows, patterns and row
+    tables, each fold to the oracle's truth table."""
+    pis = [f"i{k}" for k in range(6)]
+    lines = [".model covers", ".inputs " + " ".join(pis),
+             ".outputs " + " ".join(f"y{k}" for k in range(len(blocks)))]
+    for k, (width, _, _, rows) in enumerate(blocks):
+        lines.append(f".names {' '.join(pis[:width])} y{k}")
+        lines += rows
+    lines.append(".end")
+    nl = parse_blif(newline.join(lines) + newline)
+    for k, (width, cubes, value, _) in enumerate(blocks):
+        cell = nl.cells[f"y{k}"]
+        bits = fold_oracle(width, cubes, value)
+        if width:
+            assert (cell.kind, cell.mask.bits) == ("LUT", bits)
+        else:
+            assert cell.kind == ("TIE1" if bits else "TIE0")

@@ -13,7 +13,7 @@ from easic import (
     run_obfuscation,
     serialize,
 )
-from easic.netlist import GATE_TRUTH, Cell, LutMask
+from easic.netlist import GATE_TRUTH, Cell, LutMask, NetlistError
 from easic.sim import SimError, _input_pattern
 
 from circuits import (CUT_REFUSALS, INV1, cut_golden, ff, lut, netlist,
@@ -239,3 +239,14 @@ def test_cut_check_reads_the_registers_not_the_masks(designs, lib):
     assert prove_by_cuts(nl, state).mismatches == [lut_name]
     with pytest.raises(SimError, match="unprogrammed LUT"):
         prove_by_cuts(nl, blank_state(res.netlist))
+
+
+@pytest.mark.parametrize("compare", [prove_by_cuts, check_equivalence])
+def test_comparisons_check_designs_handed_without_orders(compare):
+    golden = and_lut_netlist()
+    device = and_lut_netlist()
+    device.cells["y"].inputs = ("a", "ghost")
+    with pytest.raises(NetlistError, match="net ghost used by cell y"):
+        compare(golden, device)
+    with pytest.raises(NetlistError, match="net ghost used by cell y"):
+        compare(device, golden)

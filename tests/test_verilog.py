@@ -3,7 +3,7 @@ import re
 import pytest
 
 from easic import ObfuscationConfig, emit_verilog, run_obfuscation
-from easic.netlist import LutMask, MODE_ST
+from easic.netlist import LutMask, MODE_ST, Netlist, NetlistError
 from easic.verilog import VerilogEmitError, legalize
 
 from circuits import BUF1, ff, lut, netlist
@@ -138,4 +138,11 @@ def test_pi_po_passthrough_rejected():
 
     nl = parse_blif(".model p\n.inputs a\n.outputs a y\n.names a y\n1 1\n.end\n")
     with pytest.raises(VerilogEmitError, match="buffer"):
+        emit_verilog(nl)
+
+
+def test_emit_verilog_checks_before_the_first_chunk():
+    nl = Netlist(name="m", inputs=["a"], outputs=["y"])
+    nl.add_cell(lut("y", ("ghost",), BUF1))
+    with pytest.raises(NetlistError, match="net ghost used by cell y"):
         emit_verilog(nl)
