@@ -18,7 +18,7 @@ mixed LUT sizes are comparable.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from operator import mul
 
 from . import bitstream as bs
@@ -240,23 +240,29 @@ def fit_trendline(histogram: PatternHistogram, degree: int) -> TrendlineFit:
 def correlate(a: PatternHistogram, b: PatternHistogram):
     """Pearson correlation over frequency vectors aligned on the union
     of patterns (absent patterns count as 0).  Returns None when either
-    aligned vector has zero variance."""
+    aligned vector has zero variance.
+
+    The moments are ints, Sxy summed over the shared patterns only, and
+    r is the double nearest the exact cov / sqrt(vx * vy)."""
     if not a.entries or not b.entries:
         raise AttackError("cannot correlate an empty histogram")
-    fa = a.as_dict()
-    fb = b.as_dict()
-    union = sorted(set(fa) | set(fb), key=lambda p: p.bits)
-    xs = [float(fa.get(p, 0)) for p in union]
-    ys = [float(fb.get(p, 0)) for p in union]
-    n = len(union)
-    mx = sum(xs) / n
-    my = sum(ys) / n
-    sxx = sum((x - mx) ** 2 for x in xs)
-    syy = sum((y - my) ** 2 for y in ys)
-    if sxx == 0.0 or syy == 0.0:
+    fa, fb = a.as_dict(), b.as_dict()
+    shared = fa.keys() & fb.keys()
+    n = len(fa) + len(fb) - len(shared)
+    sx, sy = sum(fa.values()), sum(fb.values())
+    vx = n * sum(x * x for x in fa.values()) - sx * sx
+    vy = n * sum(y * y for y in fb.values()) - sy * sy
+    if vx == 0 or vy == 0:
         return None
-    sxy = sum((x - mx) * (y - my) for x, y in zip(xs, ys))
-    return sxy / math.sqrt(sxx * syy)
+    cov = n * sum(fa[p] * fb[p] for p in shared) - sx * sy
+    # r^2 = cov^2 / (vx * vy) <= 1, scaled by 4^k so that its root is >= 2^55
+    num, den = cov * cov, vx * vy
+    k = (112 + den.bit_length() - num.bit_length()) // 2
+    quot, rem = divmod(num << 2 * k, den)
+    root = math.isqrt(quot)
+    if rem or root * root != quot:
+        root |= 1   # sticky bit: round to odd, so the division rounds once
+    return (root if cov >= 0 else -root) / (1 << k)
 
 
 CLASS_NONE = "no-correlation"
@@ -274,7 +280,6 @@ class CorrelationReport:
     matches: list            # (design, r) descending r
     classification: str
     warning: str = ""
-    top_histogram: PatternHistogram | None = field(repr=False, default=None)
 
     def to_json_dict(self):
         return {
@@ -312,14 +317,8 @@ def composition_attack(victim: PatternHistogram, corpus,
             classification=CLASS_NONE,
             warning="victim static portion is empty; nothing to correlate",
         )
-    scored = []
-    by_name = {}
-    for hist in corpus:
-        r = correlate(victim, hist)
-        if r is None:
-            continue
-        scored.append((hist.design, r))
-        by_name[hist.design] = hist
+    scored = [(hist.design, r) for hist in corpus
+              if (r := correlate(victim, hist)) is not None]
     scored.sort(key=lambda t: (-t[1], t[0]))
     if not scored or scored[0][1] < threshold:
         classification = CLASS_NONE
@@ -327,14 +326,12 @@ def composition_attack(victim: PatternHistogram, corpus,
         classification = CLASS_SELF
     else:
         classification = CLASS_CROSS
-    top_hist = by_name.get(scored[0][0]) if scored else None
     return CorrelationReport(
         victim=victim.design,
         obf_percent=victim.obf_percent,
         threshold=threshold,
         matches=scored,
         classification=classification,
-        top_histogram=top_hist,
     )
 
 
@@ -371,25 +368,26 @@ class SearchSpaceReport:
 
 
 def search_space_report(result: ObfuscationResult,
-                        corpus: UniquePatternSet | None = None,
+                        static: PatternHistogram | None = None,
+                        corpus=None,
                         match: CorrelationReport | None = None) -> SearchSpaceReport:
+    """The search space of ``result``'s key.  l2 needs ``corpus``, the
+    whole-design histograms; l3 and l4 also need ``match``, the report
+    that scored ``static``, the victim's static-portion histogram,
+    against that corpus."""
     key_bits = bs.serialize(result.netlist).total_len
     l1 = 1 << 64
-    l2 = corpus.m if corpus is not None else None
+    l2 = corpus_union(corpus).m if corpus is not None else None
     l3 = None
     l4 = None
-    if match is not None and match.top_histogram is not None:
-        matched = match.top_histogram
-        l3 = matched.unique_count
-        static_hist = pattern_histogram(result, SCOPE_STATIC)
-        consumed = static_hist.as_dict()
-        l4 = sum(
+    if match is not None and match.matches:
+        matched = {h.design: h for h in corpus}[match.matches[0][0]]
+        consumed = static.as_dict()
+        l3 = min(matched.unique_count, l2)
+        l4 = min(l3, sum(
             1 for e in matched.entries
             if e.frequency - consumed.get(e.pattern, 0) > 0
-        )
-        if l2 is not None:
-            l3 = min(l3, l2)
-            l4 = min(l4, l3)
+        ))
     return SearchSpaceReport(key_bits=key_bits, l1=l1, l2=l2, l3=l3, l4=l4)
 
 

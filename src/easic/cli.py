@@ -80,7 +80,7 @@ def _read_text(path, error=CliConfigError, digests=None) -> str:
 def _read_json(path):
     try:
         return json.loads(_read_text(path))
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:   # bad JSON, or an int too long to read
         raise CliConfigError(f"{path}: bad JSON ({exc})") from None
 
 
@@ -403,8 +403,7 @@ def cmd_attack_composition(args) -> int:
     out = _out_dir(args)
     _write_json(out / "composition.json", report.to_json_dict())
     if result is not None:
-        union = atk.corpus_union(corpus)
-        space = atk.search_space_report(result, union, report)
+        space = atk.search_space_report(result, victim, corpus, report)
         _write_json(out / "search_space.json", space.to_json_dict())
     if report.warning:
         print(f"warning: {report.warning}")

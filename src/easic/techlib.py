@@ -7,7 +7,9 @@ slower than the MUX2 they replace), this guarantees that converting a
 LUT to static logic never slows any path down.
 
 Time and area are exact int counts of 1/``time_unit`` ns and 1/``area_unit``
-um^2, as fine as the library's decimals need: ints have no cap.
+um^2, as fine as the library's decimals need: ints have no cap.  Each
+library value is 0 or lies in [``VALUE_MIN``, ``VALUE_MAX``], so that every
+time, area and fmax written from those counts is a finite float.
 """
 
 from __future__ import annotations
@@ -18,6 +20,10 @@ from dataclasses import dataclass, field
 from decimal import Decimal
 
 from .netlist import GATE_KINDS, KIND_FF, KIND_LUT, MAX_LUT_WIDTH
+
+
+VALUE_MIN = 1e-9
+VALUE_MAX = 1e9
 
 
 class LibraryError(Exception):
@@ -107,8 +113,13 @@ def _number(value, what):
         value = float(value)
     except (TypeError, ValueError):
         raise LibraryError(f"{what} is not a number: {value!r}") from None
-    if not math.isfinite(value):
+    except OverflowError:   # an int too large for a float
+        value = math.inf
+    if math.isnan(value):
         raise LibraryError(f"{what} is not finite: {value}")
+    if value and not VALUE_MIN <= abs(value) <= VALUE_MAX:
+        raise LibraryError(f"{what} {value:g} is outside "
+                           f"[{VALUE_MIN:g}, {VALUE_MAX:g}] and not 0")
     return value
 
 
@@ -220,7 +231,7 @@ def load_library_file(path) -> TechLibrary:
             config = json.load(handle)
     except OSError as exc:
         raise LibraryError(f"cannot read library {path}: {exc.strerror}") from None
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+    except ValueError as exc:  # bad JSON, bad UTF-8 or an int too long to read
         raise LibraryError(f"bad library JSON in {path}: {exc}") from exc
     return load_library(config)
 

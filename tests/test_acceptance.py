@@ -2,8 +2,8 @@
 
 Run with `pytest tests/test_acceptance.py -v -s` to see one line per
 criterion.  Tolerances are pinned here and nowhere else: trend checks
-are exact (tolerance 0), correlation-trend checks allow 1e-9, Pearson
-identities 1e-12.
+are exact (tolerance 0), and so are the correlation-trend checks and
+the Pearson identities: r is the exact value, rounded once.
 """
 
 import json
@@ -244,7 +244,7 @@ def test_criterion_7_composition_regions(designs, lib):
                 top1_failures.append((name, level))
             self_r = dict(report.matches).get(name)
             if level >= 70 and self_r is not None:
-                if prev_r is not None and self_r > prev_r + 1e-9:
+                if prev_r is not None and self_r > prev_r:
                     trend_failures.append((name, level, prev_r, self_r))
                 prev_r = self_r
     announce(
@@ -272,16 +272,16 @@ def test_criterion_8_structural_statistics(designs):
               for e in base.entries),
     )
     pearson_ok = (
-        abs(correlate(base, base) - 1.0) <= 1e-12
-        and abs(correlate(base, scaled) - 1.0) <= 1e-12
-        and abs(correlate(base, hists[2]) - correlate(hists[2], base)) <= 1e-12
+        correlate(base, base) == 1.0
+        and correlate(base, scaled) == 1.0
+        and correlate(base, hists[2]) == correlate(hists[2], base)
     )
     announce(
         8,
         len(hists) >= 10 and first_rate > last_rate and pearson_ok,
         f"settling rate {first_rate:.2f} -> {last_rate:.2f} strictly "
         f"decreasing over {len(hists)} designs; Pearson identities hold "
-        f"to 1e-12",
+        f"exactly",
     )
 
 

@@ -1,4 +1,6 @@
+import math
 import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -201,9 +203,96 @@ def test_trendline_matches_numpy_polyfit():
                                                      abs=1e-9)
 
 
+def assert_nearest(r, a, b):
+    """``r`` is the double nearest the Pearson r of ``a`` and ``b``
+    aligned on their union, worked out in Fractions from the centred
+    sums (None when either vector is flat): the exact r^2 lies between
+    the squares of the midpoints to the doubles on either side of |r|,
+    and r has the exact value's sign."""
+    fa, fb = a.as_dict(), b.as_dict()
+    union = set(fa) | set(fb)
+    xs = [fa.get(p, 0) for p in union]
+    ys = [fb.get(p, 0) for p in union]
+    mx, my = Fraction(sum(xs), len(union)), Fraction(sum(ys), len(union))
+    sxx = sum((x - mx) ** 2 for x in xs)
+    syy = sum((y - my) ** 2 for y in ys)
+    if sxx == 0 or syy == 0:
+        assert r is None
+        return
+    sxy = sum((x - mx) * (y - my) for x, y in zip(xs, ys))
+    m = abs(r)
+    lo = (Fraction(m) + Fraction(math.nextafter(m, 0))) / 2
+    hi = (Fraction(m) + Fraction(math.nextafter(m, math.inf))) / 2
+    assert lo * lo <= sxy * sxy / (sxx * syy) <= hi * hi
+    assert (r > 0) - (r < 0) == (sxy > 0) - (sxy < 0)
+
+
+def test_correlate_is_exact_on_every_corpus_pair(designs, lib):
+    """Whole designs against each other, and static portions at 0, 50
+    and 86% against the corpus; at 0% the static portion is the whole
+    design, and its r with its own design is exactly 1."""
+    corpus = [pattern_histogram(nl, SCOPE_WHOLE) for nl in designs.values()]
+    victims = list(corpus)
+    for level in (0, 50, 86):
+        for nl in designs.values():
+            res = run_obfuscation(nl, ObfuscationConfig(obf_percent=level,
+                                                        library=lib))
+            victims.append(pattern_histogram(res, SCOPE_STATIC))
+    for victim in victims:
+        for hist in corpus:
+            if victim.entries:
+                assert_nearest(correlate(victim, hist), victim, hist)
+        if victim.obf_percent in (None, 0.0):
+            own = [h for h in corpus if h.design == victim.design]
+            assert correlate(victim, own[0]) == 1.0
+
+
+COUNTS = st.one_of(st.integers(0, 9), st.integers(0, 10**20))
+PATTERN_MAPS = st.dictionaries(st.integers(0, (1 << 64) - 1), COUNTS,
+                               min_size=1, max_size=12)
+
+
+@st.composite
+def histogram_pairs(draw):
+    """Two histograms: random, identical, scaled, disjoint, flat over
+    the union (zero variance) or of a single pattern."""
+    a = draw(PATTERN_MAPS)
+    fresh = next(p for p in range(len(a) + 1) if p not in a)
+    kind = draw(st.sampled_from(["random", "identical", "scaled", "disjoint",
+                                 "flat", "single"]))
+    if kind == "random":
+        b = draw(PATTERN_MAPS)
+    elif kind == "identical":
+        b = dict(a)
+    elif kind == "scaled":
+        scale = draw(st.integers(2, 10**6))
+        b = {p: f * scale for p, f in a.items()}
+    elif kind == "disjoint":
+        b = {p: f for p, f in draw(PATTERN_MAPS).items() if p not in a}
+        b = b or {fresh: draw(COUNTS)}
+    elif kind == "flat":
+        b = dict.fromkeys(a.keys() | draw(PATTERN_MAPS).keys(), draw(COUNTS))
+    else:
+        a = dict([draw(st.sampled_from(sorted(a.items())))])
+        b = {draw(st.sampled_from([*a, fresh])): draw(COUNTS)}
+    return (hist_from_pairs("a", a.items()), hist_from_pairs("b", b.items()),
+            kind)
+
+
+@settings(max_examples=200, deadline=None)
+@given(histogram_pairs())
+def test_correlate_is_the_nearest_double(pair):
+    a, b, kind = pair
+    r = correlate(a, b)
+    assert_nearest(r, a, b)
+    assert correlate(b, a) == r
+    if r is not None and kind in ("identical", "scaled"):
+        assert r == 1.0
+
+
 def test_correlate_self_is_one(designs):
     hist = pattern_histogram(designs["adder8"], SCOPE_WHOLE)
-    assert correlate(hist, hist) == pytest.approx(1.0, abs=1e-12)
+    assert correlate(hist, hist) == 1.0
 
 
 def test_correlate_scale_invariance(designs):
@@ -213,13 +302,13 @@ def test_correlate_scale_invariance(designs):
         tuple(HistogramEntry(e.ident, e.pattern, e.frequency * 2)
               for e in hist.entries),
     )
-    assert correlate(hist, doubled) == pytest.approx(1.0, abs=1e-12)
+    assert correlate(hist, doubled) == 1.0
 
 
 def test_correlate_symmetry(designs):
     a = pattern_histogram(designs["adder8"], SCOPE_WHOLE)
     b = pattern_histogram(designs["cmp4"], SCOPE_WHOLE)
-    assert correlate(a, b) == pytest.approx(correlate(b, a), abs=1e-15)
+    assert correlate(a, b) == correlate(b, a)
 
 
 def test_correlate_zero_variance_undefined():
@@ -236,7 +325,8 @@ def test_correlate_disjoint_negative_and_matches_scipy():
     ys = [0, 0, 4, 2]
     expected = scipy_stats.pearsonr(xs, ys).statistic
     assert r < 0
-    assert r == pytest.approx(expected, abs=1e-12)
+    assert_nearest(r, a, b)
+    assert r == pytest.approx(expected, abs=1e-15)
 
 
 def test_correlate_matches_scipy_on_random_histograms():
@@ -259,7 +349,8 @@ def test_correlate_matches_scipy_on_random_histograms():
             assert r is None
             continue
         expected = scipy_stats.pearsonr(xs, ys).statistic
-        assert r == pytest.approx(expected, abs=1e-12)
+        assert_nearest(r, a, b)
+        assert r == pytest.approx(expected, abs=1e-15)
 
 
 def test_composition_attack_identity(designs, lib):
@@ -269,7 +360,7 @@ def test_composition_attack_identity(designs, lib):
     victim = pattern_histogram(res, SCOPE_STATIC)
     report = composition_attack(victim, corpus)
     assert report.classification == CLASS_SELF
-    assert report.matches[0] == ("gray8", pytest.approx(1.0, abs=1e-12))
+    assert report.matches[0] == ("gray8", 1.0)
 
 
 def test_composition_attack_empty_victim(designs, lib):
@@ -311,7 +402,7 @@ def test_search_space_report_chain(designs, lib):
     res = run_obfuscation(nl, ObfuscationConfig(obf_percent=50, library=lib))
     victim = pattern_histogram(res, SCOPE_STATIC)
     match = composition_attack(victim, corpus_hists)
-    report = search_space_report(res, union, match)
+    report = search_space_report(res, victim, corpus_hists, match)
     assert report.l1 == 1 << 64
     assert report.l2 == union.m
     assert report.l4 <= report.l3 <= report.l2 <= report.l1

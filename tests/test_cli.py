@@ -554,6 +554,45 @@ def _lib_text(text):
     return _lib(write)
 
 
+def _sweep_lib_text(text):
+    def args(tmp_path, designs_dir, monkeypatch):
+        (tmp_path / "lib.json").write_text(text)
+        return ("sweep", "--input", designs_dir / "cmp4.blif", "--levels",
+                "100,50,0", "--lib", tmp_path / "lib.json",
+                "--out", tmp_path / "o")
+    return args
+
+
+def _default_library_with_all(field, value):
+    """The built-in library as JSON text, with every delay (``delay_ns``)
+    or every area (``area_um2``) set to ``value``."""
+    import copy
+
+    from easic.techlib import _DEFAULT_CONFIG
+
+    config = copy.deepcopy(_DEFAULT_CONFIG)
+    for entry in (*config["gates"].values(), *config["luts"].values()):
+        entry[field] = value
+    if field == "delay_ns":
+        config["ff"].update(clk2q_ns=value, setup_ns=value)
+    else:
+        config["ff"]["area_um2"] = value
+    return json.dumps(config)
+
+
+# libraries whose values no float can carry through the engine's sums
+# and quotients: each is refused as it is loaded
+LIB_OUT_OF_RANGE = {
+    "int-too-big-for-a-float": _default_library_with(
+        ["gates", "AND2", "delay_ns"], 10**400),
+    "int-too-long-to-read": _default_library_with(
+        ["ff", "clk2q_ns"], "DIGITS").replace('"DIGITS"', "1" * 5000),
+    "delays-1e308": _default_library_with_all("delay_ns", 1e308),
+    "areas-1e308": _default_library_with_all("area_um2", 1e308),
+    "delays-5e-324": _default_library_with_all("delay_ns", 5e-324),
+}
+
+
 def _env_lib_missing(tmp_path, designs_dir, monkeypatch):
     monkeypatch.setenv("EASIC_LIB", str(tmp_path / "absent.json"))
     return ("sweep", "--input", designs_dir / "cmp4.blif", "--levels", "50",
@@ -643,6 +682,10 @@ def _verify_json_is_a_directory(tmp_path, designs_dir, monkeypatch):
     pytest.param(_lib_text(_default_library_with(["luts", "6", "delay_ns"],
                                                  float("nan"))),
                  id="lib-value-not-finite"),
+    *(pytest.param(_lib_text(text), id=f"lib-{name}")
+      for name, text in LIB_OUT_OF_RANGE.items()),
+    *(pytest.param(_sweep_lib_text(text), id=f"sweep-lib-{name}")
+      for name, text in LIB_OUT_OF_RANGE.items()),
     pytest.param(_out_is_a_file, id="out-is-a-file"),
     pytest.param(_sweep_out_is_a_file, id="sweep-out-is-a-file"),
     pytest.param(_negative_degree, id="negative-degree"),

@@ -1,7 +1,11 @@
 """Property tests over random LUT DAGs (hypothesis)."""
 
+import contextlib
 import copy
+import io
+import json
 import random
+import shutil
 from fractions import Fraction
 from pathlib import Path
 from unittest import mock
@@ -16,6 +20,7 @@ from easic import (  # noqa: E402
     check_equivalence, decompose_lut, default_library, emit_blif, find_critical,
     load_library, lut_support, parse_blif, program, prove_by_cuts, report,
     run_obfuscation, serialize, sweep)
+from easic.cli import main as cli_main  # noqa: E402
 from easic.bitstream import (  # noqa: E402
     Bitstream, BitstreamError, read_bitstream, write_bitstream)
 from easic import netlist as netlist_module  # noqa: E402
@@ -451,3 +456,168 @@ def test_covers_fold_to_their_truth_tables(blocks, newline):
             assert (cell.kind, cell.mask.bits) == ("LUT", bits)
         else:
             assert cell.kind == ("TIE1" if bits else "TIE0")
+
+
+# library values: numbers no float carries through the engine's sums and
+# quotients, numbers at and past the bounds the loader allows, ordinary
+# numbers, and values that are no numbers at all
+LIB_NUMBERS = st.one_of(
+    st.sampled_from([1e308, 5e-324, 10**400, "DIGITS", 0, 1e-9, 1e9, 1e-10,
+                     1e10]),
+    st.floats(min_value=0, allow_infinity=False), st.integers(0, 10**30))
+LIB_VALUES = st.one_of(
+    LIB_NUMBERS, LIB_NUMBERS,
+    st.sampled_from([-0.05, float("inf"), float("nan"), "0.05", "", None,
+                     True, [], {}]))
+
+
+def json_paths(value, path=()):
+    """The key path of every entry of nested JSON objects and arrays,
+    parents first."""
+    items = (value.items() if isinstance(value, dict)
+             else enumerate(value) if isinstance(value, list) else ())
+    for key, item in items:
+        yield path + (key,)
+        yield from json_paths(item, path + (key,))
+
+
+def json_at(document, path):
+    """(the object or array that holds the entry at ``path``, its key)."""
+    for key in path[:-1]:
+        document = document[key]
+    return document, path[-1]
+
+
+@st.composite
+def library_mutants(draw):
+    """The built-in library as JSON text with one to three changes: an
+    entry (a value, a gate or LUT entry, or a section) replaced by a
+    value or deleted, a key added next to it, or every delay or every
+    area set to one value.  "DIGITS" becomes an int of 5000 digits, too
+    long to read."""
+    config = copy.deepcopy(_DEFAULT_CONFIG)
+    for _ in range(draw(st.integers(1, 3))):
+        paths = list(json_paths(config))
+        if not paths:
+            break
+        table, key = json_at(config, draw(st.sampled_from(paths)))
+        value = draw(LIB_VALUES)
+        op = draw(st.sampled_from(["set", "delete", "add", "all"]))
+        if op == "set":
+            table[key] = value
+        elif op == "delete":
+            del table[key]
+        elif op == "add":
+            table[draw(st.sampled_from(["7", "XOR9", "delay_ns"]))] = value
+        else:
+            suffix = draw(st.sampled_from(["_ns", "area_um2"]))
+            for path in paths:
+                if path[-1].endswith(suffix):
+                    table, key = json_at(config, path)
+                    table[key] = value
+    return json.dumps(config).replace('"DIGITS"', "1" * 5000)
+
+
+@settings(max_examples=60, deadline=None)
+@given(library_mutants())
+def test_a_mutated_library_exits_cleanly(tmp_path_factory, text):
+    """obfuscate and sweep with a mutated --lib exit 0, or 3 with a
+    message, and raise nothing."""
+    work = tmp_path_factory.mktemp("lib")
+    (work / "lib.json").write_text(text)
+    adder8 = REPO / "designs" / "adder8.blif"
+    for args in (("obfuscate", "--input", adder8, "--obf", "50"),
+                 ("sweep", "--input", adder8, "--levels", "100,50,0")):
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(err):
+            code = cli_main([*map(str, args), "--lib", str(work / "lib.json"),
+                             "--out", str(work / args[0])])
+        assert code in (0, 3)
+        if code == 3:
+            assert err.getvalue().startswith("error: ")
+
+
+RUN_DESIGNS = ("adder8", "counter8", "cmp4")
+# the run-directory files that verify and the attacks read
+RUN_FILES = ("easic.blif", "easic.ebs", "trace.json")
+
+
+@pytest.fixture(scope="module")
+def run_dirs(tmp_path_factory):
+    """(runs, corpus): each RUN_DESIGNS design obfuscated at 50% into
+    runs/<design>, and the histogram corpus of every design."""
+    runs = tmp_path_factory.mktemp("runs")
+    designs = REPO / "designs"
+    with contextlib.redirect_stdout(io.StringIO()):
+        for name in RUN_DESIGNS:
+            assert cli_main(["obfuscate", "--input",
+                             str(designs / f"{name}.blif"), "--obf", "50",
+                             "--out", str(runs / name)]) == 0
+        assert cli_main(["attack", "corpus", "--inputs",
+                         *map(str, sorted(designs.glob("*.blif"))),
+                         "--out", str(runs / "corpus")]) == 0
+    return runs, runs / "corpus"
+
+
+def mutate_run_file(draw, data, json_file):
+    """``data`` with a byte flipped, cut short, a line deleted or
+    repeated, or, in a JSON file, two values swapped or one made an int
+    of 5000 digits, too long to read."""
+    ops = ["flip", "truncate", "delete-line", "repeat-line"]
+    ops += ["swap", "digits"] if json_file else []
+    op = draw(st.sampled_from(ops))
+    if op == "flip":
+        at = draw(st.integers(0, len(data) - 1))
+        flipped = data[at] ^ draw(st.integers(1, 255))
+        return data[:at] + bytes([flipped]) + data[at + 1:]
+    if op == "truncate":
+        return data[:draw(st.integers(0, len(data) - 1))]
+    if op in ("delete-line", "repeat-line"):
+        lines = data.splitlines(keepends=True)
+        at = draw(st.integers(0, len(lines) - 1))
+        lines[at:at + 1] = [] if op == "delete-line" else [lines[at]] * 2
+        return b"".join(lines)
+    document = json.loads(data)
+    # the numbers, strings, bools and nulls: swapping an array with an
+    # entry of its own would make the document a cycle
+    leaves = [(table, key) for table, key in
+              (json_at(document, path) for path in json_paths(document))
+              if not isinstance(table[key], (dict, list))]
+    first, key = draw(st.sampled_from(leaves))
+    if op == "digits":
+        first[key] = "DIGITS"
+        return json.dumps(document).replace('"DIGITS"', "7" * 5000).encode()
+    second, other = draw(st.sampled_from(leaves))
+    first[key], second[other] = second[other], first[key]
+    return json.dumps(document).encode()
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from(RUN_DESIGNS), st.sampled_from(RUN_FILES), st.data())
+def test_a_mutated_run_directory_exits_cleanly(tmp_path_factory, run_dirs,
+                                               design, name, data):
+    """verify, attack composition and attack structural (the static
+    portion with a trendline, and the reconfigurable portion) on a run
+    directory with one mutated file each exit 0, 2, 3 or 5, and raise
+    nothing."""
+    runs, corpus = run_dirs
+    work = tmp_path_factory.mktemp("mutant")
+    run = work / "run"
+    shutil.copytree(runs / design, run)
+    (run / name).write_bytes(mutate_run_file(
+        data.draw, (run / name).read_bytes(), name.endswith(".json")))
+    commands = [
+        ["verify", "--golden", REPO / "designs" / f"{design}.blif",
+         "--easic", run],
+        ["attack", "composition", "--victim", run, "--corpus", corpus],
+        ["attack", "structural", "--input", run, "--scope", "static-portion",
+         "--degree", "2"],
+        ["attack", "structural", "--input", run, "--scope",
+         "reconfigurable-portion"],
+    ]
+    for k, args in enumerate(commands):
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(io.StringIO()):
+            code = cli_main([*map(str, args), "--out", str(work / f"o{k}")])
+        assert code in (0, 2, 3, 5), args
